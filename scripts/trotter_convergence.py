@@ -19,25 +19,18 @@ from dsfsim.operators import QVector
 from dsfsim.pauli import pauli_sum_dense
 
 
-def assembled_at(series_by_pair, q, eta, tau, w):
-    total = 0.0
-    for pair, ser in series_by_pair.items():
-        damp = np.exp(-ser.n * eta * tau)
-        value = (tau / (2 * math.pi)) * (ser.moment0 + 2 * np.sum(
-            (ser.x * damp) * np.cos(ser.n * tau * w)
-            - (ser.y * damp) * np.sin(ser.n * tau * w)))
-        qq = q.component(pair[0]) * q.component(pair[1])
-        total += qq * (1.0 if pair[0] == pair[1] else 2.0) * value
-    return total
+def assembled_at(series_by_pair, q, w):
+    return sp.assemble_dsf(q, {p: sp.reconstruct_intensity(s, [w])
+                               for p, s in series_by_pair.items()}).values[0]
 
 
-def refined_peak(series_by_pair, q, eta, tau, grid):
+def refined_peak(series_by_pair, q, grid):
     coarse = {p: sp.reconstruct_intensity(s, grid)
               for p, s in series_by_pair.items()}
     values = sp.assemble_dsf(q, coarse).values
     i0 = int(np.argmax(values))
     lo, hi = grid[max(0, i0 - 3)], grid[min(len(grid) - 1, i0 + 3)]
-    res = minimize_scalar(lambda w: -assembled_at(series_by_pair, q, eta, tau, w),
+    res = minimize_scalar(lambda w: -assembled_at(series_by_pair, q, w),
                           bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12})
     return float(res.x)
@@ -74,7 +67,7 @@ def main():
             norm_product=max(states.norm_product(pair), 1.0),
             moment0=states.moment0(pair), x=values.real, y=values.imag,
             shots=np.zeros(plan.n_max, dtype=int), exact=True)
-    ref_peak = refined_peak(reference_series, q, args.eta, tau, grid)
+    ref_peak = refined_peak(reference_series, q, grid)
 
     print(f"tau = {tau:.5f} Ha^-1, reference peak at {ref_peak:.6f} Ha")
     print(f"{'k':>4}  {'step error':>12}  {'peak shift':>12}")
@@ -86,7 +79,7 @@ def main():
         plan_k = sp.plan_run(args.eta, delta, 1e-6, 600, states.moments, [q], k=k)
         series = {p: sp.measure_series(p, plan_k, states, program, mode="exact")
                   for p in sp.PAIR_KEYS}
-        shift = abs(refined_peak(series, q, args.eta, tau, grid) - ref_peak)
+        shift = abs(refined_peak(series, q, grid) - ref_peak)
         op_rows.append(step_err)
         peak_rows.append(shift)
         print(f"{k:>4}  {step_err:>12.3e}  {shift:>12.3e}")

@@ -9,12 +9,10 @@ inputs, 1 otherwise).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,16 +67,27 @@ class RunConfig:
 
 
 def parse_energy(text) -> float:
-    """Energy literal: plain Hartree, or with a 'Ha'/'eV' suffix."""
-    if isinstance(text, (int, float)):
-        return float(text)
+    """Energy literal: plain Hartree, or with a 'Ha'/'eV' suffix.
+
+    Raises ``CliError("invalid_config")`` unless the value is a finite
+    positive energy.
+    """
     raw = str(text).strip()
     lowered = raw.lower()
-    if lowered.endswith("ev"):
-        return float(raw[:-2]) / HARTREE_TO_EV
-    if lowered.endswith("ha"):
-        return float(raw[:-2])
-    return float(raw)
+    try:
+        if isinstance(text, (int, float)):
+            value = float(text)
+        elif lowered.endswith("ev"):
+            value = float(raw[:-2]) / HARTREE_TO_EV
+        elif lowered.endswith("ha"):
+            value = float(raw[:-2])
+        else:
+            value = float(raw)
+    except (ValueError, OverflowError):
+        raise CliError("invalid_config", f"not an energy: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise CliError("invalid_config", f"energy must be finite and positive: {text!r}")
+    return value
 
 
 def parse_q(text: str) -> list[float]:
@@ -206,6 +215,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         return cmd_oracle(args)
     if cfg.mode not in ("sampled", "exact"):
         raise CliError("invalid_config", f"unknown mode {cfg.mode!r}")
+    eta = cfg.eta_hartree
     ham_path = _require_file(cfg.hamiltonian, "hamiltonian")
     dip_path = _require_file(cfg.dipoles, "dipole")
     h, header = read_fcidump_file(ham_path)
@@ -217,7 +227,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if e0 is None:
         e0 = expectation(psum, ci_mod.ci_to_statevector(psi0)) \
             / max(psi0.norm() ** 2, 1e-300)
-    eta = cfg.eta_hartree
     delta = _resolve_window(cfg, eig, eta)
     core = cfg.cvs if cfg.cvs else None
     states = sp.prepare_dipole_states(psi0, dip, core_orbitals=core)
@@ -227,12 +236,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError("no_dipole_intensity", str(exc)) from None
     prog = emulator.build_trotter(psum.shifted_identity(-e0), plan.tau, plan.k)
-    threads = int(os.environ.get("DSF_SIM_THREADS", "0")) or None
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pair: pool.submit(sp.measure_series, pair, plan, states, prog,
-                                     cfg.mode, cfg.seed)
-                   for pair in sp.PAIR_KEYS}
-        series = {pair: fut.result() for pair, fut in futures.items()}
+    series = {pair: sp.measure_series(pair, plan, states, prog, cfg.mode, cfg.seed)
+              for pair in sp.PAIR_KEYS}
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     grid = sp.default_omega_grid(plan.tau, eta)
@@ -260,6 +265,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = load_config(args)
+    if cfg.cvs:
+        raise CliError("invalid_config",
+                       "the oracle does not apply core-valence separation; "
+                       "drop --cvs")
+    eta = cfg.eta_hartree
     ham_path = _require_file(cfg.hamiltonian, "hamiltonian")
     dip_path = _require_file(cfg.dipoles, "dipole")
     h, header = read_fcidump_file(ham_path)
@@ -267,10 +277,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     cfg_solve = dataclasses.replace(cfg, ground_state="solve")
     psi0, e0, eig = _load_ground_state(cfg_solve, h, header)
     trans = oracle.transition_table(eig, dip)
-    eta = cfg.eta_hartree
     delta = _resolve_window(cfg, eig, eta)
-    tau = math.pi / delta
-    grid = np.arange(0.0, math.pi / tau, eta / 5.0)
+    grid = sp.default_omega_grid(math.pi / delta, eta)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     shift_ha = cfg.shift_ev / HARTREE_TO_EV

@@ -10,7 +10,6 @@ bitmask action; no gate matrices are ever built for the statevector path.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,24 +21,6 @@ IMAG = "imag"
 
 NORM_TOL = 1e-8
 DENSE_STEP_MAX_QUBITS = 10
-
-
-@dataclass(frozen=True)
-class HadamardOutcome:
-    """One Hadamard-test data point: exact bias and (optionally) its estimate."""
-
-    value: float          # exact P(0) - P(1)
-    estimate: float       # sampled estimate; equals value in exact mode
-    shots: int
-    which: str
-
-    def __post_init__(self):
-        if self.which not in (REAL, IMAG):
-            raise ValueError(f"which must be {REAL!r} or {IMAG!r}")
-        if abs(self.value) > 1 + 1e-9 or abs(self.estimate) > 1 + 1e-9:
-            raise ValueError("Hadamard-test bias must lie in [-1, 1]")
-        if self.shots < 0:
-            raise ValueError("negative shot count")
 
 
 @dataclass(frozen=True)
@@ -154,14 +135,15 @@ def _check_normalized(state: np.ndarray, name: str) -> None:
 
 
 def hadamard_test(a: np.ndarray, b: np.ndarray, prog: TrotterProgram,
-                  reps: int, which: str) -> HadamardOutcome:
+                  reps: int, which: str) -> float:
     """Exact bias of the Hadamard test measuring Re or Im of <b|U^reps|a>."""
+    if which not in (REAL, IMAG):
+        raise ValueError(f"which must be {REAL!r} or {IMAG!r}")
     _check_normalized(a, "state a")
     _check_normalized(b, "state b")
     amplitude = np.vdot(b, apply_trotter(a, prog, reps))
     value = amplitude.real if which == REAL else amplitude.imag
-    value = float(np.clip(value, -1.0, 1.0))
-    return HadamardOutcome(value=value, estimate=value, shots=0, which=which)
+    return float(np.clip(value, -1.0, 1.0))
 
 
 def hadamard_test_via_ancilla(a: np.ndarray, b: np.ndarray, prog: TrotterProgram,
@@ -199,24 +181,3 @@ def sample_outcome(value: float, shots: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     successes = rng.binomial(shots, p)
     return 2.0 * successes / shots - 1.0
-
-
-# ---------------------------------------------------------------------------
-# Optional binary statevector dump (debugging aid)
-# ---------------------------------------------------------------------------
-
-def dump_statevector(state: np.ndarray, path) -> None:
-    """Length-prefixed little-endian complex doubles."""
-    data = np.ascontiguousarray(state, dtype="<c16")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", data.shape[0]))
-        fh.write(data.tobytes())
-
-
-def load_statevector(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        (length,) = struct.unpack("<Q", fh.read(8))
-        buf = fh.read(16 * length)
-    if len(buf) != 16 * length:
-        raise ValueError("truncated statevector dump")
-    return np.frombuffer(buf, dtype="<c16").astype(complex)

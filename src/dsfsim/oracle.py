@@ -150,13 +150,7 @@ class _SlaterCondon:
 
 def build_ci_matrix(h: Hamiltonian, basis: list[Determinant]) -> np.ndarray:
     """Dense symmetric CI Hamiltonian over a one-sector determinant basis."""
-    gen = _SlaterCondon(h, basis)
-    dim = len(basis)
-    out = np.zeros((dim, dim))
-    for i, det in enumerate(basis):
-        for j, val in gen.row(det):
-            out[i, j] += val
-    return out
+    return _build_sparse(h, basis).toarray()
 
 
 def _build_sparse(h: Hamiltonian, basis: list[Determinant]) -> scipy.sparse.csr_matrix:

@@ -265,6 +265,23 @@ def split_shots(shots_n: int) -> tuple[int, int]:
     return shots_n - n_im, n_im
 
 
+def _sample_biases(pair: str, which: str, biases: np.ndarray, shots: np.ndarray,
+                   master_seed: int) -> np.ndarray:
+    """Shot estimates of the Re or Im biases for n = 1..len(shots).
+
+    Every (n, Re/Im) test draws from its own seed and gets its half of
+    ``shots[n - 1]`` (see ``split_shots``); a test allotted no shots records 0.
+    """
+    half = 0 if which == REAL else 1
+    estimates = np.zeros(len(shots))
+    for n in range(1, len(shots) + 1):
+        count = split_shots(int(shots[n - 1]))[half]
+        if count > 0:
+            estimates[n - 1] = sample_outcome(biases[n - 1], count,
+                                              _job_seed(master_seed, pair, n, which))
+    return estimates
+
+
 def _zero_series(pair: str, plan: RunPlan, shots: np.ndarray,
                  exact: bool) -> GreensSeries:
     zeros = np.zeros(plan.n_max)
@@ -296,27 +313,20 @@ def measure_series(pair: str, plan: RunPlan, states: DipoleStates,
     bra = states.vectors[pair[1]]
     step = (_cached_step_matrix(program)
             if program.n_qubits <= DENSE_STEP_MAX_QUBITS else None)
-    xs = np.zeros(plan.n_max)
-    ys = np.zeros(plan.n_max)
+    amplitudes = np.zeros(plan.n_max, dtype=complex)
     current = ket
-    for n in range(1, plan.n_max + 1):
+    for n in range(plan.n_max):
         current = step @ current if step is not None else apply_trotter(current, program, 1)
-        amplitude = np.vdot(bra, current)
-        v_re = float(np.clip(amplitude.real, -1.0, 1.0))
-        v_im = float(np.clip(amplitude.imag, -1.0, 1.0))
-        if mode == "exact":
-            e_re, e_im = v_re, v_im
-        else:
-            s_re, s_im = split_shots(int(shots[n - 1]))
-            e_re = sample_outcome(v_re, s_re, _job_seed(master_seed, pair, n, REAL)) \
-                if s_re > 0 else 0.0
-            e_im = sample_outcome(v_im, s_im, _job_seed(master_seed, pair, n, IMAG)) \
-                if s_im > 0 else 0.0
-        xs[n - 1] = norm_product * e_re
-        ys[n - 1] = norm_product * e_im
+        amplitudes[n] = np.vdot(bra, current)
+    re = np.clip(amplitudes.real, -1.0, 1.0)
+    im = np.clip(amplitudes.imag, -1.0, 1.0)
+    if mode == "sampled":
+        re = _sample_biases(pair, REAL, re, shots, master_seed)
+        im = _sample_biases(pair, IMAG, im, shots, master_seed)
     return GreensSeries(pair=pair, tau=plan.tau, eta=plan.eta, n_max=plan.n_max,
                         norm_product=norm_product, moment0=states.moment0(pair),
-                        x=xs, y=ys, shots=shots, exact=(mode == "exact"))
+                        x=norm_product * re, y=norm_product * im, shots=shots,
+                        exact=(mode == "exact"))
 
 
 def resample_series(series: GreensSeries, master_seed: int) -> GreensSeries:
@@ -325,20 +335,12 @@ def resample_series(series: GreensSeries, master_seed: int) -> GreensSeries:
         raise ValueError("resampling requires an exact-mode series")
     if series.norm_product == 0.0:
         return dataclasses.replace(series, exact=False)
-    xs = np.zeros(series.n_max)
-    ys = np.zeros(series.n_max)
-    for n in range(1, series.n_max + 1):
-        v_re = series.x[n - 1] / series.norm_product
-        v_im = series.y[n - 1] / series.norm_product
-        s_re, s_im = split_shots(int(series.shots[n - 1]))
-        xs[n - 1] = series.norm_product * sample_outcome(
-            v_re, s_re, _job_seed(master_seed, series.pair, n, REAL)) if s_re > 0 else 0.0
-        ys[n - 1] = series.norm_product * sample_outcome(
-            v_im, s_im, _job_seed(master_seed, series.pair, n, IMAG)) if s_im > 0 else 0.0
-    return GreensSeries(pair=series.pair, tau=series.tau, eta=series.eta,
-                        n_max=series.n_max, norm_product=series.norm_product,
-                        moment0=series.moment0, x=xs, y=ys, shots=series.shots,
-                        exact=False)
+    re = _sample_biases(series.pair, REAL, series.x / series.norm_product,
+                        series.shots, master_seed)
+    im = _sample_biases(series.pair, IMAG, series.y / series.norm_product,
+                        series.shots, master_seed)
+    return dataclasses.replace(series, x=series.norm_product * re,
+                               y=series.norm_product * im, exact=False)
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def check_ancilla_equivalence() -> tuple[bool, str]:
                                      prog, 2, which)
         anc = emulator.hadamard_test_via_ancilla(states.vectors["x"],
                                                  states.vectors["y"], prog, 2, which)
-        worst = max(worst, abs(two.value - anc))
+        worst = max(worst, abs(two - anc))
     return worst <= 1e-12, f"max |two-branch - ancilla| = {worst:.2e}"
 
 

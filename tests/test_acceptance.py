@@ -29,23 +29,16 @@ def choose_k(shifted, tau, target, start=4, cap=1 << 15):
         k *= 2
 
 
-def eval_assembled(series_by_pair, q, eta, tau, w):
+def eval_assembled(series_by_pair, q, w):
     """Assembled structure factor at an arbitrary frequency, from the series."""
-    total = 0.0
-    for pair, ser in series_by_pair.items():
-        damp = np.exp(-ser.n * eta * tau)
-        value = (tau / (2 * math.pi)) * (ser.moment0 + 2 * np.sum(
-            (ser.x * damp) * np.cos(ser.n * tau * w)
-            - (ser.y * damp) * np.sin(ser.n * tau * w)))
-        qq = q.component(pair[0]) * q.component(pair[1])
-        total += qq * (1.0 if pair[0] == pair[1] else 2.0) * value
-    return total
+    return sp.assemble_dsf(q, {p: sp.reconstruct_intensity(s, [w])
+                               for p, s in series_by_pair.items()}).values[0]
 
 
-def refine_peak(series_by_pair, q, eta, tau, grid, coarse_index):
+def refine_peak(series_by_pair, q, grid, coarse_index):
     lo = grid[max(0, coarse_index - 3)]
     hi = grid[min(len(grid) - 1, coarse_index + 3)]
-    res = minimize_scalar(lambda w: -eval_assembled(series_by_pair, q, eta, tau, w),
+    res = minimize_scalar(lambda w: -eval_assembled(series_by_pair, q, w),
                           bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12})
     return float(res.x)
@@ -114,8 +107,7 @@ def test_criterion_2_trotter_convergence(toy):
             shots=np.zeros(n_max, dtype=int), exact=True)
     ref_values = sp.assemble_dsf(q, {p: sp.reconstruct_intensity(s, grid)
                                      for p, s in reference_series.items()}).values
-    ref_peak = refine_peak(reference_series, q, toy.eta, tau, grid,
-                           int(np.argmax(ref_values)))
+    ref_peak = refine_peak(reference_series, q, grid, int(np.argmax(ref_values)))
 
     errors = {}
     spectra = {}
@@ -126,7 +118,7 @@ def test_criterion_2_trotter_convergence(toy):
         values = sp.assemble_dsf(q, {p: sp.reconstruct_intensity(s, grid)
                                      for p, s in series.items()}).values
         spectra[k] = values
-        peak = refine_peak(series, q, toy.eta, tau, grid, int(np.argmax(values)))
+        peak = refine_peak(series, q, grid, int(np.argmax(values)))
         errors[k] = abs(peak - ref_peak)
     slope = float(np.polyfit(np.log([1, 2, 4, 8]),
                              np.log([errors[k] for k in (1, 2, 4, 8)]), 1)[0])

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -23,9 +24,10 @@ BASELINE_FILES = ["dsf_q0.csv", "intensity_xx.csv", "intensity_xy.csv",
                   "greens_xy.json", "greens_zz.json"]
 
 
-def run_cli(*args, check=True):
+def run_cli(*args, check=True, env=None):
     proc = subprocess.run([sys.executable, "-m", "dsfsim", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, **(env or {})})
     if check and proc.returncode != 0:
         raise AssertionError(f"CLI failed ({proc.returncode}): {proc.stderr}")
     return proc
@@ -78,6 +80,27 @@ def test_missing_dipole_file_error(fixture_dir, tmp_path):
     assert proc.returncode == 2
     error = json.loads(proc.stderr)
     assert error["error"]["kind"] == "input_not_found"
+
+
+@pytest.mark.parametrize("args, env, expected", [
+    (SAMPLED_ARGS + ["--eta", "abc"], {}, "invalid_config"),
+    (SAMPLED_ARGS + ["--eta", "-1"], {}, "invalid_config"),
+    (["oracle", "--eta", "0.02", "--delta", "2.0", "--cvs", "0"], {}, "invalid_config"),
+    (EXACT_ARGS + ["--mode", "oracle", "--cvs", "0"], {}, "invalid_config"),
+    (SAMPLED_ARGS, {"DSF_SIM_THREADS": "abc"}, "sampled_2orb"),
+], ids=["eta_not_a_number", "eta_negative", "oracle_cvs", "mode_oracle_cvs",
+        "threads_variable_ignored"])
+def test_cli_user_input(fixture_dir, tmp_path, args, env, expected):
+    """A bad value is refused with a typed error; an ignored one changes nothing."""
+    out = tmp_path / "run"
+    proc = run_cli(*spectrum_args(fixture_dir, args, out), check=False, env=env)
+    if (BASELINES / expected).is_dir():
+        assert proc.returncode == 0, proc.stderr
+        for name in ("dsf_q0.csv", "greens_xy.json"):
+            assert (out / name).read_bytes() == (BASELINES / expected / name).read_bytes()
+    else:
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr)["error"]["kind"] == expected
 
 
 def test_csv_outputs_parse_back(fixture_dir, tmp_path):

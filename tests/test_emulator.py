@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from dsfsim import emulator
 from dsfsim.emulator import (IMAG, REAL, apply_trotter, build_trotter,
-                             dump_statevector, hadamard_test,
-                             hadamard_test_via_ancilla, load_statevector,
+                             hadamard_test, hadamard_test_via_ancilla,
                              program_unitary, sample_outcome)
 from dsfsim.pauli import PauliSum, pauli_sum_dense
 
@@ -119,8 +118,8 @@ def test_hadamard_identity_overlap():
     psum = random_pauli_sum(3, 5, seed=14)
     prog = build_trotter(psum, 0.4, 1)
     a = random_state(3, 15)
-    assert hadamard_test(a, a, prog, 0, REAL).value == pytest.approx(1.0, abs=1e-12)
-    assert hadamard_test(a, a, prog, 0, IMAG).value == pytest.approx(0.0, abs=1e-12)
+    assert hadamard_test(a, a, prog, 0, REAL) == pytest.approx(1.0, abs=1e-12)
+    assert hadamard_test(a, a, prog, 0, IMAG) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hadamard_orthogonal_states():
@@ -128,8 +127,8 @@ def test_hadamard_orthogonal_states():
     prog = build_trotter(psum, 0.4, 1)
     a = np.zeros(8, dtype=complex); a[0] = 1.0
     b = np.zeros(8, dtype=complex); b[3] = 1.0
-    assert hadamard_test(a, b, prog, 0, REAL).value == 0.0
-    assert hadamard_test(a, b, prog, 0, IMAG).value == 0.0
+    assert hadamard_test(a, b, prog, 0, REAL) == 0.0
+    assert hadamard_test(a, b, prog, 0, IMAG) == 0.0
 
 
 def test_hadamard_matches_eigendecomposition(two_orb):
@@ -145,8 +144,8 @@ def test_hadamard_matches_eigendecomposition(two_orb):
     b = two_orb.states.vectors["y"]
     norms = two_orb.states.norm_product("xy")
     for n in (1, 3):
-        got = (hadamard_test(a, b, prog, n, REAL).value
-               + 1j * hadamard_test(a, b, prog, n, IMAG).value) * norms
+        got = (hadamard_test(a, b, prog, n, REAL)
+               + 1j * hadamard_test(a, b, prog, n, IMAG)) * norms
         want = exact_greens(two_orb.eig, two_orb.trans, "xy", tau, n)
         assert abs(got - want) <= norms * (n * step_err + 1e-12)
 
@@ -160,6 +159,14 @@ def test_hadamard_rejects_unnormalized():
         hadamard_test(bad, good, prog, 1, REAL)
 
 
+def test_hadamard_rejects_unknown_component():
+    psum = random_pauli_sum(2, 3, seed=17)
+    prog = build_trotter(psum, 0.4, 1)
+    a = random_state(2, 18)
+    with pytest.raises(ValueError, match="which"):
+        hadamard_test(a, a, prog, 1, "phase")
+
+
 def test_ancilla_circuit_equivalence():
     """The explicit (n+1)-qubit register reproduces the two-branch statistics."""
     psum = random_pauli_sum(4, 10, seed=19)
@@ -167,7 +174,7 @@ def test_ancilla_circuit_equivalence():
     a, b = random_state(4, 20), random_state(4, 21)
     for which in (REAL, IMAG):
         for reps in (0, 1, 3):
-            two_branch = hadamard_test(a, b, prog, reps, which).value
+            two_branch = hadamard_test(a, b, prog, reps, which)
             ancilla = hadamard_test_via_ancilla(a, b, prog, reps, which)
             assert two_branch == pytest.approx(ancilla, abs=1e-12)
 
@@ -177,8 +184,8 @@ def test_global_phase_affects_hadamard():
     base = PauliSum.from_words([(0.5, "ZI")], 2)
     shifted = base.shifted_identity(0.9)
     a = random_state(2, 22)
-    v0 = hadamard_test(a, a, build_trotter(base, 1.0, 1), 1, REAL).value
-    v1 = hadamard_test(a, a, build_trotter(shifted, 1.0, 1), 1, REAL).value
+    v0 = hadamard_test(a, a, build_trotter(base, 1.0, 1), 1, REAL)
+    v1 = hadamard_test(a, a, build_trotter(shifted, 1.0, 1), 1, REAL)
     assert abs(v0 - v1) > 0.1  # phase 0.9 rad must show up
 
 
@@ -219,9 +226,3 @@ def test_build_rejects_bad_arguments():
     with pytest.raises(ValueError):
         build_trotter(psum, 0.0, 2)
 
-
-def test_statevector_dump_round_trip(tmp_path):
-    state = random_state(4, 25)
-    path = tmp_path / "state.bin"
-    dump_statevector(state, path)
-    assert np.array_equal(load_statevector(path), state)
