@@ -8,12 +8,11 @@ sampled-run signal-to-noise for a quick health check.
     python scripts/run_toy_eels.py --out toy_run --shots 10000 --seed 1
 """
 import argparse
-import math
 from pathlib import Path
 
 import numpy as np
 
-from dsfsim import emulator, fixtures, oracle, operators
+from dsfsim import fixtures, oracle
 from dsfsim import spectrum as sp
 from dsfsim.operators import QVector
 
@@ -27,18 +26,10 @@ def main():
     parser.add_argument("--eta", type=float, default=0.06)
     args = parser.parse_args()
 
-    spec = fixtures.CORE_VALENCE_SPEC
-    h, dip = fixtures.generate(spec)
-    eig = oracle.solve_sector(h, *spec.sector)
-    trans = oracle.transition_table(eig, dip)
-    states = sp.prepare_dipole_states(eig.eigenvector(0), dip)
-    delta = 1.05 * float(np.max(oracle.bright_excitations(eig, trans)))
+    model = fixtures.solve(fixtures.CORE_VALENCE_SPEC)
     q = QVector(1.0, 1.0, 1.0)
-    plan = sp.plan_run(args.eta, delta, math.exp(-5.0), args.shots,
-                       states.moments, [q], k=args.k)
-    program = emulator.build_trotter(
-        operators.jordan_wigner(h).shifted_identity(-eig.ground_energy),
-        plan.tau, plan.k)
+    plan = model.plan(args.eta, shots=args.shots, k=args.k, q_set=[q])
+    program = model.program(plan.k)
     grid = sp.default_omega_grid(plan.tau, args.eta)
 
     outdir = Path(args.out)
@@ -47,19 +38,19 @@ def main():
     for mode, seed in (("exact", 0), ("sampled", args.seed)):
         contribs = {}
         for pair in sp.PAIR_KEYS:
-            series = sp.measure_series(pair, plan, states, program,
+            series = sp.measure_series(pair, plan, model.states, program,
                                        mode=mode, master_seed=seed)
             contribs[pair] = sp.reconstruct_intensity(series, grid)
         dsf = sp.assemble_dsf(q, contribs)
         results[mode] = dsf.values
         (outdir / f"dsf_{mode}.csv").write_text(sp.spectrum_to_csv(dsf))
-    reference = oracle.exact_spectrum(eig, trans, q, args.eta, grid)
+    reference = oracle.exact_spectrum(model.eig, model.trans, q, args.eta, grid)
     (outdir / "dsf_oracle.csv").write_text(sp.spectrum_to_csv(reference))
 
     from scipy.signal import find_peaks
     peaks, _ = find_peaks(results["exact"], height=0.2 * results["exact"].max())
     noise = float(np.sqrt(np.mean((results["sampled"] - results["exact"]) ** 2)))
-    print(f"window {delta:.2f} Ha, tau {plan.tau:.4f}, n_max {plan.n_max}")
+    print(f"window {model.delta:.2f} Ha, tau {plan.tau:.4f}, n_max {plan.n_max}")
     print(f"budgets: {plan.budgets}")
     for index in peaks:
         snr = results["sampled"][index] / noise

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import minimize_scalar
 
-from dsfsim import emulator, fixtures, oracle, operators
+from dsfsim import emulator, fixtures, oracle
 from dsfsim import spectrum as sp
 from dsfsim.operators import QVector
 from dsfsim.pauli import pauli_sum_dense
@@ -42,25 +42,20 @@ def main():
     parser.add_argument("--eta", type=float, default=0.06)
     args = parser.parse_args()
 
-    spec = fixtures.CORE_VALENCE_SPEC
-    h, dip = fixtures.generate(spec)
-    eig = oracle.solve_sector(h, *spec.sector)
-    trans = oracle.transition_table(eig, dip)
-    states = sp.prepare_dipole_states(eig.eigenvector(0), dip)
-    delta = 1.05 * float(np.max(oracle.bright_excitations(eig, trans)))
-    tau = math.pi / delta
-    shifted = operators.jordan_wigner(h).shifted_identity(-eig.ground_energy)
-    exact_step = scipy.linalg.expm(-1j * pauli_sum_dense(shifted) * tau)
+    model = fixtures.solve(fixtures.CORE_VALENCE_SPEC)
+    states = model.states
+    tau = math.pi / model.delta
+    exact_step = scipy.linalg.expm(-1j * pauli_sum_dense(model.shifted) * tau)
 
     q = QVector(1.0, 1.0, 1.0)
     grid = sp.default_omega_grid(tau, args.eta)
-    plan = sp.plan_run(args.eta, delta, 1e-6, 600, states.moments, [q], k=4)
+    plan = model.plan(args.eta, 1e-6, 600, 4, [q])
 
     # step-exact reference series with the same truncation isolates the
     # Trotter-induced shift
     reference_series = {}
     for pair in sp.PAIR_KEYS:
-        values = np.array([oracle.exact_greens(eig, trans, pair, tau, n)
+        values = np.array([oracle.exact_greens(model.eig, model.trans, pair, tau, n)
                            for n in range(1, plan.n_max + 1)])
         reference_series[pair] = sp.GreensSeries(
             pair=pair, tau=tau, eta=args.eta, n_max=plan.n_max,
@@ -73,10 +68,10 @@ def main():
     print(f"{'k':>4}  {'step error':>12}  {'peak shift':>12}")
     op_rows, peak_rows = [], []
     for k in args.ks:
-        program = emulator.build_trotter(shifted, tau, k)
+        program = model.program(k)
         step_err = float(np.linalg.norm(emulator.program_unitary(program)
                                         - exact_step, 2))
-        plan_k = sp.plan_run(args.eta, delta, 1e-6, 600, states.moments, [q], k=k)
+        plan_k = model.plan(args.eta, 1e-6, 600, k, [q])
         series = {p: sp.measure_series(p, plan_k, states, program, mode="exact")
                   for p in sp.PAIR_KEYS}
         shift = abs(refined_peak(series, q, grid) - ref_peak)

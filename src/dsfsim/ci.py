@@ -94,12 +94,6 @@ class CIVector:
         return float(np.sqrt(sum(abs(a) ** 2 for a in self.entries.values())))
 
 
-def make_civector(n_orbitals: int, entries: dict[Determinant, complex],
-                  prune: float = 0.0) -> CIVector:
-    kept = {d: complex(a) for d, a in entries.items() if abs(a) > prune}
-    return CIVector(n_orbitals, kept)
-
-
 def overlap(a: CIVector, b: CIVector) -> complex:
     """<a|b> computed sparsely; a diagnostic for input-state quality."""
     if len(a.entries) > len(b.entries):

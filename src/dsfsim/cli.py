@@ -23,7 +23,7 @@ from . import __version__, ci as ci_mod, emulator, fixtures, oracle, validate
 from . import spectrum as sp
 from .operators import (QVector, jordan_wigner, load_dipole_json,
                         read_fcidump_file)
-from .pauli import expectation, pauli_sum_dense
+from .pauli import expectation
 from .resources import (DEFAULT_MODEL, algorithm_cost, reference_plan,
                         report_to_json, resource_table, table_to_csv)
 from .spectrum import HARTREE_TO_EV
@@ -90,11 +90,58 @@ def parse_energy(text) -> float:
     return value
 
 
-def parse_q(text: str) -> list[float]:
-    parts = [float(t) for t in text.split(",")]
-    if len(parts) != 3:
-        raise CliError("invalid_config", f"q must have three components: {text!r}")
-    return parts
+def _parse_list(text: str, kind: type) -> list:
+    try:
+        return [kind(t) for t in text.split(",")] if text else []
+    except ValueError:
+        raise CliError("invalid_config",
+                       f"not a comma-separated list of {kind.__name__}: {text!r}") from None
+
+
+def _is_number(value, integer: bool = False) -> bool:
+    """A finite int or float that is not a bool; an int when ``integer``."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, int):
+        return True
+    return (not integer and isinstance(value, float) and math.isfinite(value))
+
+
+def _check_config(cfg: RunConfig) -> None:
+    """Refuse a field of the wrong type or out of range with ``invalid_config``."""
+    def refuse(name: str, what: str):
+        raise CliError("invalid_config",
+                       f"{name} must be {what}, got {getattr(cfg, name)!r}")
+
+    for name in ("hamiltonian", "dipoles", "ground_state", "out"):
+        if not isinstance(getattr(cfg, name), str):
+            refuse(name, "a string")
+    if cfg.mode not in ("sampled", "exact", "oracle"):
+        refuse("mode", "sampled, exact or oracle")
+    parse_energy(cfg.eta)
+    if cfg.delta is not None and not (_is_number(cfg.delta) and cfg.delta > 0):
+        refuse("delta", "a finite positive energy in Hartree")
+    if not (_is_number(cfg.epsilon_trunc) and 0 < cfg.epsilon_trunc < 1):
+        refuse("epsilon_trunc", "a number in (0, 1)")
+    if not (_is_number(cfg.trotter_k, integer=True) and cfg.trotter_k >= 1):
+        refuse("trotter_k", "an integer >= 1")
+    if not (_is_number(cfg.shots, integer=True) and cfg.shots >= len(sp.PAIR_KEYS)):
+        refuse("shots", "an integer of at least one shot per Cartesian pair")
+    if not (_is_number(cfg.seed, integer=True) and cfg.seed >= 0):
+        refuse("seed", "a non-negative integer")
+    if not (isinstance(cfg.q, list) and all(
+            isinstance(t, list) and len(t) == 3 and all(map(_is_number, t))
+            for t in cfg.q)):
+        refuse("q", "a list of finite three-component momenta")
+    if not (isinstance(cfg.cvs, list) and all(
+            _is_number(c, integer=True) and c >= 0 for c in cfg.cvs)):
+        refuse("cvs", "a list of non-negative orbital indices")
+    if not _is_number(cfg.shift_ev):
+        refuse("shift_ev", "a finite number of eV")
+    for name in ("n_alpha", "n_beta"):
+        value = getattr(cfg, name)
+        if value is not None and not (_is_number(value, integer=True) and value >= 0):
+            refuse(name, "a non-negative integer")
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -104,36 +151,28 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if not path.exists():
             raise CliError("input_not_found", f"config file {path} does not exist",
                            EXIT_INPUT_NOT_FOUND)
-        doc = json.loads(path.read_text())
+        try:
+            doc = json.loads(path.read_text())
+        except ValueError as exc:
+            raise CliError("invalid_config", f"config file {path}: {exc}") from None
+        if not isinstance(doc, dict):
+            raise CliError("invalid_config", f"config file {path} is not a JSON object")
         known = {f.name for f in dataclasses.fields(RunConfig)}
         unknown = set(doc) - known
         if unknown:
             raise CliError("invalid_config", f"unknown config fields: {sorted(unknown)}")
         for key, value in doc.items():
             setattr(cfg, key, value)
-    overrides = {
-        "hamiltonian": getattr(args, "hamiltonian", None),
-        "dipoles": getattr(args, "dipoles", None),
-        "ground_state": getattr(args, "ground_state", None),
-        "mode": getattr(args, "mode", None),
-        "eta": getattr(args, "eta", None),
-        "delta": getattr(args, "delta", None),
-        "epsilon_trunc": getattr(args, "epsilon_trunc", None),
-        "trotter_k": getattr(args, "k", None),
-        "shots": getattr(args, "shots", None),
-        "seed": getattr(args, "seed", None),
-        "out": getattr(args, "out", None),
-        "shift_ev": getattr(args, "shift_ev", None),
-        "n_alpha": getattr(args, "n_alpha", None),
-        "n_beta": getattr(args, "n_beta", None),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "q", None):
-        cfg.q = [parse_q(t) for t in args.q]
-    if getattr(args, "cvs", None) is not None:
-        cfg.cvs = [int(t) for t in args.cvs.split(",")] if args.cvs else []
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if value is None:
+            continue
+        if f.name == "q":
+            value = [_parse_list(t, float) for t in value]
+        elif f.name == "cvs":
+            value = _parse_list(value, int)
+        setattr(cfg, f.name, value)
+    _check_config(cfg)
     return cfg
 
 
@@ -151,6 +190,23 @@ def _require_file(path_str: str, what: str) -> Path:
     return path
 
 
+def _load_inputs(cfg: RunConfig):
+    """Read the FCIDUMP and dipole files and check that they fit together.
+
+    Returns (hamiltonian path, dipole path, Hamiltonian, header, dipoles).
+    """
+    ham_path = _require_file(cfg.hamiltonian, "hamiltonian")
+    dip_path = _require_file(cfg.dipoles, "dipole")
+    h, header = read_fcidump_file(ham_path)
+    dip = load_dipole_json(dip_path.read_text())
+    if dip.n_orbitals != h.n_orbitals:
+        raise CliError("invalid_config", "dipole and Hamiltonian orbital counts differ")
+    if any(c >= h.n_orbitals for c in cfg.cvs):
+        raise CliError("invalid_config",
+                       f"core orbitals {cfg.cvs} outside the {h.n_orbitals} orbitals")
+    return ham_path, dip_path, h, header, dip
+
+
 def _load_ground_state(cfg: RunConfig, h, header):
     """Returns (psi0, E0_or_None, eigensystem_or_None)."""
     if cfg.ground_state == "solve":
@@ -165,7 +221,14 @@ def _load_ground_state(cfg: RunConfig, h, header):
                                "(set NELEC in FCIDUMP or n_alpha/n_beta)")
             n_alpha = (nelec + ms2) // 2
             n_beta = nelec - n_alpha
-        eig = oracle.solve_sector(h, n_alpha, n_beta)
+        if not (0 <= n_alpha <= h.n_orbitals and 0 <= n_beta <= h.n_orbitals):
+            raise CliError("invalid_config",
+                           f"sector ({n_alpha}, {n_beta}) does not fit "
+                           f"{h.n_orbitals} orbitals")
+        try:
+            eig = oracle.solve_sector(h, n_alpha, n_beta)
+        except oracle.SectorTooLarge as exc:
+            raise CliError("budget_exceeded", str(exc)) from None
         return eig.eigenvector(0), eig.ground_energy, eig
     path = _require_file(cfg.ground_state, "ground state")
     text = path.read_text()
@@ -177,8 +240,6 @@ def _load_ground_state(cfg: RunConfig, h, header):
 
 def _resolve_window(cfg: RunConfig, eig, eta: float) -> float:
     if cfg.delta is not None:
-        if cfg.delta <= 0:
-            raise CliError("invalid_config", "delta must be positive")
         return float(cfg.delta)
     if eig is None:
         raise CliError("invalid_config",
@@ -213,15 +274,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = load_config(args)
     if cfg.mode == "oracle":
         return cmd_oracle(args)
-    if cfg.mode not in ("sampled", "exact"):
-        raise CliError("invalid_config", f"unknown mode {cfg.mode!r}")
     eta = cfg.eta_hartree
-    ham_path = _require_file(cfg.hamiltonian, "hamiltonian")
-    dip_path = _require_file(cfg.dipoles, "dipole")
-    h, header = read_fcidump_file(ham_path)
-    dip = load_dipole_json(dip_path.read_text())
-    if dip.n_orbitals != h.n_orbitals:
-        raise CliError("invalid_config", "dipole and Hamiltonian orbital counts differ")
+    ham_path, dip_path, h, header, dip = _load_inputs(cfg)
     psi0, e0, eig = _load_ground_state(cfg, h, header)
     psum = jordan_wigner(h)
     if e0 is None:
@@ -270,10 +324,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                        "the oracle does not apply core-valence separation; "
                        "drop --cvs")
     eta = cfg.eta_hartree
-    ham_path = _require_file(cfg.hamiltonian, "hamiltonian")
-    dip_path = _require_file(cfg.dipoles, "dipole")
-    h, header = read_fcidump_file(ham_path)
-    dip = load_dipole_json(dip_path.read_text())
+    ham_path, dip_path, h, header, dip = _load_inputs(cfg)
     cfg_solve = dataclasses.replace(cfg, ground_state="solve")
     psi0, e0, eig = _load_ground_state(cfg_solve, h, header)
     trans = oracle.transition_table(eig, dip)
@@ -367,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta", help="broadening, Hartree (or e.g. '1.63eV')")
         p.add_argument("--delta", type=float, help="spectral window, Hartree")
         p.add_argument("--epsilon-trunc", dest="epsilon_trunc", type=float)
-        p.add_argument("--k", type=int, help="Trotter substeps per tau")
+        p.add_argument("--k", dest="trotter_k", type=int,
+                       help="Trotter substeps per tau")
         p.add_argument("--shots", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--q", action="append", help="momentum 'qx,qy,qz' (repeatable)")

@@ -5,15 +5,25 @@ one-body-only diagonal model, and a core-valence toy with one deep orbital
 whose dipole couples exclusively to the valence shell (a stand-in for a
 1s -> 2p excitation channel).  Output is a pure function of the spec, so a
 given seed always reproduces byte-identical interchange files.
+
+``solve`` runs the classical front half of the measurement chain on a spec
+(exact ground state, dipole-rotated states, spectral window, shifted
+Hamiltonian) for the tests, ``dsfsim validate`` and the study scripts.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .operators import DipoleOperator, Hamiltonian, dump_dipole_json, write_fcidump
+from . import emulator, oracle
+from . import spectrum as sp
+from .ci import CIVector
+from .operators import (DipoleOperator, Hamiltonian, QVector, dump_dipole_json,
+                        jordan_wigner, write_fcidump)
+from .pauli import PauliSum
 
 RANDOM_TWO_BODY = "random_two_body"
 CORE_VALENCE_TOY = "core_valence_toy"
@@ -147,6 +157,42 @@ CORE_VALENCE_SPEC = ModelSpec(n_orbitals=4, n_electrons=4, seed=21,
                               kind=CORE_VALENCE_TOY, core_gap=20.0)
 DIAGONAL_SPEC = ModelSpec(n_orbitals=3, n_electrons=2, seed=5,
                           kind=DIAGONAL_ONLY)
+
+
+@dataclass(frozen=True)
+class SolvedModel:
+    """A model solved in its sector, with what the measurement chain needs."""
+
+    spec: ModelSpec
+    h: Hamiltonian
+    dipole: DipoleOperator
+    eig: oracle.EigenSystem
+    trans: oracle.TransitionTable
+    psi0: CIVector
+    states: sp.DipoleStates
+    delta: float        # spectral window, Hartree
+    shifted: PauliSum   # JW(H) - E0
+
+    def program(self, k: int = 4) -> emulator.TrotterProgram:
+        return emulator.build_trotter(self.shifted, math.pi / self.delta, k)
+
+    def plan(self, eta: float, epsilon_trunc: float = math.exp(-5.0),
+             shots: int = 10000, k: int = 4,
+             q_set: list[QVector] | None = None) -> sp.RunPlan:
+        return sp.plan_run(eta, self.delta, epsilon_trunc, shots,
+                           self.states.moments, q_set, k=k)
+
+
+def solve(spec: ModelSpec) -> SolvedModel:
+    h, dipole = generate(spec)
+    eig = oracle.solve_sector(h, *spec.sector)
+    trans = oracle.transition_table(eig, dipole)
+    psi0 = eig.eigenvector(0)
+    states = sp.prepare_dipole_states(psi0, dipole)
+    # window over the dipole-bright states only; dark levels cannot alias
+    delta = 1.05 * float(np.max(oracle.bright_excitations(eig, trans)))
+    shifted = jordan_wigner(h).shifted_identity(-eig.ground_energy)
+    return SolvedModel(spec, h, dipole, eig, trans, psi0, states, delta, shifted)
 
 
 def write_fixture(spec: ModelSpec, outdir) -> dict[str, str]:

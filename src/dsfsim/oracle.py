@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +25,20 @@ HARD_CAP = 1_000_000
 GRAM_TOL = 1e-10
 
 
-def sector_basis(n_orbitals: int, n_alpha: int, n_beta: int) -> list[Determinant]:
-    """All determinants of a (N_alpha, N_beta) sector, sorted by occupation word."""
+class SectorTooLarge(ValueError):
+    """A sector exceeds a dimension cap; raised before it is enumerated."""
+
+
+def sector_dimension(n_orbitals: int, n_alpha: int, n_beta: int) -> int:
+    """C(n, N_alpha) * C(n, N_beta), without enumerating the sector."""
     if not (0 <= n_alpha <= n_orbitals and 0 <= n_beta <= n_orbitals):
         raise ValueError("electron counts incompatible with orbital count")
+    return math.comb(n_orbitals, n_alpha) * math.comb(n_orbitals, n_beta)
+
+
+def sector_basis(n_orbitals: int, n_alpha: int, n_beta: int) -> list[Determinant]:
+    """All determinants of a (N_alpha, N_beta) sector, sorted by occupation word."""
+    sector_dimension(n_orbitals, n_alpha, n_beta)
     def masks(count):
         out = []
         for occ in itertools.combinations(range(n_orbitals), count):
@@ -218,11 +229,12 @@ def _phase_fix(coeffs: np.ndarray) -> np.ndarray:
 def solve_sector(h: Hamiltonian, n_alpha: int, n_beta: int,
                  dense_cap: int = DENSE_CAP) -> EigenSystem:
     """Full diagonalization of one sector (dense; desk-scale dimensions)."""
-    basis = sector_basis(h.n_orbitals, n_alpha, n_beta)
-    if len(basis) > dense_cap:
-        raise ValueError(
-            f"sector dimension {len(basis)} exceeds the dense cap {dense_cap}; "
+    dim = sector_dimension(h.n_orbitals, n_alpha, n_beta)
+    if dim > dense_cap:
+        raise SectorTooLarge(
+            f"sector dimension {dim} exceeds the dense cap {dense_cap}; "
             "use ground_state for the iterative path")
+    basis = sector_basis(h.n_orbitals, n_alpha, n_beta)
     mat = build_ci_matrix(h, basis)
     offdiag = mat - np.diag(np.diag(mat))
     if np.max(np.abs(offdiag), initial=0.0) == 0.0:
@@ -240,12 +252,12 @@ def ground_state(h: Hamiltonian, sector: tuple[int, int],
                  dense_cap: int = DENSE_CAP, cap: int = HARD_CAP) -> CIVector:
     """Lowest eigenvector of a sector, phase-fixed for reproducibility."""
     n_alpha, n_beta = sector
-    basis = sector_basis(h.n_orbitals, n_alpha, n_beta)
-    dim = len(basis)
+    dim = sector_dimension(h.n_orbitals, n_alpha, n_beta)
     if dim > cap:
-        raise ValueError(f"sector dimension {dim} exceeds the cap {cap}")
+        raise SectorTooLarge(f"sector dimension {dim} exceeds the cap {cap}")
     if dim <= dense_cap:
         return solve_sector(h, n_alpha, n_beta, dense_cap).eigenvector(0)
+    basis = sector_basis(h.n_orbitals, n_alpha, n_beta)
     mat = _build_sparse(h, basis)
     _, vecs = scipy.sparse.linalg.eigsh(mat, k=1, which="SA")
     coeffs = _phase_fix(vecs[:, :1])
@@ -316,19 +328,24 @@ def exact_greens(eig: EigenSystem, trans: TransitionTable, pair: str,
     return complex(np.sum(np.conj(pa) * pb * phases))
 
 
+def _lorentzian_sum(eig: EigenSystem, weights: np.ndarray, eta: float,
+                    omega: np.ndarray) -> np.ndarray:
+    """One Lorentzian per eigenstate with nonzero weight, summed in state order."""
+    values = np.zeros_like(omega)
+    for k in range(eig.n_states):
+        if weights[k] != 0.0:
+            values += weights[k] * _lorentzian(omega, eig.energies[k] - eig.ground_energy, eta)
+    return values
+
+
 def exact_intensity(eig: EigenSystem, trans: TransitionTable, pair: str,
                     eta: float, omega_grid: np.ndarray) -> "Spectrum":
     """Lorentzian-broadened intensity function for one Cartesian pair."""
     from .spectrum import Spectrum
-    pa = trans.component(pair[0])
-    pb = trans.component(pair[1])
     omega = np.asarray(omega_grid, dtype=float)
-    values = np.zeros_like(omega)
-    for k in range(eig.n_states):
-        weight = pa[k] * pb[k]
-        if weight != 0.0:
-            values += weight * _lorentzian(omega, eig.energies[k] - eig.ground_energy, eta)
-    return Spectrum(omega, values, eta, kind="intensity", label=pair)
+    weights = trans.component(pair[0]) * trans.component(pair[1])
+    return Spectrum(omega, _lorentzian_sum(eig, weights, eta, omega), eta,
+                    kind="intensity", label=pair)
 
 
 def exact_spectrum(eig: EigenSystem, trans: TransitionTable, q: QVector,
@@ -338,13 +355,8 @@ def exact_spectrum(eig: EigenSystem, trans: TransitionTable, q: QVector,
     omega = np.asarray(omega_grid, dtype=float)
     projected = (q.qx * trans.component("x") + q.qy * trans.component("y")
                  + q.qz * trans.component("z"))
-    values = np.zeros_like(omega)
-    for k in range(eig.n_states):
-        weight = abs(projected[k]) ** 2
-        if weight != 0.0:
-            values += weight * _lorentzian(omega, eig.energies[k] - eig.ground_energy, eta)
-    return Spectrum(omega, values, eta, kind="dsf",
-                    label=f"q=({q.qx},{q.qy},{q.qz})")
+    return Spectrum(omega, _lorentzian_sum(eig, np.abs(projected) ** 2, eta, omega),
+                    eta, kind="dsf", label=f"q=({q.qx},{q.qy},{q.qz})")
 
 
 # ---------------------------------------------------------------------------

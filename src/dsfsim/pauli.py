@@ -10,7 +10,7 @@ internal to this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,10 +121,6 @@ class PauliSum:
             acc[key] = acc.get(key, 0.0) + c
         acc = {k: c for k, c in acc.items() if abs(c) >= DROP_THRESHOLD}
         return PauliSum.from_dict(acc, self.n_qubits)
-
-    def dense(self) -> np.ndarray:
-        """Dense matrix of the sum; intended for registers of <= ~14 qubits."""
-        return pauli_sum_dense(self)
 
 
 class LinearPauli:

@@ -34,10 +34,6 @@ PAIR_KEYS = ("xx", "xy", "xz", "yy", "yz", "zz")
 DIAGONAL_KEYS = ("xx", "yy", "zz")
 
 
-def pair_key(a: str, b: str) -> str:
-    return "".join(sorted((a, b)))
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Values on an energy grid (Hartree), tagged by what they represent."""

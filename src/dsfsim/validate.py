@@ -18,11 +18,6 @@ from .operators import QVector, jordan_wigner, one_body_to_pauli
 from .pauli import pauli_sum_dense
 
 
-def _random_symmetric(rng, n, scale=0.5):
-    m = rng.normal(0.0, scale, size=(n, n))
-    return (m + m.T) / 2.0
-
-
 def check_jw_hermitian() -> tuple[bool, str]:
     h, _ = fixtures.generate(fixtures.TWO_ORBITAL_SPEC)
     dense = pauli_sum_dense(jordan_wigner(h))
@@ -57,7 +52,7 @@ def check_sign_convention() -> tuple[bool, str]:
     rng = np.random.default_rng(91)
     worst = 0.0
     for n in (2, 3):
-        m = _random_symmetric(rng, n)
+        m = fixtures._random_symmetric(rng, n, 0.5)
         basis = oracle.sector_basis(n, 1, 1)
         amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
         v = ci_mod.CIVector(n, dict(zip(basis, amps)))
@@ -80,41 +75,26 @@ def check_trotter_slope() -> tuple[bool, str]:
 
 
 def check_ancilla_equivalence() -> tuple[bool, str]:
-    h, dip = fixtures.generate(fixtures.TWO_ORBITAL_SPEC)
-    eig = oracle.solve_sector(h, 1, 1)
-    states = sp.prepare_dipole_states(eig.eigenvector(0), dip)
-    psum = jordan_wigner(h).shifted_identity(-eig.ground_energy)
-    prog = emulator.build_trotter(psum, 0.7, 2)
+    model = fixtures.solve(fixtures.TWO_ORBITAL_SPEC)
+    a, b = model.states.vectors["x"], model.states.vectors["y"]
+    prog = emulator.build_trotter(model.shifted, 0.7, 2)
     worst = 0.0
     for which in (emulator.REAL, emulator.IMAG):
-        two = emulator.hadamard_test(states.vectors["x"], states.vectors["y"],
-                                     prog, 2, which)
-        anc = emulator.hadamard_test_via_ancilla(states.vectors["x"],
-                                                 states.vectors["y"], prog, 2, which)
+        two = emulator.hadamard_test(a, b, prog, 2, which)
+        anc = emulator.hadamard_test_via_ancilla(a, b, prog, 2, which)
         worst = max(worst, abs(two - anc))
     return worst <= 1e-12, f"max |two-branch - ancilla| = {worst:.2e}"
 
 
-def _toy_setup(epsilon_trunc=math.exp(-5), k=4):
-    specm = fixtures.CORE_VALENCE_SPEC
-    h, dip = fixtures.generate(specm)
-    eig = oracle.solve_sector(h, *specm.sector)
-    trans = oracle.transition_table(eig, dip)
-    states = sp.prepare_dipole_states(eig.eigenvector(0), dip)
-    delta = 1.05 * float(np.max(oracle.bright_excitations(eig, trans)))
-    eta = 0.06
-    plan = sp.plan_run(eta, delta, epsilon_trunc, 6000, states.moments, k=k)
-    psum = jordan_wigner(h).shifted_identity(-eig.ground_energy)
-    prog = emulator.build_trotter(psum, plan.tau, k)
-    return eig, trans, states, plan, prog
+def _toy_setup():
+    model = fixtures.solve(fixtures.CORE_VALENCE_SPEC)
+    return model, model.plan(0.06, shots=6000), model.program()
 
 
 def check_time_reversal() -> tuple[bool, str]:
-    eig, _, states, plan, prog = _toy_setup()
-    h, _ = fixtures.generate(fixtures.CORE_VALENCE_SPEC)
-    psum = jordan_wigner(h).shifted_identity(-eig.ground_energy)
-    back = emulator.build_trotter(psum, -plan.tau, plan.k)
-    a, b = states.vectors["x"], states.vectors["y"]
+    model, plan, prog = _toy_setup()
+    back = emulator.build_trotter(model.shifted, -plan.tau, plan.k)
+    a, b = model.states.vectors["x"], model.states.vectors["y"]
     worst = 0.0
     for n in (1, 3, 7):
         fwd = np.vdot(b, emulator.apply_trotter(a, prog, n))
@@ -124,24 +104,25 @@ def check_time_reversal() -> tuple[bool, str]:
 
 
 def check_pair_symmetry() -> tuple[bool, str]:
-    _, _, states, plan, prog = _toy_setup()
+    model, _, prog = _toy_setup()
+    vectors = model.states.vectors
     worst = 0.0
     for n in (1, 4):
         for a, b in (("x", "y"), ("x", "z"), ("y", "z")):
-            fwd = np.vdot(states.vectors[b], emulator.apply_trotter(states.vectors[a], prog, n))
-            rev = np.vdot(states.vectors[a], emulator.apply_trotter(states.vectors[b], prog, n))
+            fwd = np.vdot(vectors[b], emulator.apply_trotter(vectors[a], prog, n))
+            rev = np.vdot(vectors[a], emulator.apply_trotter(vectors[b], prog, n))
             worst = max(worst, abs(fwd - rev))
     return worst <= 1e-8, f"max pair asymmetry = {worst:.2e}"
 
 
 def check_sum_rule() -> tuple[bool, str]:
-    _, _, states, plan, prog = _toy_setup()
+    model, plan, prog = _toy_setup()
     period = 2.0 * math.pi / plan.tau
     n_points = max(plan.n_max + 1, int(round(period / (plan.eta / 5.0))))
     grid = np.linspace(0.0, period, n_points, endpoint=False)
     worst = 0.0
     for pair in sp.DIAGONAL_KEYS:
-        series = sp.measure_series(pair, plan, states, prog, mode="exact")
+        series = sp.measure_series(pair, plan, model.states, prog, mode="exact")
         rec = sp.reconstruct_intensity(series, grid)
         integral = float(np.mean(rec.values) * period)
         scale = max(1.0, abs(series.moment0))
@@ -151,10 +132,10 @@ def check_sum_rule() -> tuple[bool, str]:
 
 
 def check_q_zero_and_isotropic() -> tuple[bool, str]:
-    _, _, states, plan, prog = _toy_setup()
+    model, plan, prog = _toy_setup()
     grid = sp.default_omega_grid(plan.tau, plan.eta)
     contribs = {p: sp.reconstruct_intensity(
-        sp.measure_series(p, plan, states, prog, mode="exact"), grid)
+        sp.measure_series(p, plan, model.states, prog, mode="exact"), grid)
         for p in sp.PAIR_KEYS}
     zero = sp.assemble_dsf(QVector(0.0, 0.0, 0.0), contribs)
     err0 = float(np.max(np.abs(zero.values), initial=0.0))

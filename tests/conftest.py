@@ -1,10 +1,8 @@
-import math
+from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
-from dsfsim import emulator, fixtures, oracle, operators
-from dsfsim import spectrum as sp
+from dsfsim import fixtures
 
 
 def pytest_runtest_logreport(report):
@@ -15,29 +13,14 @@ def pytest_runtest_logreport(report):
         print(f"\nACCEPTANCE {name}: {outcome}", flush=True)
 
 
-class ToySetup:
+@dataclass(frozen=True)
+class ToySetup(fixtures.SolvedModel):
     """Core-valence toy solved once and shared across the suite."""
 
-    def __init__(self):
-        self.spec = fixtures.CORE_VALENCE_SPEC
-        self.h, self.dipole = fixtures.generate(self.spec)
-        self.eig = oracle.solve_sector(self.h, *self.spec.sector)
-        self.trans = oracle.transition_table(self.eig, self.dipole)
-        self.psi0 = self.eig.eigenvector(0)
-        self.states = sp.prepare_dipole_states(self.psi0, self.dipole)
-        self.eta = 0.06
-        # window over the dipole-bright states only; dark levels cannot alias
-        self.delta = 1.05 * float(np.max(
-            oracle.bright_excitations(self.eig, self.trans)))
-        self.shifted = operators.jordan_wigner(self.h).shifted_identity(
-            -self.eig.ground_energy)
+    eta: float = 0.06
 
-    def plan(self, epsilon_trunc=math.exp(-5.0), shots=10000, k=4, q_set=None):
-        return sp.plan_run(self.eta, self.delta, epsilon_trunc, shots,
-                           self.states.moments, q_set, k=k)
-
-    def program(self, k=4):
-        return emulator.build_trotter(self.shifted, math.pi / self.delta, k)
+    def plan(self, **kwargs):
+        return super().plan(self.eta, **kwargs)
 
     def bright_lines(self, threshold=1e-4):
         proj = sum(self.trans.component(a) for a in "xyz")
@@ -49,21 +32,9 @@ class ToySetup:
 
 @pytest.fixture(scope="session")
 def toy():
-    return ToySetup()
-
-
-class TwoOrbitalSetup:
-    def __init__(self):
-        self.spec = fixtures.TWO_ORBITAL_SPEC
-        self.h, self.dipole = fixtures.generate(self.spec)
-        self.eig = oracle.solve_sector(self.h, *self.spec.sector)
-        self.trans = oracle.transition_table(self.eig, self.dipole)
-        self.psi0 = self.eig.eigenvector(0)
-        self.states = sp.prepare_dipole_states(self.psi0, self.dipole)
-        self.shifted = operators.jordan_wigner(self.h).shifted_identity(
-            -self.eig.ground_energy)
+    return ToySetup(**vars(fixtures.solve(fixtures.CORE_VALENCE_SPEC)))
 
 
 @pytest.fixture(scope="session")
 def two_orb():
-    return TwoOrbitalSetup()
+    return fixtures.solve(fixtures.TWO_ORBITAL_SPEC)

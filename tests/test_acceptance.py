@@ -10,7 +10,7 @@ import scipy.linalg
 from scipy.optimize import minimize_scalar
 from scipy.signal import find_peaks
 
-from dsfsim import emulator, fixtures, oracle, operators, resources
+from dsfsim import emulator, fixtures, oracle, resources
 from dsfsim import spectrum as sp
 from dsfsim.operators import QVector
 from dsfsim.pauli import pauli_sum_dense
@@ -53,26 +53,20 @@ def test_criterion_1_oracle_equivalence_exact_mode():
     worst = 0.0
     for case in range(20):
         n_orbitals = 2 if case < 10 else 3
-        spec = fixtures.ModelSpec(n_orbitals=n_orbitals, n_electrons=2,
-                                  seed=1000 + case)
-        h, dip = fixtures.generate(spec)
-        eig = oracle.solve_sector(h, *spec.sector)
-        trans = oracle.transition_table(eig, dip)
-        states = sp.prepare_dipole_states(eig.eigenvector(0), dip)
-        delta = 1.05 * float(np.max(oracle.bright_excitations(eig, trans)))
-        eta = delta / 400.0
-        tau = math.pi / delta
-        shifted = operators.jordan_wigner(h).shifted_identity(-eig.ground_energy)
-        k, step_err, prog = choose_k(shifted, tau, target=1e-8)
+        model = fixtures.solve(fixtures.ModelSpec(
+            n_orbitals=n_orbitals, n_electrons=2, seed=1000 + case))
+        eta = model.delta / 400.0
+        tau = math.pi / model.delta
+        k, step_err, prog = choose_k(model.shifted, tau, target=1e-8)
         assert step_err <= 1e-6, f"case {case}: Trotter step error {step_err:.2e}"
-        plan = sp.plan_run(eta, delta, 1e-8, 600, states.moments, k=k)
+        plan = model.plan(eta, 1e-8, 600, k=k)
         grid = sp.default_omega_grid(tau, eta)
         for pair in sp.PAIR_KEYS:
-            series = sp.measure_series(pair, plan, states, prog, mode="exact")
+            series = sp.measure_series(pair, plan, model.states, prog, mode="exact")
             if series.norm_product == 0.0:
                 continue
             recon = sp.reconstruct_intensity(series, grid)
-            reference = oracle.exact_intensity(eig, trans, pair, eta, grid)
+            reference = oracle.exact_intensity(model.eig, model.trans, pair, eta, grid)
             scale = float(np.max(np.abs(reference.values)))
             if scale == 0.0:
                 continue
@@ -174,27 +168,18 @@ def test_criterion_4_parameter_reproduction():
     assert plan.n_max == 87
 
 
-def _bundled_setups():
-    for spec in (fixtures.TWO_ORBITAL_SPEC, fixtures.THREE_ORBITAL_SPEC,
-                 fixtures.CORE_VALENCE_SPEC, fixtures.DIAGONAL_SPEC):
-        h, dip = fixtures.generate(spec)
-        eig = oracle.solve_sector(h, *spec.sector)
-        trans = oracle.transition_table(eig, dip)
-        states = sp.prepare_dipole_states(eig.eigenvector(0), dip)
-        delta = 1.05 * float(np.max(oracle.bright_excitations(eig, trans)))
-        shifted = operators.jordan_wigner(h).shifted_identity(-eig.ground_energy)
-        yield spec, eig, states, delta, shifted
-
-
 def test_criterion_5_symmetry_and_sum_rule_suite():
     """Time-reversal parity, pair exchange, the moment sum rule, S(q=0) = 0,
     and the isotropic identity hold at 1e-8 on every bundled fixture."""
     eta = 0.02
-    for spec, eig, states, delta, shifted in _bundled_setups():
-        tau = math.pi / delta
-        plan = sp.plan_run(eta, delta, math.exp(-5.0), 600, states.moments, k=2)
-        forward = emulator.build_trotter(shifted, tau, 2)
-        backward = emulator.build_trotter(shifted, -tau, 2)
+    for spec in (fixtures.TWO_ORBITAL_SPEC, fixtures.THREE_ORBITAL_SPEC,
+                 fixtures.CORE_VALENCE_SPEC, fixtures.DIAGONAL_SPEC):
+        model = fixtures.solve(spec)
+        states = model.states
+        tau = math.pi / model.delta
+        plan = model.plan(eta, shots=600, k=2)
+        forward = model.program(2)
+        backward = emulator.build_trotter(model.shifted, -tau, 2)
         axes = [a for a in sp.AXES if states.vectors[a] is not None]
         for n in (1, 3):
             for a in axes:

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,24 @@ def run_cli(*args, check=True, env=None):
 def fixture_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("fixture")
     run_cli(*FIXTURE_ARGS, "--out", str(out))
+    return out
+
+
+@pytest.fixture(scope="module")
+def mismatched_dir(fixture_dir, tmp_path_factory):
+    """The 2-orbital FCIDUMP next to a 3-orbital dipole file."""
+    out = tmp_path_factory.mktemp("mismatched")
+    run_cli("gen-fixtures", "--n-orbitals", "3", "--seed", "11", "--out", str(out))
+    shutil.copy(fixture_dir / "hamiltonian.fcidump", out / "hamiltonian.fcidump")
+    return out
+
+
+@pytest.fixture(scope="module")
+def eight_orbital_dir(tmp_path_factory):
+    """An 8-orbital, 8-electron model: its sector (4900) exceeds the dense cap."""
+    out = tmp_path_factory.mktemp("eight")
+    run_cli("gen-fixtures", "--n-orbitals", "8", "--n-electrons", "8",
+            "--seed", "3", "--out", str(out))
     return out
 
 
@@ -82,18 +101,52 @@ def test_missing_dipole_file_error(fixture_dir, tmp_path):
     assert error["error"]["kind"] == "input_not_found"
 
 
-@pytest.mark.parametrize("args, env, expected", [
-    (SAMPLED_ARGS + ["--eta", "abc"], {}, "invalid_config"),
-    (SAMPLED_ARGS + ["--eta", "-1"], {}, "invalid_config"),
-    (["oracle", "--eta", "0.02", "--delta", "2.0", "--cvs", "0"], {}, "invalid_config"),
-    (EXACT_ARGS + ["--mode", "oracle", "--cvs", "0"], {}, "invalid_config"),
-    (SAMPLED_ARGS, {"DSF_SIM_THREADS": "abc"}, "sampled_2orb"),
-], ids=["eta_not_a_number", "eta_negative", "oracle_cvs", "mode_oracle_cvs",
-        "threads_variable_ignored"])
-def test_cli_user_input(fixture_dir, tmp_path, args, env, expected):
+def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"):
+    """One CLI case: flags, an optional config document, and the input fixture."""
+    return pytest.param(args, expected, env, config, inputs, id=name)
+
+
+@pytest.mark.parametrize("args, expected, env, config, inputs", [
+    user_input("eta_not_a_number", SAMPLED_ARGS + ["--eta", "abc"], "invalid_config"),
+    user_input("eta_negative", SAMPLED_ARGS + ["--eta", "-1"], "invalid_config"),
+    user_input("oracle_cvs", ["oracle", "--eta", "0.02", "--delta", "2.0", "--cvs", "0"],
+               "invalid_config"),
+    user_input("mode_oracle_cvs", EXACT_ARGS + ["--mode", "oracle", "--cvs", "0"],
+               "invalid_config"),
+    user_input("threads_variable_ignored", SAMPLED_ARGS, "sampled_2orb",
+               env={"DSF_SIM_THREADS": "abc"}),
+    user_input("config_shots_string", ["spectrum"], "invalid_config",
+               config={"shots": "100"}),
+    user_input("config_q_two_components", ["spectrum"], "invalid_config",
+               config={"q": [[1, 1]]}),
+    user_input("config_not_an_object", ["spectrum"], "invalid_config", config=5),
+    user_input("q_not_a_number", EXACT_ARGS + ["--q", "1,a"], "invalid_config"),
+    user_input("cvs_not_an_integer", EXACT_ARGS + ["--cvs", "a"], "invalid_config"),
+    user_input("cvs_outside_register", EXACT_ARGS + ["--cvs", "9"], "invalid_config"),
+    user_input("seed_negative", SAMPLED_ARGS + ["--seed", "-1"], "invalid_config"),
+    user_input("shots_negative", EXACT_ARGS + ["--shots", "-5"], "invalid_config"),
+    user_input("k_zero", EXACT_ARGS + ["--k", "0"], "invalid_config"),
+    user_input("epsilon_trunc_above_one", EXACT_ARGS + ["--epsilon-trunc", "2"],
+               "invalid_config"),
+    user_input("delta_nan", EXACT_ARGS + ["--delta", "nan"], "invalid_config"),
+    user_input("shift_ev_nan", EXACT_ARGS + ["--shift-ev", "nan"], "invalid_config"),
+    user_input("n_alpha_exceeds_orbitals", EXACT_ARGS + ["--n-alpha", "5", "--n-beta", "1"],
+               "invalid_config"),
+    user_input("oracle_dipoles_mismatched", ["oracle", "--eta", "0.02"], "invalid_config",
+               inputs="mismatched_dir"),
+    user_input("spectrum_sector_too_large", ["spectrum"], "budget_exceeded",
+               inputs="eight_orbital_dir"),
+    user_input("oracle_sector_too_large", ["oracle"], "budget_exceeded",
+               inputs="eight_orbital_dir"),
+])
+def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs):
     """A bad value is refused with a typed error; an ignored one changes nothing."""
     out = tmp_path / "run"
-    proc = run_cli(*spectrum_args(fixture_dir, args, out), check=False, env=env)
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        args = args + ["--config", str(tmp_path / "run.json")]
+    proc = run_cli(*spectrum_args(request.getfixturevalue(inputs), args, out),
+                   check=False, env=env)
     if (BASELINES / expected).is_dir():
         assert proc.returncode == 0, proc.stderr
         for name in ("dsf_q0.csv", "greens_xy.json"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dsfsim import fixtures, oracle
+from dsfsim import fixtures
 from dsfsim.fixtures import (CORE_VALENCE_SPEC, DIAGONAL_SPEC, ModelSpec,
                              generate, write_fixture)
 from dsfsim.operators import parse_fcidump_header
@@ -67,12 +67,10 @@ def test_core_valence_two_dominant_bands(toy):
 def test_custom_core_gap_moves_the_edge():
     spec = ModelSpec(n_orbitals=4, n_electrons=4, seed=23,
                      kind=fixtures.CORE_VALENCE_TOY, core_gap=35.0)
-    h, dip = generate(spec)
-    eig = oracle.solve_sector(h, *spec.sector)
-    trans = oracle.transition_table(eig, dip)
-    proj = sum(trans.component(a) for a in "xyz")
+    model = fixtures.solve(spec)
+    proj = sum(model.trans.component(a) for a in "xyz")
     weights = proj**2
-    excit = eig.energies - eig.ground_energy
+    excit = model.eig.energies - model.eig.ground_energy
     bright = excit[weights > 1e-4 * weights.max()]
     assert bright.min() >= 34.0
 
