@@ -7,8 +7,7 @@ from .operators import (DipoleOperator, Hamiltonian, QVector, from_core_integral
 from .pauli import PauliSum
 from .ci import (CIVector, Determinant, apply_one_body, ci_to_statevector,
                  cvs_project, moment, normalize)
-from .emulator import (TrotterProgram, apply_trotter, build_trotter,
-                       hadamard_test, sample_outcome)
+from .emulator import TrotterProgram, apply_trotter, build_trotter, hadamard_test
 from .oracle import (EigenSystem, TransitionTable, build_ci_matrix, exact_greens,
                      exact_intensity, exact_spectrum, ground_state, sector_basis,
                      solve_sector, transition_table)

@@ -263,11 +263,22 @@ def _write(outdir: Path, name: str, text: str) -> None:
     (outdir / name).write_text(text)
 
 
-def _shifted(spec: sp.Spectrum, shift_ha: float) -> sp.Spectrum:
-    if shift_ha == 0.0:
-        return spec
-    return sp.Spectrum(spec.omega + shift_ha, spec.values, spec.eta,
-                       kind=spec.kind, label=spec.label)
+def _omega_grids(delta: float, eta: float, shift_ev: float):
+    """The omega grid of the window and its copy shifted by ``shift_ev`` for output.
+
+    Refused with ``invalid_config`` unless the window holds two grid points
+    and the shifted points stay distinct.
+    """
+    grid = sp.default_omega_grid(math.pi / delta, eta)
+    if len(grid) < 2:
+        raise CliError("invalid_config",
+                       f"delta {delta!r} Ha is narrower than the grid step eta/5 "
+                       f"({eta / 5.0!r} Ha)")
+    shown = grid + shift_ev / HARTREE_TO_EV
+    if np.any(np.diff(shown) <= 0):
+        raise CliError("invalid_config",
+                       f"shift_ev {shift_ev!r} merges points of the omega grid")
+    return grid, shown
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -282,29 +293,31 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         e0 = expectation(psum, ci_mod.ci_to_statevector(psi0)) \
             / max(psi0.norm() ** 2, 1e-300)
     delta = _resolve_window(cfg, eig, eta)
+    grid, shown = _omega_grids(delta, eta, cfg.shift_ev)
     core = cfg.cvs if cfg.cvs else None
     states = sp.prepare_dipole_states(psi0, dip, core_orbitals=core)
     try:
         plan = sp.plan_run(eta, delta, cfg.epsilon_trunc, cfg.shots,
                            states.moments, cfg.q_vectors, k=cfg.trotter_k)
-    except ValueError as exc:
+    except sp.NoDipoleIntensity as exc:
         raise CliError("no_dipole_intensity", str(exc)) from None
+    except ValueError as exc:
+        raise CliError("invalid_config", str(exc)) from None
     prog = emulator.build_trotter(psum.shifted_identity(-e0), plan.tau, plan.k)
     series = {pair: sp.measure_series(pair, plan, states, prog, cfg.mode, cfg.seed)
               for pair in sp.PAIR_KEYS}
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = sp.default_omega_grid(plan.tau, eta)
-    shift_ha = cfg.shift_ev / HARTREE_TO_EV
     contribs = {}
     for pair, ser in series.items():
         _write(outdir, f"greens_{pair}.json", sp.series_to_json(ser) + "\n")
         contribs[pair] = sp.reconstruct_intensity(ser, grid)
         _write(outdir, f"intensity_{pair}.csv",
-               sp.spectrum_to_csv(_shifted(contribs[pair], shift_ha)))
+               sp.spectrum_to_csv(dataclasses.replace(contribs[pair], omega=shown)))
     for i, q in enumerate(cfg.q_vectors):
         dsf = sp.assemble_dsf(q, contribs)
-        _write(outdir, f"dsf_q{i}.csv", sp.spectrum_to_csv(_shifted(dsf, shift_ha)))
+        _write(outdir, f"dsf_q{i}.csv",
+               sp.spectrum_to_csv(dataclasses.replace(dsf, omega=shown)))
     manifest = _manifest(cfg, {
         "derived": {
             "tau": plan.tau, "n_max": plan.n_max, "delta": delta,
@@ -329,20 +342,19 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     psi0, e0, eig = _load_ground_state(cfg_solve, h, header)
     trans = oracle.transition_table(eig, dip)
     delta = _resolve_window(cfg, eig, eta)
-    grid = sp.default_omega_grid(math.pi / delta, eta)
+    grid, shown = _omega_grids(delta, eta, cfg.shift_ev)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    shift_ha = cfg.shift_ev / HARTREE_TO_EV
     _write(outdir, "eigensystem.json", oracle.eigensystem_to_json(eig) + "\n")
     _write(outdir, "ground_state.jsonl", ci_mod.write_civector_jsonl(psi0))
     for pair in sp.PAIR_KEYS:
         spec = oracle.exact_intensity(eig, trans, pair, eta, grid)
         _write(outdir, f"oracle_intensity_{pair}.csv",
-               sp.spectrum_to_csv(_shifted(spec, shift_ha)))
+               sp.spectrum_to_csv(dataclasses.replace(spec, omega=shown)))
     for i, q in enumerate(cfg.q_vectors):
         spec = oracle.exact_spectrum(eig, trans, q, eta, grid)
         _write(outdir, f"oracle_dsf_q{i}.csv",
-               sp.spectrum_to_csv(_shifted(spec, shift_ha)))
+               sp.spectrum_to_csv(dataclasses.replace(spec, omega=shown)))
     manifest = _manifest(cfg, {
         "derived": {"ground_energy": e0, "delta": delta,
                     "n_states": eig.n_states},

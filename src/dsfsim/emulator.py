@@ -38,7 +38,6 @@ class TrotterProgram:
     k: int
     terms: tuple[tuple[int, int, float], ...]
     identity_coefficient: float
-    order: int = 2
 
     @property
     def dt(self) -> float:
@@ -158,10 +157,7 @@ def hadamard_test_via_ancilla(a: np.ndarray, b: np.ndarray, prog: TrotterProgram
     _check_normalized(b, "state b")
     dim = 1 << prog.n_qubits
     joint = np.concatenate([b, a]).astype(complex) / np.sqrt(2.0)
-    for _ in range(reps):
-        for _ in range(prog.k):
-            joint[dim:] = _sweep(joint[dim:], prog)
-        joint[dim:] *= prog.phase_per_rep
+    joint[dim:] = apply_trotter(joint[dim:], prog, reps)
     if which == IMAG:
         joint[dim:] *= -1j  # S^dagger on the ancilla |1> branch
     zero = (joint[:dim] + joint[dim:]) / np.sqrt(2.0)
@@ -170,14 +166,3 @@ def hadamard_test_via_ancilla(a: np.ndarray, b: np.ndarray, prog: TrotterProgram
     p1 = float(np.vdot(one, one).real)
     return p0 - p1
 
-
-def sample_outcome(value: float, shots: int, seed: int) -> float:
-    """Estimate the bias from ``shots`` Bernoulli((1+value)/2) draws."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if abs(value) > 1 + 1e-9:
-        raise ValueError("bias outside [-1, 1]")
-    p = min(max((1.0 + value) / 2.0, 0.0), 1.0)
-    rng = np.random.default_rng(seed)
-    successes = rng.binomial(shots, p)
-    return 2.0 * successes / shots - 1.0

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .ci import AnnihilatedError, CIVector, Determinant, apply_one_body
 from .operators import DipoleOperator, Hamiltonian, QVector
@@ -70,19 +68,6 @@ def _sign_annihilate(word: int, so: int) -> tuple[float, int]:
 def _sign_create(word: int, so: int) -> tuple[float, int]:
     below = (word & ((1 << so) - 1)).bit_count()
     return (-1.0 if below & 1 else 1.0), word | (1 << so)
-
-
-def _word_to_determinant(word: int) -> Determinant:
-    alpha = beta = 0
-    p = 0
-    while word:
-        if word & 1:
-            alpha |= 1 << p
-        if word & 2:
-            beta |= 1 << p
-        word >>= 2
-        p += 1
-    return Determinant(alpha, beta)
 
 
 class _SlaterCondon:
@@ -159,21 +144,20 @@ class _SlaterCondon:
                 yield self.index[w4], s1 * s2 * s3 * s4 * val
 
 
-def build_ci_matrix(h: Hamiltonian, basis: list[Determinant]) -> np.ndarray:
-    """Dense symmetric CI Hamiltonian over a one-sector determinant basis."""
-    return _build_sparse(h, basis).toarray()
-
-
-def _build_sparse(h: Hamiltonian, basis: list[Determinant]) -> scipy.sparse.csr_matrix:
+def _ci_elements(h: Hamiltonian, basis: list[Determinant]):
+    """Yield (row, column, element) over the basis; no (row, column) repeats."""
     gen = _SlaterCondon(h, basis)
-    rows, cols, vals = [], [], []
     for i, det in enumerate(basis):
         for j, val in gen.row(det):
-            rows.append(i)
-            cols.append(j)
-            vals.append(val)
-    dim = len(basis)
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+            yield i, j, val
+
+
+def build_ci_matrix(h: Hamiltonian, basis: list[Determinant]) -> np.ndarray:
+    """Dense symmetric CI Hamiltonian over a one-sector determinant basis."""
+    mat = np.zeros((len(basis), len(basis)))
+    for i, j, val in _ci_elements(h, basis):
+        mat[i, j] = val
+    return mat
 
 
 @dataclass(frozen=True)
@@ -257,8 +241,13 @@ def ground_state(h: Hamiltonian, sector: tuple[int, int],
         raise SectorTooLarge(f"sector dimension {dim} exceeds the cap {cap}")
     if dim <= dense_cap:
         return solve_sector(h, n_alpha, n_beta, dense_cap).eigenvector(0)
+    # scipy is imported only where it runs (here and in
+    # validate.check_trotter_slope), so importing dsfsim.cli does not load it.
+    import scipy.sparse
+    import scipy.sparse.linalg
     basis = sector_basis(h.n_orbitals, n_alpha, n_beta)
-    mat = _build_sparse(h, basis)
+    rows, cols, vals = zip(*_ci_elements(h, basis))
+    mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
     _, vecs = scipy.sparse.linalg.eigsh(mat, k=1, which="SA")
     coeffs = _phase_fix(vecs[:, :1])
     entries = {det: complex(c) for det, c in zip(basis, coeffs[:, 0]) if c != 0.0}

@@ -24,7 +24,7 @@ from . import ci as ci_mod
 from .ci import (AnnihilatedError, CIVector, ci_to_statevector,
                  cvs_project, normalize)
 from .emulator import (IMAG, REAL, DENSE_STEP_MAX_QUBITS, TrotterProgram,
-                       apply_trotter, program_unitary, sample_outcome)
+                       apply_trotter, program_unitary)
 from .operators import DipoleOperator, QVector
 
 HARTREE_TO_EV = 27.211386245988
@@ -118,6 +118,10 @@ class RunPlan:
             raise ValueError("pair budgets must sum to the total budget")
 
 
+class NoDipoleIntensity(ValueError):
+    """No Cartesian pair carries weight: the dipole states or every q vanish."""
+
+
 def largest_remainder(total: int, weights: np.ndarray) -> np.ndarray:
     """Integer apportionment of ``total`` by weight, conserving the sum exactly."""
     weights = np.asarray(weights, dtype=float)
@@ -162,8 +166,10 @@ def plan_run(eta: float, delta_window: float, epsilon_trunc: float,
         factor = 1.0 if key[0] == key[1] else 2.0
         weights.append(qq * factor * abs(moments[ia, ib]))
     weights = np.array(weights)
+    if not math.isfinite(total_shots * float(weights.sum())):
+        raise ValueError("pair weights overflow: the momentum transfers are too large")
     if weights.sum() == 0.0:
-        raise ValueError("no dipole intensity")
+        raise NoDipoleIntensity("no dipole intensity")
     budgets = largest_remainder(total_shots, weights)
     return RunPlan(tau=tau, eta=eta, n_max=n_max, k=k, total_shots=total_shots,
                    budgets=dict(zip(PAIR_KEYS, (int(b) for b in budgets))),
@@ -193,7 +199,6 @@ class DipoleStates:
 
     norms: dict[str, float]
     vectors: dict[str, np.ndarray | None]
-    rotated: dict[str, CIVector | None]
     moments: np.ndarray  # (3, 3), <psi0| mu_a mu_b |psi0> on the prepared states
 
     def norm_product(self, pair: str) -> float:
@@ -227,17 +232,15 @@ def prepare_dipole_states(ground: CIVector, dipole: DipoleOperator,
         for j, b in enumerate(AXES):
             if raw[a] is not None and raw[b] is not None:
                 moments[i, j] = float(np.real(ci_mod.overlap(raw[a], raw[b])))
-    norms, vectors, rotated = {}, {}, {}
+    norms, vectors = {}, {}
     for axis in AXES:
         if raw[axis] is None:
-            norms[axis], vectors[axis], rotated[axis] = 0.0, None, None
+            norms[axis], vectors[axis] = 0.0, None
             continue
         unit, norm = normalize(raw[axis])
         norms[axis] = norm
-        rotated[axis] = unit
         vectors[axis] = ci_to_statevector(unit, max_qubits=max_qubits)
-    return DipoleStates(norms=norms, vectors=vectors, rotated=rotated,
-                        moments=moments)
+    return DipoleStates(norms=norms, vectors=vectors, moments=moments)
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +252,7 @@ def _cached_step_matrix(program: TrotterProgram) -> np.ndarray:
     return program_unitary(program)
 
 
-def _job_seed(master_seed: int, pair: str, n: int, which: str) -> int:
-    ss = np.random.SeedSequence([int(master_seed), PAIR_KEYS.index(pair), int(n),
-                                 0 if which == REAL else 1])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def split_shots(shots_n: int) -> tuple[int, int]:
+def split_shots(shots_n: int | np.ndarray) -> tuple:
     """Even split between the Real and Imag tests; odd remainder goes to Real."""
     n_im = shots_n // 2
     return shots_n - n_im, n_im
@@ -265,17 +262,17 @@ def _sample_biases(pair: str, which: str, biases: np.ndarray, shots: np.ndarray,
                    master_seed: int) -> np.ndarray:
     """Shot estimates of the Re or Im biases for n = 1..len(shots).
 
-    Every (n, Re/Im) test draws from its own seed and gets its half of
-    ``shots[n - 1]`` (see ``split_shots``); a test allotted no shots records 0.
+    One generator per (seed, pair, Re/Im) draws every test's binomial at once;
+    test n gets its half of ``shots[n - 1]`` (see ``split_shots``) and a test
+    allotted no shots records 0.
     """
+    if np.max(np.abs(biases), initial=0.0) > 1 + 1e-9:
+        raise ValueError("bias outside [-1, 1]")
     half = 0 if which == REAL else 1
-    estimates = np.zeros(len(shots))
-    for n in range(1, len(shots) + 1):
-        count = split_shots(int(shots[n - 1]))[half]
-        if count > 0:
-            estimates[n - 1] = sample_outcome(biases[n - 1], count,
-                                              _job_seed(master_seed, pair, n, which))
-    return estimates
+    counts = split_shots(np.asarray(shots))[half]
+    rng = np.random.default_rng([int(master_seed), PAIR_KEYS.index(pair), half])
+    successes = rng.binomial(counts, np.clip((1.0 + biases) / 2.0, 0.0, 1.0))
+    return np.where(counts > 0, 2.0 * successes / np.maximum(counts, 1) - 1.0, 0.0)
 
 
 def _zero_series(pair: str, plan: RunPlan, shots: np.ndarray,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from . import ci as ci_mod
 from . import emulator, fixtures, oracle
@@ -63,6 +62,7 @@ def check_sign_convention() -> tuple[bool, str]:
 
 
 def check_trotter_slope() -> tuple[bool, str]:
+    import scipy.linalg
     h, _ = fixtures.generate(fixtures.TWO_ORBITAL_SPEC)
     psum = jordan_wigner(h)
     exact = scipy.linalg.expm(-1j * pauli_sum_dense(psum) * 0.9)

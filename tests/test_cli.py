@@ -138,6 +138,15 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
                inputs="eight_orbital_dir"),
     user_input("oracle_sector_too_large", ["oracle"], "budget_exceeded",
                inputs="eight_orbital_dir"),
+    user_input("delta_below_grid_step", EXACT_ARGS + ["--delta", "1e-300"],
+               "invalid_config"),
+    user_input("shift_ev_merges_grid", EXACT_ARGS + ["--shift-ev", "1e20"],
+               "invalid_config"),
+    user_input("oracle_shift_ev_merges_grid",
+               ["oracle", "--eta", "0.02", "--delta", "2.0", "--shift-ev", "1e20"],
+               "invalid_config"),
+    user_input("q_overflows_pair_weights", EXACT_ARGS + ["--q", "1e200,1e200,1e200"],
+               "invalid_config"),
 ])
 def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs):
     """A bad value is refused with a typed error; an ignored one changes nothing."""
@@ -154,6 +163,18 @@ def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs):
     else:
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"]["kind"] == expected
+
+
+def test_spectrum_run_does_not_load_scipy(fixture_dir, tmp_path):
+    """Importing the CLI and running ``spectrum`` never import scipy."""
+    argv = spectrum_args(fixture_dir, SAMPLED_ARGS, tmp_path / "run")
+    code = ("import sys\n"
+            "import dsfsim.cli, dsfsim.spectrum\n"
+            f"assert dsfsim.cli.main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_csv_outputs_parse_back(fixture_dir, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from dsfsim import emulator
 from dsfsim.emulator import (IMAG, REAL, apply_trotter, build_trotter,
                              hadamard_test, hadamard_test_via_ancilla,
-                             program_unitary, sample_outcome)
+                             program_unitary)
 from dsfsim.pauli import PauliSum, pauli_sum_dense
 
 
@@ -187,29 +187,6 @@ def test_global_phase_affects_hadamard():
     v0 = hadamard_test(a, a, build_trotter(base, 1.0, 1), 1, REAL)
     v1 = hadamard_test(a, a, build_trotter(shifted, 1.0, 1), 1, REAL)
     assert abs(v0 - v1) > 0.1  # phase 0.9 rad must show up
-
-
-def test_sample_degenerate():
-    assert sample_outcome(1.0, 5, seed=0) == 1.0
-    assert sample_outcome(-1.0, 5, seed=0) == -1.0
-
-
-def test_sample_binomial_concentration():
-    est = sample_outcome(0.0, 10**6, seed=123)
-    assert abs(est) < 4e-3  # 4 sigma of 1/sqrt(N)
-
-
-@given(st.integers(min_value=0, max_value=2**32 - 1),
-       st.floats(min_value=-1.0, max_value=1.0),
-       st.integers(min_value=1, max_value=10**4))
-@settings(max_examples=30)
-def test_sample_deterministic(seed, value, shots):
-    assert sample_outcome(value, shots, seed) == sample_outcome(value, shots, seed)
-
-
-def test_sample_rejects_zero_shots():
-    with pytest.raises(ValueError, match="shots"):
-        sample_outcome(0.5, 0, seed=1)
 
 
 def test_trotter_negative_tau_is_inverse():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -173,6 +174,32 @@ def test_resample_matches_fresh_measurement(toy):
     redrawn = resample_series(exact, master_seed=4)
     assert np.allclose(direct.x, redrawn.x, atol=1e-12)
     assert np.allclose(direct.y, redrawn.y, atol=1e-12)
+
+
+@pytest.mark.parametrize("bias", [1.0, -1.0])
+def test_resample_certain_bias_is_exact(bias):
+    """A bias of +-1 resamples to exactly +-1; one beyond 1 + 1e-9 is refused."""
+    series = GreensSeries(pair="xy", tau=0.1, eta=0.5, n_max=3, norm_product=0.5,
+                          moment0=0.0, x=np.full(3, 0.5 * bias), y=np.full(3, -0.5 * bias),
+                          shots=[2, 5, 40], exact=True)
+    drawn = resample_series(series, master_seed=5)
+    assert np.array_equal(drawn.x, series.x) and np.array_equal(drawn.y, series.y)
+    beyond = dataclasses.replace(series, x=series.x * (1.0 + 1.8e-9))
+    with pytest.raises(ValueError, match="bias outside"):
+        resample_series(beyond, master_seed=5)
+
+
+def test_resample_records_zero_without_shots():
+    """A test allotted no shots records exactly 0, whatever its bias."""
+    series = GreensSeries(pair="yz", tau=0.1, eta=0.5, n_max=4, norm_product=1.0,
+                          moment0=0.0, x=np.full(4, 0.3), y=np.full(4, -0.4),
+                          shots=[0, 1, 0, 1], exact=True)
+    for seed in range(20):
+        drawn = resample_series(series, master_seed=seed)
+        # split_shots gives the Real test the single shot and the Imag test none
+        assert drawn.x[0] == drawn.x[2] == 0.0
+        assert np.all(np.abs(drawn.x[[1, 3]]) == 1.0)
+        assert np.all(drawn.y == 0.0)
 
 
 def test_series_bound_invariant(toy):
