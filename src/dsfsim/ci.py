@@ -7,7 +7,9 @@ makes the statevector image of a single determinant a +1 one-hot vector.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -178,6 +180,27 @@ def ci_to_statevector(v: CIVector, max_qubits: int = 22) -> np.ndarray:
     for det, amp in v.entries.items():
         state[det.interleaved()] = amp
     return state
+
+
+def sector_dimension(n_orbitals: int, n_alpha: int, n_beta: int) -> int:
+    """C(n, N_alpha) * C(n, N_beta), without enumerating the sector."""
+    if not (0 <= n_alpha <= n_orbitals and 0 <= n_beta <= n_orbitals):
+        raise ValueError("electron counts incompatible with orbital count")
+    return math.comb(n_orbitals, n_alpha) * math.comb(n_orbitals, n_beta)
+
+
+def sector_basis(n_orbitals: int, n_alpha: int, n_beta: int) -> list[Determinant]:
+    """All determinants of a (N_alpha, N_beta) sector, sorted by occupation word."""
+    sector_dimension(n_orbitals, n_alpha, n_beta)
+    masks = lambda count: [sum(1 << p for p in occ) for occ in
+                           itertools.combinations(range(n_orbitals), count)]
+    return sorted((Determinant(a, b) for a in masks(n_alpha) for b in masks(n_beta)),
+                  key=Determinant.interleaved)
+
+
+def sector_words(n_orbitals: int, n_alpha: int, n_beta: int) -> np.ndarray:
+    """Sorted occupation words of a (N_alpha, N_beta) sector."""
+    return np.array([d.interleaved() for d in sector_basis(n_orbitals, n_alpha, n_beta)])
 
 
 def cvs_project(v: CIVector, core_orbitals: Iterable[int]) -> CIVector:

@@ -288,14 +288,16 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     eta = cfg.eta_hartree
     ham_path, dip_path, h, header, dip = _load_inputs(cfg)
     psi0, e0, eig = _load_ground_state(cfg, h, header)
+    delta = _resolve_window(cfg, eig, eta)
+    grid, shown = _omega_grids(delta, eta, cfg.shift_ev)
+    try:
+        states = sp.prepare_dipole_states(psi0, dip, core_orbitals=cfg.cvs or None)
+    except emulator.StepTooLarge as exc:
+        raise CliError("budget_exceeded", str(exc)) from None
     psum = jordan_wigner(h)
     if e0 is None:
         e0 = expectation(psum, ci_mod.ci_to_statevector(psi0)) \
             / max(psi0.norm() ** 2, 1e-300)
-    delta = _resolve_window(cfg, eig, eta)
-    grid, shown = _omega_grids(delta, eta, cfg.shift_ev)
-    core = cfg.cvs if cfg.cvs else None
-    states = sp.prepare_dipole_states(psi0, dip, core_orbitals=core)
     try:
         plan = sp.plan_run(eta, delta, cfg.epsilon_trunc, cfg.shots,
                            states.moments, cfg.q_vectors, k=cfg.trotter_k)
@@ -341,6 +343,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     cfg_solve = dataclasses.replace(cfg, ground_state="solve")
     psi0, e0, eig = _load_ground_state(cfg_solve, h, header)
     trans = oracle.transition_table(eig, dip)
+    try:
+        sp.pair_weights(trans.reference_moments, cfg.q_vectors)
+    except ValueError as exc:
+        raise CliError("invalid_config", str(exc)) from None
     delta = _resolve_window(cfg, eig, eta)
     grid, shown = _omega_grids(delta, eta, cfg.shift_ev)
     outdir = Path(cfg.out)

@@ -5,8 +5,9 @@ which reproduces the ancilla circuit's measurement statistics exactly:
 P(0) = (1 + value)/2.  An explicit ancilla-register path exists to certify
 that equivalence on small registers.
 
-Each Pauli rotation exp(-i theta P) is applied in O(2^n) using the word's
-bitmask action; no gate matrices are ever built for the statevector path.
+Evolution runs on sorted basis words (the register, or a conserved sector):
+the words of an X-mask group all flip the same bits x, so the group's
+exponential is an exact 2x2 rotation of each pair (b, b ^ x).
 """
 from __future__ import annotations
 
@@ -14,13 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum, masks_to_word
+from .pauli import PauliSum, masks_to_word, word_phases
 
 REAL = "real"
 IMAG = "imag"
 
 NORM_TOL = 1e-8
-DENSE_STEP_MAX_QUBITS = 10
+SECTOR_TOL = 1e-12  # largest coupling out of the basis taken as rounding
+STEP_CAP = 4000     # states; the oracle's dense cap
+
+
+class StepTooLarge(ValueError):
+    """A step matrix over more than ``STEP_CAP`` states; refused before allocation."""
+
+
+def check_step_size(dim: int) -> None:
+    if dim > STEP_CAP:
+        raise StepTooLarge(f"a step matrix over {dim} states exceeds the cap {STEP_CAP}")
 
 
 @dataclass(frozen=True)
@@ -29,8 +40,8 @@ class TrotterProgram:
 
     ``terms`` hold (x_mask, z_mask, coeff) in the fixed sweep order: Z-diagonal
     words first, then off-diagonal words, each group sorted lexicographically.
-    One outer application is U2(dt)^k times the identity-term phase, with
-    dt = tau / k and U2 sweeping all terms at half angle forward then back.
+    One outer application is U2(dt)^k times the identity-term phase, with dt =
+    tau / k and U2 applying each X-mask group at half angle forward then back.
     """
 
     n_qubits: int
@@ -74,57 +85,62 @@ def build_trotter(paulis: PauliSum, tau: float, k: int) -> TrotterProgram:
                           tuple(ordered), identity)
 
 
-def _rotation(state: np.ndarray, x: int, z: int, theta: float) -> np.ndarray:
-    """exp(-i theta P) applied to a statevector or to matrix columns (axis 0)."""
-    dim = state.shape[0]
-    idx = np.arange(dim, dtype=np.int64)
-    if x == 0:
-        # Diagonal word: pure phases, eigenvalue (-1)^parity(b & z).
-        sign = 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
-        phases = np.exp(-1j * theta * sign)
-        return phases[:, None] * state if state.ndim > 1 else phases * state
-    src = idx ^ x
-    ny = (x & z).bit_count()
-    lam = (1j**ny) * (1.0 - 2.0 * (np.bitwise_count(src & z) & 1))
-    factor = -1j * np.sin(theta)
-    if state.ndim > 1:
-        return np.cos(theta) * state + factor * (lam[:, None] * state[src])
-    return np.cos(theta) * state + factor * (lam * state[src])
+def _group_factors(prog: TrotterProgram, basis: np.ndarray, theta: float) -> list:
+    """exp(-i theta A_x) for each X-mask group A_x, in program order, on ``basis``.
 
-
-def _sweep(state: np.ndarray, prog: TrotterProgram) -> np.ndarray:
-    """One symmetric step U2(dt): half-angle forward sweep, then reversed."""
-    half = 0.5 * prog.dt
+    A_x |b> = f(b) |b ^ x> and A_x^2 = |f|^2 is diagonal, so the exponential
+    maps c(b) to cos(theta r) c(b) - i sin(theta r) g c(b ^ x) / r, where
+    g = f(b ^ x) and r = |g|; the diagonal group has partner b.  Each factor
+    keeps only the rows with g != 0, the others being left unchanged.  A
+    coupling out of the sorted ``basis`` above ``SECTOR_TOL`` raises ValueError.
+    """
+    groups: dict[int, list[tuple[int, float]]] = {}
     for x, z, coeff in prog.terms:
-        state = _rotation(state, x, z, coeff * half)
-    for x, z, coeff in reversed(prog.terms):
-        state = _rotation(state, x, z, coeff * half)
-    return state
+        groups.setdefault(x, []).append((z, coeff))
+    factors = []
+    for x, words in groups.items():
+        src = basis ^ x
+        partner = np.minimum(np.searchsorted(basis, src), len(basis) - 1)
+        inside = basis[partner] == src
+        g = sum(coeff * word_phases(src, x, z) for z, coeff in words)
+        if np.max(np.abs(g[~inside]), initial=0.0) > SECTOR_TOL:
+            raise ValueError(f"X-mask {x:#x} couples the basis to words outside it")
+        rows = np.flatnonzero(inside & (g != 0))
+        g = g[rows, None]
+        r = np.abs(g)
+        factors.append((rows, partner[rows], np.cos(theta * r),
+                        -1j * np.sin(theta * r) / r * g))
+    return factors
+
+
+def _sweep(block: np.ndarray, factors: list) -> np.ndarray:
+    """One symmetric step U2(dt), in place: the half-angle factors forward, then reversed."""
+    for rows, partner, cos, coupling in factors + factors[::-1]:
+        block[rows] = cos * block[rows] + coupling * block[partner]
+    return block
 
 
 def apply_trotter(state: np.ndarray, prog: TrotterProgram, reps: int) -> np.ndarray:
-    """Apply ``reps`` outer steps of the program, norm-preserving."""
+    """Apply ``reps`` outer steps of the program to a full-register state."""
     if state.shape[0] != 1 << prog.n_qubits:
         raise ValueError("statevector dimension does not match the program")
     if reps < 0:
         raise ValueError("reps must be nonnegative")
-    state = np.array(state, dtype=complex)
+    factors = _group_factors(prog, np.arange(state.shape[0]), 0.5 * prog.dt)
+    block = np.array(state, dtype=complex).reshape(state.shape[0], -1)
     for _ in range(reps):
         for _ in range(prog.k):
-            state = _sweep(state, prog)
-        state *= prog.phase_per_rep
-    return state
+            block = _sweep(block, factors)
+        block *= prog.phase_per_rep
+    return block.reshape(state.shape)
 
 
-def program_unitary(prog: TrotterProgram) -> np.ndarray:
-    """Dense matrix of one outer step; capped at small registers."""
-    if prog.n_qubits > DENSE_STEP_MAX_QUBITS:
-        raise ValueError("dense step restricted to small registers")
-    dim = 1 << prog.n_qubits
-    u = np.eye(dim, dtype=complex)
-    u = _sweep(u, prog)
-    u = np.linalg.matrix_power(u, prog.k)
-    return prog.phase_per_rep * u
+def program_unitary(prog: TrotterProgram, basis: np.ndarray | None = None) -> np.ndarray:
+    """Matrix of one outer step on sorted ``basis`` words (default: the register)."""
+    check_step_size(1 << prog.n_qubits if basis is None else len(basis))
+    basis = np.arange(1 << prog.n_qubits) if basis is None else basis
+    u = _sweep(np.eye(len(basis), dtype=complex), _group_factors(prog, basis, 0.5 * prog.dt))
+    return prog.phase_per_rep * np.linalg.matrix_power(u, prog.k)
 
 
 def _check_normalized(state: np.ndarray, name: str) -> None:

@@ -3,19 +3,19 @@
 Matrix elements are generated per row by enumerating single and double
 excitations of each determinant, with fermionic signs accumulated by
 applying ladder operators in sequence (the same ascending-qubit convention
-as the CI module).  Everything here is an independent route against which
-the qubit-side machinery is certified.
+as the CI module, which also enumerates the sector).  Everything here is an
+independent route against which the qubit-side machinery is certified.
 """
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ci import AnnihilatedError, CIVector, Determinant, apply_one_body
+from .ci import (AnnihilatedError, CIVector, Determinant, apply_one_body,
+                 sector_basis, sector_dimension)
 from .operators import DipoleOperator, Hamiltonian, QVector
 
 DENSE_CAP = 4000
@@ -25,29 +25,6 @@ GRAM_TOL = 1e-10
 
 class SectorTooLarge(ValueError):
     """A sector exceeds a dimension cap; raised before it is enumerated."""
-
-
-def sector_dimension(n_orbitals: int, n_alpha: int, n_beta: int) -> int:
-    """C(n, N_alpha) * C(n, N_beta), without enumerating the sector."""
-    if not (0 <= n_alpha <= n_orbitals and 0 <= n_beta <= n_orbitals):
-        raise ValueError("electron counts incompatible with orbital count")
-    return math.comb(n_orbitals, n_alpha) * math.comb(n_orbitals, n_beta)
-
-
-def sector_basis(n_orbitals: int, n_alpha: int, n_beta: int) -> list[Determinant]:
-    """All determinants of a (N_alpha, N_beta) sector, sorted by occupation word."""
-    sector_dimension(n_orbitals, n_alpha, n_beta)
-    def masks(count):
-        out = []
-        for occ in itertools.combinations(range(n_orbitals), count):
-            m = 0
-            for p in occ:
-                m |= 1 << p
-            out.append(m)
-        return out
-    dets = [Determinant(a, b) for a in masks(n_alpha) for b in masks(n_beta)]
-    dets.sort(key=lambda d: d.interleaved())
-    return dets
 
 
 def _occupied_spin_orbitals(det: Determinant) -> list[int]:
@@ -234,7 +211,7 @@ def solve_sector(h: Hamiltonian, n_alpha: int, n_beta: int,
 
 def ground_state(h: Hamiltonian, sector: tuple[int, int],
                  dense_cap: int = DENSE_CAP, cap: int = HARD_CAP) -> CIVector:
-    """Lowest eigenvector of a sector, phase-fixed for reproducibility."""
+    """Lowest eigenvector of a sector, phase-fixed; ARPACK starts from a fixed vector."""
     n_alpha, n_beta = sector
     dim = sector_dimension(h.n_orbitals, n_alpha, n_beta)
     if dim > cap:
@@ -248,7 +225,8 @@ def ground_state(h: Hamiltonian, sector: tuple[int, int],
     basis = sector_basis(h.n_orbitals, n_alpha, n_beta)
     rows, cols, vals = zip(*_ci_elements(h, basis))
     mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-    _, vecs = scipy.sparse.linalg.eigsh(mat, k=1, which="SA")
+    _, vecs = scipy.sparse.linalg.eigsh(
+        mat, k=1, which="SA", v0=np.random.default_rng(0).standard_normal(dim))
     coeffs = _phase_fix(vecs[:, :1])
     entries = {det: complex(c) for det, c in zip(basis, coeffs[:, 0]) if c != 0.0}
     return CIVector(h.n_orbitals, entries)

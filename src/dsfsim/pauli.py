@@ -109,19 +109,6 @@ class PauliSum:
             del acc[(0, 0)]
         return PauliSum.from_dict(acc, self.n_qubits)
 
-    def scaled(self, factor: float) -> "PauliSum":
-        return PauliSum.from_dict({k: factor * c for k, c in self.as_dict().items()},
-                                  self.n_qubits)
-
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("qubit count mismatch")
-        acc = self.as_dict()
-        for key, c in other.as_dict().items():
-            acc[key] = acc.get(key, 0.0) + c
-        acc = {k: c for k, c in acc.items() if abs(c) >= DROP_THRESHOLD}
-        return PauliSum.from_dict(acc, self.n_qubits)
-
 
 class LinearPauli:
     """Mutable complex-weighted word accumulator used during JW expansion."""
@@ -177,7 +164,7 @@ def pauli_sum_dense(psum: PauliSum) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     idx = np.arange(dim)
     for coeff, x, z in psum.terms:
-        out[idx ^ x, idx] += coeff * _word_phases(idx, x, z)
+        out[idx ^ x, idx] += coeff * word_phases(idx, x, z)
     return out
 
 
@@ -185,7 +172,7 @@ def _parity(values: np.ndarray) -> np.ndarray:
     return np.bitwise_count(values).astype(np.int64) & 1
 
 
-def _word_phases(indices: np.ndarray, x: int, z: int) -> np.ndarray:
+def word_phases(indices: np.ndarray, x: int, z: int) -> np.ndarray:
     """Phase lambda(b) with ``W |b> = lambda(b) |b ^ x>`` for each index b."""
     ny = (x & z).bit_count()
     sign = 1.0 - 2.0 * _parity(indices & z)
@@ -196,7 +183,7 @@ def apply_word(state: np.ndarray, x: int, z: int) -> np.ndarray:
     """Apply a single canonical Pauli word to a statevector (or matrix rows)."""
     idx = np.arange(state.shape[0])
     src = idx ^ x
-    phases = _word_phases(src, x, z)
+    phases = word_phases(src, x, z)
     if state.ndim == 1:
         return phases * state[src]
     return phases[:, None] * state[src]

@@ -13,7 +13,6 @@ weights, so new momentum transfers reuse stored series without remeasuring.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -23,8 +22,8 @@ import numpy as np
 from . import ci as ci_mod
 from .ci import (AnnihilatedError, CIVector, ci_to_statevector,
                  cvs_project, normalize)
-from .emulator import (IMAG, REAL, DENSE_STEP_MAX_QUBITS, TrotterProgram,
-                       apply_trotter, program_unitary)
+from .emulator import (IMAG, REAL, TrotterProgram, check_step_size,
+                       program_unitary)
 from .operators import DipoleOperator, QVector
 
 HARTREE_TO_EV = 27.211386245988
@@ -136,6 +135,26 @@ def largest_remainder(total: int, weights: np.ndarray) -> np.ndarray:
     return base
 
 
+def pair_weights(moments: np.ndarray, q_set: list[QVector] | None = None,
+                 scale: float = 1.0) -> np.ndarray:
+    """max_q |q_a q_b| (2 - delta_ab) |<mu_a mu_b>| over ``PAIR_KEYS``; raises
+    ValueError if ``scale`` times their sum overflows (q too large)."""
+    moments = np.asarray(moments, dtype=float)
+    if moments.shape != (3, 3):
+        raise ValueError("moments must be a 3x3 matrix over xyz")
+    qs = list(q_set) if q_set else [QVector(1.0, 1.0, 1.0)]
+    weights = []
+    for key in PAIR_KEYS:
+        ia, ib = AXES.index(key[0]), AXES.index(key[1])
+        qq = max(abs(q.component(key[0]) * q.component(key[1])) for q in qs)
+        factor = 1.0 if key[0] == key[1] else 2.0
+        weights.append(qq * factor * abs(moments[ia, ib]))
+    weights = np.array(weights)
+    if not math.isfinite(scale * float(weights.sum())):
+        raise ValueError("pair weights overflow: the momentum transfers are too large")
+    return weights
+
+
 def plan_run(eta: float, delta_window: float, epsilon_trunc: float,
              total_shots: int, moments: np.ndarray,
              q_set: list[QVector] | None = None, k: int = 4) -> RunPlan:
@@ -155,19 +174,7 @@ def plan_run(eta: float, delta_window: float, epsilon_trunc: float,
         raise ValueError("need at least one shot per Cartesian pair")
     tau = math.pi / delta_window
     n_max = max(1, round(math.log(1.0 / epsilon_trunc) / (eta * tau)))
-    moments = np.asarray(moments, dtype=float)
-    if moments.shape != (3, 3):
-        raise ValueError("moments must be a 3x3 matrix over xyz")
-    qs = list(q_set) if q_set else [QVector(1.0, 1.0, 1.0)]
-    weights = []
-    for key in PAIR_KEYS:
-        ia, ib = AXES.index(key[0]), AXES.index(key[1])
-        qq = max(abs(q.component(key[0]) * q.component(key[1])) for q in qs)
-        factor = 1.0 if key[0] == key[1] else 2.0
-        weights.append(qq * factor * abs(moments[ia, ib]))
-    weights = np.array(weights)
-    if not math.isfinite(total_shots * float(weights.sum())):
-        raise ValueError("pair weights overflow: the momentum transfers are too large")
+    weights = pair_weights(moments, q_set, scale=total_shots)
     if weights.sum() == 0.0:
         raise NoDipoleIntensity("no dipole intensity")
     budgets = largest_remainder(total_shots, weights)
@@ -200,6 +207,7 @@ class DipoleStates:
     norms: dict[str, float]
     vectors: dict[str, np.ndarray | None]
     moments: np.ndarray  # (3, 3), <psi0| mu_a mu_b |psi0> on the prepared states
+    basis: np.ndarray    # sorted words of the ground state's (N_alpha, N_beta) sector
 
     def norm_product(self, pair: str) -> float:
         return self.norms[pair[0]] * self.norms[pair[1]]
@@ -209,15 +217,17 @@ class DipoleStates:
 
 
 def prepare_dipole_states(ground: CIVector, dipole: DipoleOperator,
-                          core_orbitals=None, max_qubits: int = 22) -> DipoleStates:
+                          core_orbitals=None) -> DipoleStates:
     """Apply each dipole component to the ground state and normalize.
 
     With ``core_orbitals`` given, states are projected onto single-core-hole
     determinants first (core-valence separation); moments are taken on the
     projected vectors so the n = 0 limit of the measured series matches.
     Channels annihilated by the dipole (or the projection) get zero norm and
-    contribute an identically zero intensity.
+    contribute an identically zero intensity.  A sector over
+    ``emulator.STEP_CAP`` states raises ``StepTooLarge`` before any is built.
     """
+    check_step_size(ci_mod.sector_dimension(ground.n_orbitals, ground.n_alpha, ground.n_beta))
     raw: dict[str, CIVector | None] = {}
     for axis in AXES:
         try:
@@ -239,18 +249,14 @@ def prepare_dipole_states(ground: CIVector, dipole: DipoleOperator,
             continue
         unit, norm = normalize(raw[axis])
         norms[axis] = norm
-        vectors[axis] = ci_to_statevector(unit, max_qubits=max_qubits)
-    return DipoleStates(norms=norms, vectors=vectors, moments=moments)
+        vectors[axis] = ci_to_statevector(unit)
+    basis = ci_mod.sector_words(ground.n_orbitals, ground.n_alpha, ground.n_beta)
+    return DipoleStates(norms=norms, vectors=vectors, moments=moments, basis=basis)
 
 
 # ---------------------------------------------------------------------------
 # Series measurement
 # ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=4)
-def _cached_step_matrix(program: TrotterProgram) -> np.ndarray:
-    return program_unitary(program)
-
 
 def split_shots(shots_n: int | np.ndarray) -> tuple:
     """Even split between the Real and Imag tests; odd remainder goes to Real."""
@@ -290,9 +296,9 @@ def measure_series(pair: str, plan: RunPlan, states: DipoleStates,
 
     In exact mode sampling is bypassed and the recorded values are the exact
     circuit biases (shot counts are still recorded so the same series can be
-    resampled later).  On registers small enough for a dense step matrix the
-    evolution is advanced by matrix-vector products; otherwise by statevector
-    sweeps.  Both paths realize the identical operator.
+    resampled later).  The evolution runs on the d amplitudes of the ground
+    state's sector: one outer Trotter step is compiled into a d x d matrix
+    (``emulator.program_unitary``) and advanced by matrix-vector products.
     """
     if mode not in ("sampled", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -302,14 +308,12 @@ def measure_series(pair: str, plan: RunPlan, states: DipoleStates,
     norm_product = states.norm_product(pair)
     if norm_product == 0.0:
         return _zero_series(pair, plan, shots, exact=(mode == "exact"))
-    ket = states.vectors[pair[0]]
-    bra = states.vectors[pair[1]]
-    step = (_cached_step_matrix(program)
-            if program.n_qubits <= DENSE_STEP_MAX_QUBITS else None)
+    bra = states.vectors[pair[1]][states.basis]
+    step = program_unitary(program, states.basis)
     amplitudes = np.zeros(plan.n_max, dtype=complex)
-    current = ket
+    current = states.vectors[pair[0]][states.basis]
     for n in range(plan.n_max):
-        current = step @ current if step is not None else apply_trotter(current, program, 1)
+        current = step @ current
         amplitudes[n] = np.vdot(bra, current)
     re = np.clip(amplitudes.real, -1.0, 1.0)
     im = np.clip(amplitudes.imag, -1.0, 1.0)

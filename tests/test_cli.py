@@ -52,10 +52,16 @@ def mismatched_dir(fixture_dir, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def eight_orbital_dir(tmp_path_factory):
-    """An 8-orbital, 8-electron model: its sector (4900) exceeds the dense cap."""
+    """An 8-orbital, 8-electron model: its sector (4900) exceeds the dense cap.
+
+    ``ground_state.jsonl`` holds one determinant of that sector.
+    """
     out = tmp_path_factory.mktemp("eight")
     run_cli("gen-fixtures", "--n-orbitals", "8", "--n-electrons", "8",
             "--seed", "3", "--out", str(out))
+    det = ci.Determinant(0b1111, 0b1111)
+    (out / "ground_state.jsonl").write_text(
+        ci.write_civector_jsonl(ci.CIVector(8, {det: 1.0})))
     return out
 
 
@@ -138,6 +144,9 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
                inputs="eight_orbital_dir"),
     user_input("oracle_sector_too_large", ["oracle"], "budget_exceeded",
                inputs="eight_orbital_dir"),
+    user_input("file_ground_state_step_too_large",
+               ["spectrum", "--ground-state", "{inputs}/ground_state.jsonl",
+                "--delta", "2.0"], "budget_exceeded", inputs="eight_orbital_dir"),
     user_input("delta_below_grid_step", EXACT_ARGS + ["--delta", "1e-300"],
                "invalid_config"),
     user_input("shift_ev_merges_grid", EXACT_ARGS + ["--shift-ev", "1e20"],
@@ -147,14 +156,19 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
                "invalid_config"),
     user_input("q_overflows_pair_weights", EXACT_ARGS + ["--q", "1e200,1e200,1e200"],
                "invalid_config"),
+    user_input("oracle_q_overflows_pair_weights",
+               ["oracle", "--eta", "0.02", "--delta", "2.0", "--q", "1e200,1e200,1e200"],
+               "invalid_config"),
 ])
 def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs):
     """A bad value is refused with a typed error; an ignored one changes nothing."""
     out = tmp_path / "run"
+    directory = request.getfixturevalue(inputs)
+    args = [a.replace("{inputs}", str(directory)) for a in args]
     if config is not None:
         (tmp_path / "run.json").write_text(json.dumps(config))
         args = args + ["--config", str(tmp_path / "run.json")]
-    proc = run_cli(*spectrum_args(request.getfixturevalue(inputs), args, out),
+    proc = run_cli(*spectrum_args(directory, args, out),
                    check=False, env=env)
     if (BASELINES / expected).is_dir():
         assert proc.returncode == 0, proc.stderr

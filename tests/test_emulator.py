@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsfsim import emulator
+from dsfsim import ci, emulator
 from dsfsim.emulator import (IMAG, REAL, apply_trotter, build_trotter,
                              hadamard_test, hadamard_test_via_ancilla,
                              program_unitary)
@@ -112,6 +112,27 @@ def test_dense_step_equals_statevector_path():
     via_matrix = program_unitary(prog) @ state
     via_sweeps = apply_trotter(state, prog, 1)
     assert np.max(np.abs(via_matrix - via_sweeps)) < 1e-12
+
+
+@pytest.mark.parametrize("model", ["toy", "two_orb"])
+def test_sector_step_is_the_restricted_register_step(request, model):
+    model = request.getfixturevalue(model)
+    prog = model.program()
+    basis = model.states.basis
+    full = program_unitary(prog)[np.ix_(basis, basis)]
+    assert np.max(np.abs(program_unitary(prog, basis) - full)) < 1e-13
+
+
+def test_sector_step_refuses_non_conserving_sum():
+    prog = build_trotter(random_pauli_sum(4, 12, seed=5), 0.8, 2)
+    with pytest.raises(ValueError, match="outside"):
+        program_unitary(prog, ci.sector_words(2, 1, 1))
+
+
+def test_step_matrix_over_the_cap_is_refused():
+    prog = build_trotter(random_pauli_sum(12, 3, seed=25), 0.5, 1)
+    with pytest.raises(emulator.StepTooLarge):
+        program_unitary(prog)
 
 
 def test_hadamard_identity_overlap():

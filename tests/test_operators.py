@@ -176,7 +176,7 @@ def test_one_body_dense_oracle():
                 prod = pauli.ladder(2 * p + spin, True) * pauli.ladder(2 * q + spin, False)
                 for (x, z), c in prod.terms.items():
                     idx = np.arange(16)
-                    want[idx ^ x, idx] += m[p, q] * c * pauli._word_phases(idx, x, z)
+                    want[idx ^ x, idx] += m[p, q] * c * pauli.word_phases(idx, x, z)
     assert np.max(np.abs(got - want)) < 1e-12
 
 

@@ -110,6 +110,14 @@ def test_sparse_path_matches_dense():
     assert abs(abs(ov) - 1.0) < 1e-8
 
 
+def test_sparse_path_is_reproducible():
+    """Two iterative solves in one process give bit-equal amplitudes."""
+    spec = fixtures.ModelSpec(n_orbitals=5, n_electrons=4, seed=5)
+    h, _ = fixtures.generate(spec)
+    first = ground_state(h, (2, 2), dense_cap=10)
+    assert ground_state(h, (2, 2), dense_cap=10).entries == first.entries
+
+
 def test_ground_state_cap():
     h, _ = fixtures.generate(fixtures.CORE_VALENCE_SPEC)
     with pytest.raises(ValueError, match="cap"):
