@@ -409,10 +409,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_fixtures(args: argparse.Namespace) -> int:
-    spec = fixtures.ModelSpec(n_orbitals=args.n_orbitals,
-                              n_electrons=args.n_electrons,
-                              seed=args.seed, kind=args.kind,
-                              core_gap=args.core_gap)
+    try:
+        spec = fixtures.ModelSpec(n_orbitals=args.n_orbitals,
+                                  n_electrons=args.n_electrons,
+                                  seed=args.seed, kind=args.kind,
+                                  core_gap=args.core_gap)
+    except ValueError as exc:
+        raise CliError("invalid_config", str(exc)) from None
     paths = fixtures.write_fixture(spec, args.out)
     for name, path in paths.items():
         print(f"{name}: {path}")

@@ -49,9 +49,11 @@ class ModelSpec:
             raise ValueError("bundled fixtures stay within 8 orbitals")
         if not 0 < self.n_electrons <= 2 * self.n_orbitals:
             raise ValueError("electron count out of range")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.kind == CORE_VALENCE_TOY:
-            if self.core_gap <= 0:
-                raise ValueError("core gap must be positive")
+            if not (math.isfinite(self.core_gap) and self.core_gap > 0):
+                raise ValueError("core gap must be a finite positive number")
             if self.n_orbitals < 2:
                 raise ValueError("core-valence toy needs a valence shell")
 

@@ -351,25 +351,43 @@ def default_omega_grid(tau: float, eta: float) -> np.ndarray:
 
 def reconstruct_intensity(series: GreensSeries, omega_grid: np.ndarray,
                           eta: float | None = None) -> Spectrum:
-    """Damped Fourier reconstruction of one pair's intensity contribution."""
+    """Damped Fourier reconstruction of one pair's intensity contribution.
+
+    The grid must be uniform: its values are evaluated at w_j = w_0 + j*Delta,
+    Delta = (w_last - w_0)/(M - 1), and a grid that strays from that line by
+    more than 1e-12 of its largest magnitude raises ValueError.  One- and
+    two-point grids are uniform (Delta = 0 for one point).  The returned
+    Spectrum keeps the caller's omega.
+
+    With c_n = (X_n + i Y_n) exp(-n eta tau) and theta = tau*Delta, the sum
+    F_j = sum_n c_n exp(i n tau w_j) is a chirp-z transform (Rabiner, Schafer
+    and Rader 1969): nj = (n^2 + j^2 - (j - n)^2)/2 turns it into one FFT
+    convolution of length >= n_max + M, so the workspace is O(n_max + M).
+    The values are tau/2pi * (m0 + 2 Re F_j).
+    """
     eta = series.eta if eta is None else float(eta)
     omega = np.asarray(omega_grid, dtype=float)
-    n = series.n
-    damping = np.exp(-n * eta * series.tau)
-    wx = series.x * damping
-    wy = series.y * damping
-    values = np.full_like(omega, float(series.moment0))
-    # fixed-size blocks bound the trig workspace; einsum keeps the reduction
-    # order fixed for bit-reproducible output
-    block = 256
-    for start in range(0, series.n_max, block):
-        stop = min(start + block, series.n_max)
-        phases = np.outer(n[start:stop] * series.tau, omega)
-        values += 2.0 * np.einsum("n,nw->w", wx[start:stop], np.cos(phases),
-                                  optimize=False)
-        values -= 2.0 * np.einsum("n,nw->w", wy[start:stop], np.sin(phases),
-                                  optimize=False)
-    values *= series.tau / (2.0 * math.pi)
+    m = len(omega)
+    if m == 0:
+        raise ValueError("omega grid is empty")
+    delta = (omega[-1] - omega[0]) / (m - 1) if m > 1 else 0.0
+    j = np.arange(m, dtype=np.int64)
+    if m > 2 and not np.all(np.abs(omega - (omega[0] + j * delta))
+                            <= 1e-12 * np.max(np.abs(omega))):
+        raise ValueError("reconstruction needs a uniform omega grid")
+    tau, n_max = series.tau, series.n_max
+    half_theta = 0.5 * tau * delta
+    n = np.arange(n_max + 1, dtype=np.int64)
+    coeffs = np.zeros(n_max + 1, dtype=complex)
+    coeffs[1:] = (series.x + 1j * series.y) * np.exp(-series.n * eta * tau)
+    coeffs *= np.exp(1j * (n * tau * omega[0] + half_theta * (n * n)))
+    size = 1 << (n_max + m - 1).bit_length()
+    t = np.arange(size, dtype=np.int64)
+    t = np.where(t < m, t, t - size)   # j - n runs over -n_max..m-1
+    kernel = np.exp(-1j * half_theta * (t * t))
+    conv = np.fft.ifft(np.fft.fft(coeffs, size) * np.fft.fft(kernel))[:m]
+    total = conv * np.exp(1j * half_theta * (j * j))
+    values = tau / (2.0 * math.pi) * (series.moment0 + 2.0 * total.real)
     return Spectrum(omega, values, eta, kind="intensity", label=series.pair)
 
 

@@ -159,6 +159,18 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
     user_input("oracle_q_overflows_pair_weights",
                ["oracle", "--eta", "0.02", "--delta", "2.0", "--q", "1e200,1e200,1e200"],
                "invalid_config"),
+    user_input("gen_fixtures_orbitals_over_cap", ["gen-fixtures", "--n-orbitals", "12"],
+               "invalid_config"),
+    user_input("gen_fixtures_electrons_over_register",
+               ["gen-fixtures", "--n-electrons", "99"], "invalid_config"),
+    user_input("gen_fixtures_core_gap_negative",
+               ["gen-fixtures", "--kind", "core_valence_toy", "--n-orbitals", "4",
+                "--n-electrons", "4", "--core-gap", "-1"], "invalid_config"),
+    user_input("gen_fixtures_core_gap_nan",
+               ["gen-fixtures", "--kind", "core_valence_toy", "--n-orbitals", "4",
+                "--n-electrons", "4", "--core-gap", "nan"], "invalid_config"),
+    user_input("gen_fixtures_seed_negative", ["gen-fixtures", "--seed", "-1"],
+               "invalid_config"),
 ])
 def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs):
     """A bad value is refused with a typed error; an ignored one changes nothing."""
@@ -168,8 +180,11 @@ def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs):
     if config is not None:
         (tmp_path / "run.json").write_text(json.dumps(config))
         args = args + ["--config", str(tmp_path / "run.json")]
-    proc = run_cli(*spectrum_args(directory, args, out),
-                   check=False, env=env)
+    if args[0] == "gen-fixtures":
+        args = args + ["--out", str(out)]
+    else:
+        args = spectrum_args(directory, args, out)
+    proc = run_cli(*args, check=False, env=env)
     if (BASELINES / expected).is_dir():
         assert proc.returncode == 0, proc.stderr
         for name in ("dsf_q0.csv", "greens_xy.json"):

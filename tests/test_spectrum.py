@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,64 @@ def test_reconstruct_single_eigenstate_geometric_form():
     # Lorentzian shape: half height at +- eta, up to periodization corrections
     assert spec.values[0] / spec.values[1] == pytest.approx(0.5, abs=0.01)
     assert spec.values[2] / spec.values[1] == pytest.approx(0.5, abs=0.01)
+
+
+def direct_intensity(series, omega):
+    """tau/2pi (m0 + 2 sum_n [X_n cos(n tau w) - Y_n sin(n tau w)] e^{-n eta tau})."""
+    damping = np.exp(-series.n * series.eta * series.tau)
+    phases = np.outer(omega, series.n * series.tau)
+    return series.tau / (2 * math.pi) * (
+        series.moment0 + 2 * (np.cos(phases) @ (series.x * damping)
+                              - np.sin(phases) @ (series.y * damping)))
+
+
+def toy_series(toy, epsilon_trunc):
+    plan = toy.plan(epsilon_trunc=epsilon_trunc)
+    series = measure_series("xy", plan, toy.states, toy.program(), mode="exact")
+    return series, default_omega_grid(plan.tau, toy.eta)
+
+
+@pytest.mark.parametrize("epsilon_trunc", [1e-2, 1e-8])
+def test_reconstruct_matches_direct_sum(toy, epsilon_trunc):
+    """Chirp-z values equal the direct cos/sin sum to 1e-12 of the spectrum's
+    peak: on the full grid (M > n_max at 1e-2, n_max 2,227 > M at 1e-8), on a
+    sub-grid starting above 0, and on one- and two-point grids."""
+    series, grid = toy_series(toy, epsilon_trunc)
+    assert (len(grid) > series.n_max) == (epsilon_trunc == 1e-2)
+    scale = np.max(np.abs(direct_intensity(series, grid)))
+    for omega in (grid, grid[100:400], grid[123:124], grid[5:7]):
+        values = reconstruct_intensity(series, omega).values
+        assert np.max(np.abs(values - direct_intensity(series, omega))) \
+            <= 1e-12 * scale
+
+
+def test_reconstruct_rejects_non_uniform_grid():
+    n_max = 20
+    series = GreensSeries(pair="xx", tau=0.5, eta=0.05, n_max=n_max,
+                          norm_product=1.0, moment0=1.0,
+                          x=np.full(n_max, 0.5), y=np.zeros(n_max),
+                          shots=np.zeros(n_max, dtype=int), exact=True)
+    grid = np.linspace(0.0, 3.0, 40)
+    grid[17] += 1e-3
+    with pytest.raises(ValueError, match="uniform"):
+        reconstruct_intensity(series, grid)
+    with pytest.raises(ValueError, match="empty"):
+        reconstruct_intensity(series, [])
+
+
+def test_reconstruct_workspace_is_linear(toy):
+    """Peak traced memory at n_max 2,227 x 1,899 points stays under 2 MB:
+    the workspace is O(n_max + M), not O(n_max * M)."""
+    series, grid = toy_series(toy, 1e-8)
+    assert (series.n_max, len(grid)) == (2227, 1899)
+    reconstruct_intensity(series, grid)   # loads np.fft outside the trace
+    tracemalloc.start()
+    try:
+        reconstruct_intensity(series, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_reconstruct_matches_oracle_lorentzians(toy):
