@@ -4,7 +4,7 @@ Run from the repository root after an intentional behavior change:
 
     python scripts/make_baselines.py
 
-The flags here must stay in lockstep with tests/test_cli.py.
+tests/test_cli.py runs the commands and compares the files defined below.
 """
 import shutil
 import subprocess

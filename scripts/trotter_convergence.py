@@ -60,7 +60,7 @@ def main():
         reference_series[pair] = sp.GreensSeries(
             pair=pair, tau=tau, eta=args.eta, n_max=plan.n_max,
             norm_product=max(states.norm_product(pair), 1.0),
-            moment0=states.moment0(pair), x=values.real, y=values.imag,
+            moment0=states.pair_moment(pair), x=values.real, y=values.imag,
             shots=np.zeros(plan.n_max, dtype=int), exact=True)
     ref_peak = refined_peak(reference_series, q, grid)
 

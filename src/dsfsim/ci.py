@@ -16,6 +16,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 PRUNE_THRESHOLD = 1e-12
+STATEVECTOR_QUBIT_CAP = 22  # 2^22 amplitudes, 64 MiB
 
 
 class AnnihilatedError(ValueError):
@@ -160,22 +161,12 @@ def normalize(v: CIVector) -> tuple[CIVector, float]:
     return unit, norm
 
 
-def moment(v0: CIVector, m_a: np.ndarray, m_b: np.ndarray) -> float:
-    """<v0| A B |v0> for symmetric one-body matrices A, B; real by symmetry."""
-    try:
-        left = apply_one_body(m_a, v0, prune=0.0)
-        right = apply_one_body(m_b, v0, prune=0.0)
-    except AnnihilatedError:
-        return 0.0
-    value = overlap(left, right)
-    return float(np.real(value))
-
-
-def ci_to_statevector(v: CIVector, max_qubits: int = 22) -> np.ndarray:
+def ci_to_statevector(v: CIVector) -> np.ndarray:
     """Dense statevector over 2*n_orbitals qubits (index = occupation word)."""
     n_qubits = 2 * v.n_orbitals
-    if n_qubits > max_qubits:
-        raise ValueError(f"{n_qubits} qubits exceed the configured cap {max_qubits}")
+    if n_qubits > STATEVECTOR_QUBIT_CAP:
+        raise ValueError(f"{n_qubits} qubits exceed the statevector cap "
+                         f"{STATEVECTOR_QUBIT_CAP}")
     state = np.zeros(1 << n_qubits, dtype=complex)
     for det, amp in v.entries.items():
         state[det.interleaved()] = amp

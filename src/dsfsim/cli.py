@@ -23,7 +23,6 @@ from . import __version__, ci as ci_mod, emulator, fixtures, oracle, validate
 from . import spectrum as sp
 from .operators import (QVector, jordan_wigner, load_dipole_json,
                         read_fcidump_file)
-from .pauli import expectation
 from .resources import (DEFAULT_MODEL, algorithm_cost, reference_plan,
                         report_to_json, resource_table, table_to_csv)
 from .spectrum import HARTREE_TO_EV
@@ -233,7 +232,7 @@ def _load_ground_state(cfg: RunConfig, h, header):
     path = _require_file(cfg.ground_state, "ground state")
     text = path.read_text()
     if path.suffix == ".jsonl":
-        return ci_mod.read_civector_jsonl(text), None, None
+        return ci_mod.normalize(ci_mod.read_civector_jsonl(text))[0], None, None
     doc_eig = oracle.eigensystem_from_json(text)
     return doc_eig.eigenvector(0), doc_eig.ground_energy, doc_eig
 
@@ -287,6 +286,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         return cmd_oracle(args)
     eta = cfg.eta_hartree
     ham_path, dip_path, h, header, dip = _load_inputs(cfg)
+    if 2 * h.n_orbitals > ci_mod.STATEVECTOR_QUBIT_CAP:
+        raise CliError("budget_exceeded",
+                       f"{2 * h.n_orbitals} qubits exceed the statevector cap "
+                       f"{ci_mod.STATEVECTOR_QUBIT_CAP}")
     psi0, e0, eig = _load_ground_state(cfg, h, header)
     delta = _resolve_window(cfg, eig, eta)
     grid, shown = _omega_grids(delta, eta, cfg.shift_ev)
@@ -296,8 +299,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise CliError("budget_exceeded", str(exc)) from None
     psum = jordan_wigner(h)
     if e0 is None:
-        e0 = expectation(psum, ci_mod.ci_to_statevector(psi0)) \
-            / max(psi0.norm() ** 2, 1e-300)
+        e0 = emulator.sector_expectation(
+            psum, states.basis, ci_mod.ci_to_statevector(psi0)[states.basis])
     try:
         plan = sp.plan_run(eta, delta, cfg.epsilon_trunc, cfg.shots,
                            states.moments, cfg.q_vectors, k=cfg.trotter_k)

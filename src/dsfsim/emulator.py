@@ -85,19 +85,19 @@ def build_trotter(paulis: PauliSum, tau: float, k: int) -> TrotterProgram:
                           tuple(ordered), identity)
 
 
-def _group_factors(prog: TrotterProgram, basis: np.ndarray, theta: float) -> list:
-    """exp(-i theta A_x) for each X-mask group A_x, in program order, on ``basis``.
+def _couplings(terms, basis: np.ndarray) -> list:
+    """(rows, partners, g) for each X-mask group of (x, z, coeff) ``terms`` on ``basis``.
 
-    A_x |b> = f(b) |b ^ x> and A_x^2 = |f|^2 is diagonal, so the exponential
-    maps c(b) to cos(theta r) c(b) - i sin(theta r) g c(b ^ x) / r, where
-    g = f(b ^ x) and r = |g|; the diagonal group has partner b.  Each factor
-    keeps only the rows with g != 0, the others being left unchanged.  A
-    coupling out of the sorted ``basis`` above ``SECTOR_TOL`` raises ValueError.
+    A group A_x maps |b> to f(b) |b ^ x>, so (A_x c)(b) = g c(b ^ x) with
+    g = f(b ^ x); the diagonal group has partner b.  Only the rows with
+    g != 0 are kept, and their partners are positions in the sorted
+    ``basis``.  A coupling out of the basis above ``SECTOR_TOL`` raises
+    ValueError.
     """
     groups: dict[int, list[tuple[int, float]]] = {}
-    for x, z, coeff in prog.terms:
+    for x, z, coeff in terms:
         groups.setdefault(x, []).append((z, coeff))
-    factors = []
+    out = []
     for x, words in groups.items():
         src = basis ^ x
         partner = np.minimum(np.searchsorted(basis, src), len(basis) - 1)
@@ -106,11 +106,34 @@ def _group_factors(prog: TrotterProgram, basis: np.ndarray, theta: float) -> lis
         if np.max(np.abs(g[~inside]), initial=0.0) > SECTOR_TOL:
             raise ValueError(f"X-mask {x:#x} couples the basis to words outside it")
         rows = np.flatnonzero(inside & (g != 0))
-        g = g[rows, None]
+        out.append((rows, partner[rows], g[rows]))
+    return out
+
+
+def _group_factors(prog: TrotterProgram, basis: np.ndarray, theta: float) -> list:
+    """exp(-i theta A_x) for each X-mask group A_x, in program order, on ``basis``.
+
+    A_x^2 = |f|^2 is diagonal, so the exponential maps c(b) to
+    cos(theta r) c(b) - i sin(theta r) g c(b ^ x) / r with r = |g|; rows
+    without a coupling are left unchanged.
+    """
+    factors = []
+    for rows, partner, g in _couplings(prog.terms, basis):
+        g = g[:, None]
         r = np.abs(g)
-        factors.append((rows, partner[rows], np.cos(theta * r),
-                        -1j * np.sin(theta * r) / r * g))
+        factors.append((rows, partner, np.cos(theta * r), -1j * np.sin(theta * r) / r * g))
     return factors
+
+
+def sector_expectation(paulis: PauliSum, basis: np.ndarray, amplitudes: np.ndarray) -> float:
+    """<c|H|c> of a Hermitian sum for amplitudes ``c`` on sorted ``basis`` words.
+
+    Sums the same X-mask couplings as the Trotter step, identity term
+    included, so a sum that leaves the basis raises ValueError.
+    """
+    terms = ((x, z, coeff) for coeff, x, z in paulis.terms)
+    return float(sum(np.vdot(amplitudes[rows], g * amplitudes[partner])
+                     for rows, partner, g in _couplings(terms, basis)).real)
 
 
 def _sweep(block: np.ndarray, factors: list) -> np.ndarray:

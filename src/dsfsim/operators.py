@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import DROP_THRESHOLD, LinearPauli, PauliSum, ladder
+from .pauli import LinearPauli, PauliSum, ladder
 
 SYMMETRY_TOL = 1e-12
 
@@ -272,7 +272,7 @@ def _spin_excitation(p: int, q: int) -> LinearPauli:
     return acc
 
 
-def one_body_to_pauli(m: np.ndarray, drop: float = DROP_THRESHOLD) -> PauliSum:
+def one_body_to_pauli(m: np.ndarray) -> PauliSum:
     """Qubit image of ``sum_{pq,s} m[p,q] a+_{ps} a_{qs}`` for symmetric m."""
     m = np.asarray(m, dtype=float)
     _check_symmetric(m, "one-body matrix")
@@ -282,15 +282,16 @@ def one_body_to_pauli(m: np.ndarray, drop: float = DROP_THRESHOLD) -> PauliSum:
         for q in range(n):
             if abs(m[p, q]) > 0.0:
                 acc.add_sum(_spin_excitation(p, q), m[p, q])
-    return acc.collapse(2 * n, drop=drop)
+    return acc.collapse(2 * n)
 
 
-def jordan_wigner(h: Hamiltonian, drop: float = DROP_THRESHOLD) -> PauliSum:
+def jordan_wigner(h: Hamiltonian) -> PauliSum:
     """Map a Hamiltonian to its qubit representation.
 
     The two-body expansion multiplies spin-summed excitation pairs term by
-    term and merges coefficients, dropping anything below ``drop``; the
-    result is Hermitian with purely real coefficients.
+    term and merges coefficients, dropping negligible ones (see
+    ``LinearPauli.collapse``); the result is Hermitian with purely real
+    coefficients.
     """
     n = h.n_orbitals
     acc = LinearPauli()
@@ -309,4 +310,4 @@ def jordan_wigner(h: Hamiltonian, drop: float = DROP_THRESHOLD) -> PauliSum:
                     g = h.two_body[p, q, r, s]
                     if abs(g) > 0.0:
                         acc.add_sum(e_pq * excitations[(r, s)], 0.5 * g)
-    return acc.collapse(2 * n, drop=drop)
+    return acc.collapse(2 * n)

@@ -163,9 +163,9 @@ class EigenSystem:
     def n_states(self) -> int:
         return self.coeffs.shape[1]
 
-    def eigenvector(self, k: int, prune: float = 0.0) -> CIVector:
+    def eigenvector(self, k: int) -> CIVector:
         entries = {det: complex(c) for det, c in zip(self.basis, self.coeffs[:, k])
-                   if abs(c) > prune}
+                   if c != 0}
         return CIVector(self.n_orbitals, entries)
 
     def vector_on_basis(self, v: CIVector) -> np.ndarray:

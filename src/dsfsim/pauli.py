@@ -19,6 +19,8 @@ _MASKS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
 # Coefficients below this are treated as exact zeros when collapsing sums.
 DROP_THRESHOLD = 1e-14
+# Largest imaginary part, relative to the largest coefficient, taken as rounding.
+IMAG_TOL = 1e-12
 
 
 def word_to_masks(word: str) -> tuple[int, int]:
@@ -134,15 +136,14 @@ class LinearPauli:
                 out.add(c1 * c2 * phase, x3, z3)
         return out
 
-    def collapse(self, n_qubits: int, drop: float = DROP_THRESHOLD,
-                 imag_tol: float = 1e-12) -> PauliSum:
+    def collapse(self, n_qubits: int) -> PauliSum:
         """Collapse to a real-coefficient PauliSum, dropping tiny terms."""
         scale = max((abs(c) for c in self.terms.values()), default=1.0)
         out: dict[tuple[int, int], float] = {}
         for key, c in self.terms.items():
-            if abs(c) < drop * max(1.0, scale):
+            if abs(c) < DROP_THRESHOLD * max(1.0, scale):
                 continue
-            if abs(c.imag) > imag_tol * max(1.0, scale):
+            if abs(c.imag) > IMAG_TOL * max(1.0, scale):
                 raise ValueError("non-Hermitian accumulation: imaginary coefficient survives")
             out[key] = c.real
         return PauliSum.from_dict(out, n_qubits)
@@ -177,25 +178,3 @@ def word_phases(indices: np.ndarray, x: int, z: int) -> np.ndarray:
     ny = (x & z).bit_count()
     sign = 1.0 - 2.0 * _parity(indices & z)
     return (1j**ny) * sign
-
-
-def apply_word(state: np.ndarray, x: int, z: int) -> np.ndarray:
-    """Apply a single canonical Pauli word to a statevector (or matrix rows)."""
-    idx = np.arange(state.shape[0])
-    src = idx ^ x
-    phases = word_phases(src, x, z)
-    if state.ndim == 1:
-        return phases * state[src]
-    return phases[:, None] * state[src]
-
-
-def apply_pauli_sum(psum: PauliSum, state: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(state, dtype=complex)
-    for coeff, x, z in psum.terms:
-        out += coeff * apply_word(state, x, z)
-    return out
-
-
-def expectation(psum: PauliSum, state: np.ndarray) -> float:
-    """<state|P|state> for a Hermitian sum; returns the real part."""
-    return float(np.vdot(state, apply_pauli_sum(psum, state)).real)

@@ -212,7 +212,7 @@ class DipoleStates:
     def norm_product(self, pair: str) -> float:
         return self.norms[pair[0]] * self.norms[pair[1]]
 
-    def moment0(self, pair: str) -> float:
+    def pair_moment(self, pair: str) -> float:
         return float(self.moments[AXES.index(pair[0]), AXES.index(pair[1])])
 
 
@@ -321,7 +321,7 @@ def measure_series(pair: str, plan: RunPlan, states: DipoleStates,
         re = _sample_biases(pair, REAL, re, shots, master_seed)
         im = _sample_biases(pair, IMAG, im, shots, master_seed)
     return GreensSeries(pair=pair, tau=plan.tau, eta=plan.eta, n_max=plan.n_max,
-                        norm_product=norm_product, moment0=states.moment0(pair),
+                        norm_product=norm_product, moment0=states.pair_moment(pair),
                         x=norm_product * re, y=norm_product * im, shots=shots,
                         exact=(mode == "exact"))
 
@@ -349,8 +349,7 @@ def default_omega_grid(tau: float, eta: float) -> np.ndarray:
     return np.arange(0.0, math.pi / tau, eta / 5.0)
 
 
-def reconstruct_intensity(series: GreensSeries, omega_grid: np.ndarray,
-                          eta: float | None = None) -> Spectrum:
+def reconstruct_intensity(series: GreensSeries, omega_grid: np.ndarray) -> Spectrum:
     """Damped Fourier reconstruction of one pair's intensity contribution.
 
     The grid must be uniform: its values are evaluated at w_j = w_0 + j*Delta,
@@ -365,7 +364,6 @@ def reconstruct_intensity(series: GreensSeries, omega_grid: np.ndarray,
     convolution of length >= n_max + M, so the workspace is O(n_max + M).
     The values are tau/2pi * (m0 + 2 Re F_j).
     """
-    eta = series.eta if eta is None else float(eta)
     omega = np.asarray(omega_grid, dtype=float)
     m = len(omega)
     if m == 0:
@@ -379,7 +377,7 @@ def reconstruct_intensity(series: GreensSeries, omega_grid: np.ndarray,
     half_theta = 0.5 * tau * delta
     n = np.arange(n_max + 1, dtype=np.int64)
     coeffs = np.zeros(n_max + 1, dtype=complex)
-    coeffs[1:] = (series.x + 1j * series.y) * np.exp(-series.n * eta * tau)
+    coeffs[1:] = (series.x + 1j * series.y) * np.exp(-series.n * series.eta * tau)
     coeffs *= np.exp(1j * (n * tau * omega[0] + half_theta * (n * n)))
     size = 1 << (n_max + m - 1).bit_length()
     t = np.arange(size, dtype=np.int64)
@@ -388,11 +386,10 @@ def reconstruct_intensity(series: GreensSeries, omega_grid: np.ndarray,
     conv = np.fft.ifft(np.fft.fft(coeffs, size) * np.fft.fft(kernel))[:m]
     total = conv * np.exp(1j * half_theta * (j * j))
     values = tau / (2.0 * math.pi) * (series.moment0 + 2.0 * total.real)
-    return Spectrum(omega, values, eta, kind="intensity", label=series.pair)
+    return Spectrum(omega, values, series.eta, kind="intensity", label=series.pair)
 
 
-def assemble_dsf(q: QVector, contributions: dict[str, Spectrum],
-                 omega_grid: np.ndarray | None = None) -> Spectrum:
+def assemble_dsf(q: QVector, contributions: dict[str, Spectrum]) -> Spectrum:
     """S(q, w) = sum_{a >= b} q_a q_b (2 - delta_ab) * contribution_ab(w).
 
     Stored pair contributions are reused for every q, so evaluating new
@@ -405,9 +402,7 @@ def assemble_dsf(q: QVector, contributions: dict[str, Spectrum],
     for other in grids[1:]:
         if other.shape != grids[0].shape or not np.array_equal(other, grids[0]):
             raise ValueError("pair contributions use different grids")
-    omega = grids[0] if omega_grid is None else np.asarray(omega_grid, dtype=float)
-    if not np.array_equal(omega, grids[0]):
-        raise ValueError("requested grid does not match the stored contributions")
+    omega = grids[0]
     values = np.zeros_like(omega)
     for key in PAIR_KEYS:
         qq = q.component(key[0]) * q.component(key[1])

@@ -97,7 +97,7 @@ def test_criterion_2_trotter_convergence(toy):
         reference_series[pair] = sp.GreensSeries(
             pair=pair, tau=tau, eta=toy.eta, n_max=n_max,
             norm_product=max(toy.states.norm_product(pair), 1.0),
-            moment0=toy.states.moment0(pair), x=values.real, y=values.imag,
+            moment0=toy.states.pair_moment(pair), x=values.real, y=values.imag,
             shots=np.zeros(n_max, dtype=int), exact=True)
     ref_values = sp.assemble_dsf(q, {p: sp.reconstruct_intensity(s, grid)
                                      for p, s in reference_series.items()}).values

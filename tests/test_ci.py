@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsfsim import ci, oracle, pauli
-from dsfsim.ci import (CIVector, Determinant, apply_one_body, ci_to_statevector,
-                       cvs_project, moment, normalize, overlap,
+from dsfsim.ci import (AnnihilatedError, CIVector, Determinant, apply_one_body,
+                       ci_to_statevector, cvs_project, normalize, overlap,
                        read_civector_jsonl, write_civector_jsonl)
 from dsfsim.operators import one_body_to_pauli
 
@@ -125,10 +125,10 @@ def test_normalize_scale_covariance(scale):
 
 
 def test_dipole_norm_matches_moment_oracle(two_orb):
-    """||mu_x psi0|| equals sqrt(<psi0|mu_x^2|psi0>) from the moment route."""
+    """||mu_x psi0|| equals sqrt(<psi0|mu_x (mu_x psi0)>), mu_x applied twice."""
     w = apply_one_body(two_orb.dipole.x, two_orb.psi0, prune=0.0)
     _, norm = normalize(w)
-    m_xx = moment(two_orb.psi0, two_orb.dipole.x, two_orb.dipole.x)
+    m_xx = overlap(two_orb.psi0, apply_one_body(two_orb.dipole.x, w, prune=0.0)).real
     assert norm == pytest.approx(np.sqrt(m_xx), rel=1e-12)
 
 
@@ -155,25 +155,31 @@ def test_statevector_norm_preserved():
 
 
 def test_statevector_qubit_cap():
-    v = random_civector(3, 1, 1, seed=54)
+    v = CIVector(12, {Determinant(0b1, 0b1): 1.0})
+    assert 2 * v.n_orbitals > ci.STATEVECTOR_QUBIT_CAP
     with pytest.raises(ValueError, match="cap"):
-        ci_to_statevector(v, max_qubits=4)
+        ci_to_statevector(v)
 
 
 def test_moment_trivials():
+    """<v|0 0|v> vanishes by annihilation and <v|N N|v> = N_e^2 for a unit v."""
     v = random_civector(3, 2, 1, seed=61)
     unit, _ = normalize(v)
-    assert moment(unit, np.zeros((3, 3)), np.zeros((3, 3))) == pytest.approx(0.0, abs=1e-14)
+    with pytest.raises(AnnihilatedError):
+        apply_one_body(np.zeros((3, 3)), unit, prune=0.0)
+    number = apply_one_body(np.eye(3), unit, prune=0.0)
     n_e = unit.n_electrons
-    assert moment(unit, np.eye(3), np.eye(3)) == pytest.approx(n_e**2, rel=1e-12)
+    assert overlap(number, number).real == pytest.approx(n_e**2, rel=1e-12)
 
 
 def test_moment_completeness_oracle(two_orb):
     """<psi0|mu_a mu_b|psi0> equals the eigenstate-resolved transition sum."""
     for a in "xyz":
         for b in "xyz":
-            direct = moment(two_orb.psi0, two_orb.dipole.component(a),
-                            two_orb.dipole.component(b))
+            direct = overlap(apply_one_body(two_orb.dipole.component(a), two_orb.psi0,
+                                            prune=0.0),
+                             apply_one_body(two_orb.dipole.component(b), two_orb.psi0,
+                                            prune=0.0)).real
             summed = float(np.sum(two_orb.trans.component(a) * two_orb.trans.component(b)))
             assert direct == pytest.approx(summed, abs=1e-10)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -10,19 +11,17 @@ import pytest
 
 from dsfsim import ci, oracle
 from dsfsim import spectrum as sp
+from dsfsim.operators import (DipoleOperator, Hamiltonian, dump_dipole_json,
+                              write_fcidump)
 
 BASELINES = Path(__file__).parent / "baselines"
+ROOT = Path(__file__).resolve().parent.parent
 
-FIXTURE_ARGS = ["gen-fixtures", "--kind", "random_two_body", "--n-orbitals", "2",
-                "--n-electrons", "2", "--seed", "7"]
-EXACT_ARGS = ["spectrum", "--mode", "exact", "--eta", "0.02", "--delta", "2.0",
-              "--epsilon-trunc", "1e-6", "--k", "8", "--shots", "600",
-              "--q", "1,1,1", "--seed", "0"]
-SAMPLED_ARGS = ["spectrum", "--mode", "sampled", "--eta", "0.02", "--delta", "2.0",
-                "--epsilon-trunc", "1e-6", "--k", "8", "--shots", "6000",
-                "--q", "1,1,1", "--seed", "42"]
-BASELINE_FILES = ["dsf_q0.csv", "intensity_xx.csv", "intensity_xy.csv",
-                  "greens_xy.json", "greens_zz.json"]
+# The baseline commands and files, as scripts/make_baselines.py defines them.
+_MAKE_BASELINES = runpy.run_path(str(ROOT / "scripts" / "make_baselines.py"))
+FIXTURE, EXACT, SAMPLED, EXACT_FILES, SAMPLED_FILES = (
+    _MAKE_BASELINES[name]
+    for name in ("FIXTURE", "EXACT", "SAMPLED", "EXACT_FILES", "SAMPLED_FILES"))
 
 
 def run_cli(*args, check=True, env=None):
@@ -37,7 +36,7 @@ def run_cli(*args, check=True, env=None):
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("fixture")
-    run_cli(*FIXTURE_ARGS, "--out", str(out))
+    run_cli(*FIXTURE, "--out", str(out))
     return out
 
 
@@ -65,6 +64,18 @@ def eight_orbital_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def twelve_orbital_dir(tmp_path_factory):
+    """A 12-orbital, 2-electron model: 24 qubits, a sector of only 144 states."""
+    out = tmp_path_factory.mktemp("twelve")
+    n = 12
+    h = Hamiltonian(0.0, np.diag(np.arange(float(n))), np.zeros((n, n, n, n)))
+    hop = np.eye(n, k=1) + np.eye(n, k=-1)
+    (out / "hamiltonian.fcidump").write_text(write_fcidump(h, n_electrons=2))
+    (out / "dipoles.json").write_text(dump_dipole_json(DipoleOperator(hop, hop, hop)))
+    return out
+
+
 def spectrum_args(fixture_dir, base, out):
     return base + ["--hamiltonian", str(fixture_dir / "hamiltonian.fcidump"),
                    "--dipoles", str(fixture_dir / "dipoles.json"),
@@ -72,8 +83,8 @@ def spectrum_args(fixture_dir, base, out):
 
 
 def test_gen_fixtures_deterministic(tmp_path):
-    run_cli(*FIXTURE_ARGS, "--out", str(tmp_path / "a"))
-    run_cli(*FIXTURE_ARGS, "--out", str(tmp_path / "b"))
+    run_cli(*FIXTURE, "--out", str(tmp_path / "a"))
+    run_cli(*FIXTURE, "--out", str(tmp_path / "b"))
     for name in ("hamiltonian.fcidump", "dipoles.json"):
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes()
@@ -81,8 +92,8 @@ def test_gen_fixtures_deterministic(tmp_path):
 
 def test_exact_run_reproduces_committed_baseline(fixture_dir, tmp_path):
     out = tmp_path / "exact"
-    run_cli(*spectrum_args(fixture_dir, EXACT_ARGS, out))
-    for name in BASELINE_FILES:
+    run_cli(*spectrum_args(fixture_dir, EXACT, out))
+    for name in EXACT_FILES:
         produced = (out / name).read_bytes()
         committed = (BASELINES / "exact_2orb" / name).read_bytes()
         assert produced == committed, f"{name} deviates from the baseline"
@@ -90,8 +101,8 @@ def test_exact_run_reproduces_committed_baseline(fixture_dir, tmp_path):
 
 def test_sampled_run_reproduces_committed_baseline(fixture_dir, tmp_path):
     out = tmp_path / "sampled"
-    run_cli(*spectrum_args(fixture_dir, SAMPLED_ARGS, out))
-    for name in ("dsf_q0.csv", "greens_xy.json"):
+    run_cli(*spectrum_args(fixture_dir, SAMPLED, out))
+    for name in SAMPLED_FILES:
         produced = (out / name).read_bytes()
         committed = (BASELINES / "sampled_2orb" / name).read_bytes()
         assert produced == committed, f"{name} deviates from the baseline"
@@ -113,30 +124,30 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
 
 
 @pytest.mark.parametrize("args, expected, env, config, inputs", [
-    user_input("eta_not_a_number", SAMPLED_ARGS + ["--eta", "abc"], "invalid_config"),
-    user_input("eta_negative", SAMPLED_ARGS + ["--eta", "-1"], "invalid_config"),
+    user_input("eta_not_a_number", SAMPLED + ["--eta", "abc"], "invalid_config"),
+    user_input("eta_negative", SAMPLED + ["--eta", "-1"], "invalid_config"),
     user_input("oracle_cvs", ["oracle", "--eta", "0.02", "--delta", "2.0", "--cvs", "0"],
                "invalid_config"),
-    user_input("mode_oracle_cvs", EXACT_ARGS + ["--mode", "oracle", "--cvs", "0"],
+    user_input("mode_oracle_cvs", EXACT + ["--mode", "oracle", "--cvs", "0"],
                "invalid_config"),
-    user_input("threads_variable_ignored", SAMPLED_ARGS, "sampled_2orb",
+    user_input("threads_variable_ignored", SAMPLED, "sampled_2orb",
                env={"DSF_SIM_THREADS": "abc"}),
     user_input("config_shots_string", ["spectrum"], "invalid_config",
                config={"shots": "100"}),
     user_input("config_q_two_components", ["spectrum"], "invalid_config",
                config={"q": [[1, 1]]}),
     user_input("config_not_an_object", ["spectrum"], "invalid_config", config=5),
-    user_input("q_not_a_number", EXACT_ARGS + ["--q", "1,a"], "invalid_config"),
-    user_input("cvs_not_an_integer", EXACT_ARGS + ["--cvs", "a"], "invalid_config"),
-    user_input("cvs_outside_register", EXACT_ARGS + ["--cvs", "9"], "invalid_config"),
-    user_input("seed_negative", SAMPLED_ARGS + ["--seed", "-1"], "invalid_config"),
-    user_input("shots_negative", EXACT_ARGS + ["--shots", "-5"], "invalid_config"),
-    user_input("k_zero", EXACT_ARGS + ["--k", "0"], "invalid_config"),
-    user_input("epsilon_trunc_above_one", EXACT_ARGS + ["--epsilon-trunc", "2"],
+    user_input("q_not_a_number", EXACT + ["--q", "1,a"], "invalid_config"),
+    user_input("cvs_not_an_integer", EXACT + ["--cvs", "a"], "invalid_config"),
+    user_input("cvs_outside_register", EXACT + ["--cvs", "9"], "invalid_config"),
+    user_input("seed_negative", SAMPLED + ["--seed", "-1"], "invalid_config"),
+    user_input("shots_negative", EXACT + ["--shots", "-5"], "invalid_config"),
+    user_input("k_zero", EXACT + ["--k", "0"], "invalid_config"),
+    user_input("epsilon_trunc_above_one", EXACT + ["--epsilon-trunc", "2"],
                "invalid_config"),
-    user_input("delta_nan", EXACT_ARGS + ["--delta", "nan"], "invalid_config"),
-    user_input("shift_ev_nan", EXACT_ARGS + ["--shift-ev", "nan"], "invalid_config"),
-    user_input("n_alpha_exceeds_orbitals", EXACT_ARGS + ["--n-alpha", "5", "--n-beta", "1"],
+    user_input("delta_nan", EXACT + ["--delta", "nan"], "invalid_config"),
+    user_input("shift_ev_nan", EXACT + ["--shift-ev", "nan"], "invalid_config"),
+    user_input("n_alpha_exceeds_orbitals", EXACT + ["--n-alpha", "5", "--n-beta", "1"],
                "invalid_config"),
     user_input("oracle_dipoles_mismatched", ["oracle", "--eta", "0.02"], "invalid_config",
                inputs="mismatched_dir"),
@@ -144,17 +155,19 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
                inputs="eight_orbital_dir"),
     user_input("oracle_sector_too_large", ["oracle"], "budget_exceeded",
                inputs="eight_orbital_dir"),
+    user_input("register_over_statevector_cap", EXACT, "budget_exceeded",
+               inputs="twelve_orbital_dir"),
     user_input("file_ground_state_step_too_large",
                ["spectrum", "--ground-state", "{inputs}/ground_state.jsonl",
                 "--delta", "2.0"], "budget_exceeded", inputs="eight_orbital_dir"),
-    user_input("delta_below_grid_step", EXACT_ARGS + ["--delta", "1e-300"],
+    user_input("delta_below_grid_step", EXACT + ["--delta", "1e-300"],
                "invalid_config"),
-    user_input("shift_ev_merges_grid", EXACT_ARGS + ["--shift-ev", "1e20"],
+    user_input("shift_ev_merges_grid", EXACT + ["--shift-ev", "1e20"],
                "invalid_config"),
     user_input("oracle_shift_ev_merges_grid",
                ["oracle", "--eta", "0.02", "--delta", "2.0", "--shift-ev", "1e20"],
                "invalid_config"),
-    user_input("q_overflows_pair_weights", EXACT_ARGS + ["--q", "1e200,1e200,1e200"],
+    user_input("q_overflows_pair_weights", EXACT + ["--q", "1e200,1e200,1e200"],
                "invalid_config"),
     user_input("oracle_q_overflows_pair_weights",
                ["oracle", "--eta", "0.02", "--delta", "2.0", "--q", "1e200,1e200,1e200"],
@@ -196,7 +209,7 @@ def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs):
 
 def test_spectrum_run_does_not_load_scipy(fixture_dir, tmp_path):
     """Importing the CLI and running ``spectrum`` never import scipy."""
-    argv = spectrum_args(fixture_dir, SAMPLED_ARGS, tmp_path / "run")
+    argv = spectrum_args(fixture_dir, SAMPLED, tmp_path / "run")
     code = ("import sys\n"
             "import dsfsim.cli, dsfsim.spectrum\n"
             f"assert dsfsim.cli.main({argv!r}) == 0\n"
@@ -208,7 +221,7 @@ def test_spectrum_run_does_not_load_scipy(fixture_dir, tmp_path):
 
 def test_csv_outputs_parse_back(fixture_dir, tmp_path):
     out = tmp_path / "roundtrip"
-    run_cli(*spectrum_args(fixture_dir, EXACT_ARGS, out))
+    run_cli(*spectrum_args(fixture_dir, EXACT, out))
     text = (out / "dsf_q0.csv").read_text()
     spec = sp.spectrum_from_csv(text, eta=0.02)
     assert sp.spectrum_to_csv(spec) == text
@@ -216,7 +229,7 @@ def test_csv_outputs_parse_back(fixture_dir, tmp_path):
 
 def test_manifest_records_run(fixture_dir, tmp_path):
     out = tmp_path / "manifest"
-    run_cli(*spectrum_args(fixture_dir, EXACT_ARGS, out))
+    run_cli(*spectrum_args(fixture_dir, EXACT, out))
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["parameters"]["seed"] == 0
     assert manifest["parameters"]["mode"] == "exact"
@@ -238,11 +251,32 @@ def test_oracle_outputs_feed_spectrum(fixture_dir, tmp_path):
     assert abs(psi.norm() - 1.0) < 1e-12
     for gs in ("ground_state.jsonl", "eigensystem.json"):
         out = tmp_path / f"from_{gs.split('.')[0]}"
-        run_cli(*spectrum_args(fixture_dir, EXACT_ARGS, out),
+        run_cli(*spectrum_args(fixture_dir, EXACT, out),
                 "--ground-state", str(oracle_out / gs))
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["derived"]["ground_energy"] == pytest.approx(
             eig.ground_energy, abs=1e-9)
+
+
+def test_unnormalized_ground_state_file_is_normalized(fixture_dir, tmp_path):
+    """Doubling a .jsonl ground state's amplitudes leaves every series unchanged."""
+    oracle_out = tmp_path / "oracle"
+    run_cli("oracle", "--hamiltonian", str(fixture_dir / "hamiltonian.fcidump"),
+            "--dipoles", str(fixture_dir / "dipoles.json"),
+            "--eta", "0.02", "--delta", "2.0", "--out", str(oracle_out))
+    psi = ci.read_civector_jsonl((oracle_out / "ground_state.jsonl").read_text())
+    doubled = tmp_path / "doubled.jsonl"
+    doubled.write_text(ci.write_civector_jsonl(
+        ci.CIVector(psi.n_orbitals, {d: 2.0 * a for d, a in psi.entries.items()})))
+    outs = []
+    for gs in (oracle_out / "ground_state.jsonl", doubled):
+        outs.append(tmp_path / gs.stem)
+        run_cli(*spectrum_args(fixture_dir, EXACT, outs[-1]), "--ground-state", str(gs))
+    for pair in sp.PAIR_KEYS:
+        original, scaled = (sp.series_from_json((out / f"greens_{pair}.json").read_text())
+                            for out in outs)
+        for name in ("norm_product", "moment0", "x", "y"):
+            assert np.max(np.abs(getattr(scaled, name) - getattr(original, name))) < 1e-12
 
 
 def test_oracle_matches_exact_mode_spectra(fixture_dir, tmp_path):
@@ -254,7 +288,7 @@ def test_oracle_matches_exact_mode_spectra(fixture_dir, tmp_path):
             "--eta", "0.02", "--delta", "2.0",
             "--out", str(oracle_out))
     emul_out = tmp_path / "emulated"
-    run_cli(*spectrum_args(fixture_dir, EXACT_ARGS, emul_out), "--k", "64")
+    run_cli(*spectrum_args(fixture_dir, EXACT, emul_out), "--k", "64")
     for pair in ("xx", "xy"):
         ora = sp.spectrum_from_csv(
             (oracle_out / f"oracle_intensity_{pair}.csv").read_text(), eta=0.02)
@@ -307,7 +341,7 @@ def test_config_file_with_flag_override(fixture_dir, tmp_path):
 
 def test_eta_accepts_ev_suffix(fixture_dir, tmp_path):
     out = tmp_path / "ev"
-    args = [a for a in EXACT_ARGS]
+    args = [a for a in EXACT]
     args[args.index("--eta") + 1] = f"{0.02 * 27.211386245988}eV"
     run_cli(*spectrum_args(fixture_dir, args, out))
     manifest = json.loads((out / "manifest.json").read_text())

@@ -4,10 +4,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsfsim import ci, emulator
+from dsfsim import ci, emulator, fixtures
 from dsfsim.emulator import (IMAG, REAL, apply_trotter, build_trotter,
                              hadamard_test, hadamard_test_via_ancilla,
-                             program_unitary)
+                             program_unitary, sector_expectation)
+from dsfsim.operators import jordan_wigner
 from dsfsim.pauli import PauliSum, pauli_sum_dense
 
 
@@ -124,9 +125,34 @@ def test_sector_step_is_the_restricted_register_step(request, model):
 
 
 def test_sector_step_refuses_non_conserving_sum():
-    prog = build_trotter(random_pauli_sum(4, 12, seed=5), 0.8, 2)
-    with pytest.raises(ValueError, match="outside"):
-        program_unitary(prog, ci.sector_words(2, 1, 1))
+    basis = ci.sector_words(2, 1, 1)
+    amplitudes = np.full(len(basis), 0.5, dtype=complex)
+    hop_alpha = PauliSum.from_words([(0.3, "XIII"), (-0.2, "ZZII")], 4)
+    for psum in (random_pauli_sum(4, 12, seed=5), hop_alpha):
+        with pytest.raises(ValueError, match="outside"):
+            program_unitary(build_trotter(psum, 0.8, 2), basis)
+        with pytest.raises(ValueError, match="outside"):
+            sector_expectation(psum, basis, amplitudes)
+
+
+def test_sector_expectation_matches_dense():
+    """On the whole register the sector expectation is <c|H|c> of the dense sum."""
+    psum = random_pauli_sum(4, 12, seed=6)
+    state = random_state(4, 7)
+    dense = pauli_sum_dense(psum)
+    assert sector_expectation(psum, np.arange(16), state) == pytest.approx(
+        float(np.vdot(state, dense @ state).real), abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", [fixtures.TWO_ORBITAL_SPEC, fixtures.THREE_ORBITAL_SPEC,
+                                  fixtures.CORE_VALENCE_SPEC, fixtures.DIAGONAL_SPEC],
+                         ids=["two_orbital", "three_orbital", "core_valence", "diagonal"])
+def test_sector_expectation_of_ground_state_is_ground_energy(spec):
+    model = fixtures.solve(spec)
+    basis = model.states.basis
+    amplitudes = ci.ci_to_statevector(model.psi0)[basis]
+    assert sector_expectation(jordan_wigner(model.h), basis, amplitudes) == pytest.approx(
+        model.eig.ground_energy, abs=1e-12)
 
 
 def test_step_matrix_over_the_cap_is_refused():

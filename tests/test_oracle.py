@@ -162,7 +162,7 @@ def test_exact_spectrum_nonnegative(toy):
 def test_exact_greens_n_zero_is_moment(toy):
     for pair in ("xx", "xy", "yz"):
         got = exact_greens(toy.eig, toy.trans, pair, 0.3, 0)
-        assert got.real == pytest.approx(toy.states.moment0(pair), abs=1e-10)
+        assert got.real == pytest.approx(toy.states.pair_moment(pair), abs=1e-10)
         assert got.imag == pytest.approx(0.0, abs=1e-12)
 
 

@@ -121,7 +121,7 @@ def test_series_time_zero_limit(toy):
         ket = toy.states.vectors[pair[0]]
         bra = toy.states.vectors[pair[1]]
         value = np.vdot(bra, ket) * toy.states.norm_product(pair)
-        assert value.real == pytest.approx(toy.states.moment0(pair), abs=1e-10)
+        assert value.real == pytest.approx(toy.states.pair_moment(pair), abs=1e-10)
         assert value.imag == pytest.approx(0.0, abs=1e-12)
 
 
@@ -472,7 +472,7 @@ def test_sampling_budget_calibrates_error_scale(toy):
     """
     target = 0.012
     plan0 = toy.plan()
-    m0 = toy.states.moment0("zz")
+    m0 = toy.states.pair_moment("zz")
     decay = np.exp(-toy.eta * plan0.tau * np.arange(1, plan0.n_max + 1))
     budget = int(round(plan0.tau**2 * m0**2 * decay.sum()**2
                        / (4 * math.pi**2 * target**2)))
