@@ -26,6 +26,9 @@ SAMPLED = ["spectrum", "--mode", "sampled", "--eta", "0.02", "--delta", "2.0",
 EXACT_FILES = ["dsf_q0.csv", "intensity_xx.csv", "intensity_xy.csv",
                "greens_xy.json", "greens_zz.json"]
 SAMPLED_FILES = ["dsf_q0.csv", "greens_xy.json"]
+# `dsfsim resources` commands and the file each writes under --out.
+RESOURCES = [(["resources", "--table", "14..30"], "resources_table.csv"),
+             (["resources", "--n-orbitals", "22"], "resources.json")]
 
 
 def cli(*args):
@@ -48,6 +51,13 @@ def main():
             for fname in files:
                 shutil.copy(out / fname, dest / fname)
                 print(f"wrote {dest / fname}")
+        dest = BASELINES / "resources"
+        dest.mkdir(parents=True, exist_ok=True)
+        for args, fname in RESOURCES:
+            out = tmp / "resources"
+            cli(*args, "--out", str(out))
+            shutil.copy(out / fname, dest / fname)
+            print(f"wrote {dest / fname}")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ def main():
     a, b, c = DEFAULT_MODEL.rotation_coefficients
     print(f"rotations/step = {a:.3f} N^2 L {b:+.3f} N^2 {c:+.3f} N   (L = N)")
     print(f"samples/pair = {DEFAULT_MODEL.samples_per_pair}, "
-          f"volume/T = {DEFAULT_MODEL.volume_weights['rotation_t']:.2f}, "
+          f"volume/T = {DEFAULT_MODEL.volume_per_t:.2f}, "
           f"qubits = {DEFAULT_MODEL.qubit_slope:.0f} N "
           f"+ {DEFAULT_MODEL.qubit_intercept:.0f}")
     worst = {key: max(abs(r) for r in vals)

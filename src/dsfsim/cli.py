@@ -28,6 +28,8 @@ from .resources import (DEFAULT_MODEL, algorithm_cost, reference_plan,
 from .spectrum import HARTREE_TO_EV
 
 EXIT_INPUT_NOT_FOUND = 2
+# Largest n_max plus omega-grid points one run may allocate.
+SERIES_BUDGET = 2**20
 
 
 class CliError(Exception):
@@ -207,7 +209,11 @@ def _load_inputs(cfg: RunConfig):
 
 
 def _load_ground_state(cfg: RunConfig, h, header):
-    """Returns (psi0, E0_or_None, eigensystem_or_None)."""
+    """Returns (psi0, E0_or_None, eigensystem_or_None).
+
+    A ground-state file that does not parse, or whose orbital count differs
+    from the Hamiltonian's, is refused with ``invalid_config``.
+    """
     if cfg.ground_state == "solve":
         n_alpha = cfg.n_alpha
         n_beta = cfg.n_beta
@@ -231,10 +237,19 @@ def _load_ground_state(cfg: RunConfig, h, header):
         return eig.eigenvector(0), eig.ground_energy, eig
     path = _require_file(cfg.ground_state, "ground state")
     text = path.read_text()
-    if path.suffix == ".jsonl":
-        return ci_mod.normalize(ci_mod.read_civector_jsonl(text))[0], None, None
-    doc_eig = oracle.eigensystem_from_json(text)
-    return doc_eig.eigenvector(0), doc_eig.ground_energy, doc_eig
+    try:
+        if path.suffix == ".jsonl":
+            psi0 = ci_mod.normalize(ci_mod.read_civector_jsonl(text))[0]
+            e0 = eig = None
+        else:
+            eig = oracle.eigensystem_from_json(text)
+            psi0, e0 = eig.eigenvector(0), eig.ground_energy
+    except (ValueError, LookupError, TypeError) as exc:
+        raise CliError("invalid_config",
+                       f"ground state file {path}: {type(exc).__name__}: {exc}") from None
+    if psi0.n_orbitals != h.n_orbitals:
+        raise CliError("invalid_config", "ground state and Hamiltonian orbital counts differ")
+    return psi0, e0, eig
 
 
 def _resolve_window(cfg: RunConfig, eig, eta: float) -> float:
@@ -262,13 +277,25 @@ def _write(outdir: Path, name: str, text: str) -> None:
     (outdir / name).write_text(text)
 
 
-def _omega_grids(delta: float, eta: float, shift_ev: float):
+def _omega_grids(delta: float, eta: float, shift_ev: float,
+                 plan: sp.RunPlan | None = None):
     """The omega grid of the window and its copy shifted by ``shift_ev`` for output.
 
-    Refused with ``invalid_config`` unless the window holds two grid points
-    and the shifted points stay distinct.
+    Refused with ``budget_exceeded`` before anything is built when the grid
+    points, plus ``plan.n_max`` when a plan is given, exceed ``SERIES_BUDGET``;
+    with ``invalid_config`` unless the window holds two grid points and the
+    shifted points stay distinct.
     """
-    grid = sp.default_omega_grid(math.pi / delta, eta)
+    tau = math.pi / delta
+    try:
+        size = sp.omega_grid_size(tau, eta) + (plan.n_max if plan else 0)
+    except ArithmeticError:  # eta * tau underflows or the count overflows
+        size = math.inf
+    if size > SERIES_BUDGET:
+        raise CliError("budget_exceeded",
+                       f"n_max plus omega-grid points ({size}) exceed the series "
+                       f"budget {SERIES_BUDGET}")
+    grid = sp.default_omega_grid(tau, eta)
     if len(grid) < 2:
         raise CliError("invalid_config",
                        f"delta {delta!r} Ha is narrower than the grid step eta/5 "
@@ -292,15 +319,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                        f"{ci_mod.STATEVECTOR_QUBIT_CAP}")
     psi0, e0, eig = _load_ground_state(cfg, h, header)
     delta = _resolve_window(cfg, eig, eta)
-    grid, shown = _omega_grids(delta, eta, cfg.shift_ev)
     try:
         states = sp.prepare_dipole_states(psi0, dip, core_orbitals=cfg.cvs or None)
     except emulator.StepTooLarge as exc:
         raise CliError("budget_exceeded", str(exc)) from None
-    psum = jordan_wigner(h)
-    if e0 is None:
-        e0 = emulator.sector_expectation(
-            psum, states.basis, ci_mod.ci_to_statevector(psi0)[states.basis])
     try:
         plan = sp.plan_run(eta, delta, cfg.epsilon_trunc, cfg.shots,
                            states.moments, cfg.q_vectors, k=cfg.trotter_k)
@@ -308,6 +330,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise CliError("no_dipole_intensity", str(exc)) from None
     except ValueError as exc:
         raise CliError("invalid_config", str(exc)) from None
+    grid, shown = _omega_grids(delta, eta, cfg.shift_ev, plan)
+    psum = jordan_wigner(h)
+    if e0 is None:
+        e0 = emulator.sector_expectation(
+            psum, states.basis, ci_mod.ci_to_statevector(psi0)[states.basis])
     prog = emulator.build_trotter(psum.shifted_identity(-e0), plan.tau, plan.k)
     series = {pair: sp.measure_series(pair, plan, states, prog, cfg.mode, cfg.seed)
               for pair in sp.PAIR_KEYS}
@@ -380,15 +407,11 @@ def _parse_orbital_range(text: str) -> list[int]:
 
 
 def cmd_resources(args: argparse.Namespace) -> int:
-    model = DEFAULT_MODEL
     if args.table:
-        reports = resource_table(_parse_orbital_range(args.table), model)
-        text = table_to_csv(reports)
+        text = table_to_csv(resource_table(_parse_orbital_range(args.table)))
     elif args.n_orbitals:
-        plan = reference_plan(model, total_shots=args.shots) \
-            if args.shots is not None else reference_plan(model)
-        report = algorithm_cost(plan, model, args.n_orbitals)
-        text = report_to_json(report) + "\n"
+        plan = reference_plan(DEFAULT_MODEL, total_shots=args.shots)
+        text = report_to_json(algorithm_cost(plan, DEFAULT_MODEL, args.n_orbitals)) + "\n"
     else:
         raise CliError("invalid_config", "give --table RANGE or --n-orbitals N")
     if args.out:

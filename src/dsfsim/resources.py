@@ -2,7 +2,7 @@
 
 Per-circuit T counts follow a parametric model: a second-order Trotter step
 over a rank-L factorized two-body operator costs ``rotations(N_a, L)``
-arbitrary-angle rotations, each synthesized at ``rot_t_cost(eps_r)/2`` T
+arbitrary-angle rotations, each synthesized at ``rot_t_cost(EPSILON_R)/2`` T
 gates (the factor 2 from trading controlled rotations for uncontrolled ones
 plus Cliffords), plus a fixed state-preparation block.  The three rotation
 coefficients, the per-T active-volume weight, the logical-qubit line, and
@@ -13,13 +13,14 @@ extrapolation and is validated to stay positive.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import PAIR_KEYS, RunPlan, allocate_shots
+from .spectrum import PAIR_KEYS, RunPlan
 
 DIAGONAL = "diagonal"
 OFF_DIAGONAL = "off_diagonal"
@@ -41,11 +42,17 @@ REFERENCE_COSTS = (
 
 # Reference schedule the calibration table assumes: eta = 0.06 Ha, a 3.28 Ha
 # spectral window (tau = pi/3.28), truncation exp(-5), Trotter step tau/4.
-REFERENCE_ETA = 0.06
-REFERENCE_WINDOW = 3.28
-REFERENCE_EPS_TRUNC = math.exp(-5.0)
-REFERENCE_N_MAX = 87
-REFERENCE_K = 4
+# ``reference_plan`` fills in the budgets.
+REFERENCE_SCHEDULE = RunPlan(tau=math.pi / 3.28, eta=0.06, k=4,
+                             budgets=dict.fromkeys(PAIR_KEYS, 0),
+                             epsilon_trunc=math.exp(-5.0))
+
+# Fixed assumptions of the model: rotation-synthesis accuracy, the T count of
+# each state-preparation block, and the machine (logical qubits, logical clock).
+EPSILON_R = 1e-3
+STATE_PREP_T = {DIAGONAL: 1.1e6, OFF_DIAGONAL: 9.7e6}
+N_LOGICAL_QUBITS = 350
+CLOCK_HZ = 1e6
 
 
 def rot_t_cost(epsilon_r: float) -> float:
@@ -57,30 +64,14 @@ def rot_t_cost(epsilon_r: float) -> float:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Calibrated constants for the parametric circuit-cost model."""
+    """Constants ``calibrate`` fits to the reference table."""
 
-    epsilon_r: float = 1e-3
-    rotation_coefficients: tuple[float, float, float] = (0.0, 0.0, 0.0)  # a, b, c
-    state_prep_t: dict = field(default_factory=lambda: {DIAGONAL: 1.1e6,
-                                                        OFF_DIAGONAL: 9.7e6})
-    volume_weights: dict = field(default_factory=lambda: {"rotation_t": 27.0,
-                                                          "state_prep_t": 27.0})
-    qubit_slope: float = 2.0
-    qubit_intercept: float = 64.0
-    samples_per_pair: int = 1549
-    clock_hz: float = 1e6
-    n_logical_qubits: int = 350
-    fit_residuals: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in ("epsilon_r", "clock_hz"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.n_logical_qubits < 1 or self.samples_per_pair < 0:
-            raise ValueError("qubit and sample counts must be positive")
-        for key, w in self.volume_weights.items():
-            if w <= 0:
-                raise ValueError(f"volume weight {key!r} must be positive")
+    rotation_coefficients: tuple[float, float, float]  # a, b, c
+    volume_per_t: float
+    qubit_slope: float
+    qubit_intercept: float
+    samples_per_pair: int
+    fit_residuals: dict
 
     def rotations_per_step(self, n_orbitals: int, rank: int | None = None) -> float:
         """Rotations in one inner Trotter step for a rank-``rank`` factorization."""
@@ -94,13 +85,6 @@ class CostModel:
 
     def logical_qubits(self, n_orbitals: int) -> int:
         return int(round(self.qubit_slope * n_orbitals + self.qubit_intercept))
-
-    def volume(self, rotation_t: float, state_prep_t: float) -> float:
-        try:
-            return (rotation_t * self.volume_weights["rotation_t"]
-                    + state_prep_t * self.volume_weights["state_prep_t"])
-        except KeyError as exc:
-            raise ValueError(f"volume weight table is missing primitive {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -122,9 +106,6 @@ class ResourceReport:
     runtime_seconds: float
 
     def __post_init__(self):
-        for name in ("largest_t", "largest_volume", "total_t", "total_volume",
-                     "depth", "runtime_seconds"):
-            object.__setattr__(self, name, float(getattr(self, name)))
         values = (self.largest_t, self.largest_volume, self.total_t,
                   self.total_volume, self.depth, self.runtime_seconds)
         if not all(math.isfinite(v) for v in values):
@@ -151,47 +132,29 @@ def circuit_cost(n_orbitals: int, rank: int | None, k: int, n: int,
     if prep not in (DIAGONAL, OFF_DIAGONAL):
         raise ValueError(f"unknown preparation style {prep!r}")
     rotations = model.rotations_per_step(n_orbitals, rank) * k * n
-    rotation_t = rotations * rot_t_cost(model.epsilon_r) / 2.0
-    prep_t = model.state_prep_t[prep]
-    volume = model.volume(rotation_t, prep_t)
+    rotation_t = rotations * rot_t_cost(EPSILON_R) / 2.0
+    prep_t = STATE_PREP_T[prep]
     return CircuitCost(t_gates=rotation_t + prep_t, rotations=rotations,
-                       active_volume=volume)
+                       active_volume=rotation_t * model.volume_per_t
+                       + prep_t * model.volume_per_t)
 
 
 def algorithm_cost(plan: RunPlan, model: CostModel, n_orbitals: int,
-                   rank: int | None = None, accounting: str = "deepest") -> ResourceReport:
+                   rank: int | None = None) -> ResourceReport:
     """Aggregate cost over every Hadamard-test shot of a run plan.
 
-    ``accounting="deepest"`` prices each shot at its pair's deepest circuit
-    (n = n_max), which is how the calibration reference tabulates totals;
-    ``accounting="per_step"`` prices each shot at its actual evolution
-    length n and gives a strictly smaller total.
+    Each shot is priced at its pair's deepest circuit (n = n_max), which is
+    how the calibration reference tabulates totals.
     """
-    if accounting not in ("deepest", "per_step"):
-        raise ValueError(f"unknown accounting mode {accounting!r}")
     largest = circuit_cost(n_orbitals, rank, plan.k, plan.n_max, model, OFF_DIAGONAL)
     total_t = 0.0
     total_v = 0.0
     for pair in PAIR_KEYS:
-        budget = plan.budgets[pair]
-        if budget == 0:
-            continue
         prep = DIAGONAL if pair[0] == pair[1] else OFF_DIAGONAL
-        if accounting == "deepest":
-            cost = circuit_cost(n_orbitals, rank, plan.k, plan.n_max, model, prep)
-            total_t += budget * cost.t_gates
-            total_v += budget * cost.active_volume
-        else:
-            shots = allocate_shots(budget, plan.eta, plan.tau, plan.n_max)
-            for n, s in enumerate(shots, start=1):
-                if s > 0:
-                    cost = circuit_cost(n_orbitals, rank, plan.k, n, model, prep)
-                    total_t += s * cost.t_gates
-                    total_v += s * cost.active_volume
-    if total_t == 0.0:
-        depth = 0.0
-    else:
-        depth = 2.0 * total_v / model.n_logical_qubits
+        cost = circuit_cost(n_orbitals, rank, plan.k, plan.n_max, model, prep)
+        total_t += plan.budgets[pair] * cost.t_gates
+        total_v += plan.budgets[pair] * cost.active_volume
+    depth = 2.0 * total_v / N_LOGICAL_QUBITS
     return ResourceReport(
         n_orbitals=n_orbitals,
         logical_qubits=model.logical_qubits(n_orbitals),
@@ -200,32 +163,30 @@ def algorithm_cost(plan: RunPlan, model: CostModel, n_orbitals: int,
         total_t=total_t,
         total_volume=total_v,
         depth=depth,
-        runtime_seconds=depth / model.clock_hz,
+        runtime_seconds=depth / CLOCK_HZ,
     )
 
 
 def reference_plan(model: CostModel, total_shots: int | None = None) -> RunPlan:
-    """The measurement schedule assumed by the calibration reference."""
+    """The reference schedule with ``model.samples_per_pair`` shots per pair,
+    or ``total_shots // 6`` when given."""
     per_pair = model.samples_per_pair if total_shots is None else total_shots // 6
-    budgets = {pair: per_pair for pair in PAIR_KEYS}
-    return RunPlan(tau=math.pi / REFERENCE_WINDOW, eta=REFERENCE_ETA,
-                   n_max=REFERENCE_N_MAX, k=REFERENCE_K,
-                   total_shots=6 * per_pair, budgets=budgets,
-                   epsilon_trunc=REFERENCE_EPS_TRUNC)
+    return dataclasses.replace(REFERENCE_SCHEDULE,
+                               budgets=dict.fromkeys(PAIR_KEYS, per_pair))
 
 
-def calibrate(reference=REFERENCE_COSTS, epsilon_r: float = 1e-3,
-              clock_hz: float = 1e6, n_logical_qubits: int = 350) -> CostModel:
-    """Least-squares fit of the model constants to the reference table."""
-    rows = np.array(reference, dtype=float)
+def calibrate() -> CostModel:
+    """Least-squares fit of the model constants to ``REFERENCE_COSTS``."""
+    rows = np.array(REFERENCE_COSTS, dtype=float)
     n_a, qubits, alg_t, alg_v, big_t, big_v = rows.T
-    crot = rot_t_cost(epsilon_r)
-    prep_d, prep_od = 1.1e6, 9.7e6
+    crot = rot_t_cost(EPSILON_R)
+    prep_d, prep_od = STATE_PREP_T[DIAGONAL], STATE_PREP_T[OFF_DIAGONAL]
+    k, n_max = REFERENCE_SCHEDULE.k, REFERENCE_SCHEDULE.n_max
     # rotations per inner step implied by the largest-circuit column
-    rot_data = (big_t - prep_od) * 2.0 / crot / (REFERENCE_N_MAX * REFERENCE_K)
+    rot_data = (big_t - prep_od) * 2.0 / crot / (n_max * k)
     design = np.vstack([n_a**3, n_a**2, n_a]).T  # rank L = N_a
     coeffs, *_ = np.linalg.lstsq(design, rot_data, rcond=None)
-    evol_t = (design @ coeffs) * REFERENCE_K * REFERENCE_N_MAX * crot / 2.0
+    evol_t = (design @ coeffs) * k * n_max * crot / 2.0
     pred_big = evol_t + prep_od
     # per-pair sample budget from the algorithm column (deepest-circuit pricing)
     per_pair_cost = 3.0 * (prep_d + evol_t) + 3.0 * (prep_od + evol_t)
@@ -242,15 +203,11 @@ def calibrate(reference=REFERENCE_COSTS, epsilon_r: float = 1e-3,
         "volume_per_t_rel": (volume_per_t * t_all / v_all - 1.0).tolist(),
     }
     return CostModel(
-        epsilon_r=epsilon_r,
         rotation_coefficients=tuple(float(c) for c in coeffs),
-        state_prep_t={DIAGONAL: prep_d, OFF_DIAGONAL: prep_od},
-        volume_weights={"rotation_t": volume_per_t, "state_prep_t": volume_per_t},
+        volume_per_t=volume_per_t,
         qubit_slope=float(slope),
         qubit_intercept=float(intercept),
         samples_per_pair=int(round(samples)),
-        clock_hz=clock_hz,
-        n_logical_qubits=n_logical_qubits,
         fit_residuals=residuals,
     )
 
@@ -258,9 +215,9 @@ def calibrate(reference=REFERENCE_COSTS, epsilon_r: float = 1e-3,
 DEFAULT_MODEL = calibrate()
 
 
-def resource_table(orbital_counts, model: CostModel = DEFAULT_MODEL) -> list[ResourceReport]:
-    plan = reference_plan(model)
-    return [algorithm_cost(plan, model, int(n)) for n in orbital_counts]
+def resource_table(orbital_counts) -> list[ResourceReport]:
+    plan = reference_plan(DEFAULT_MODEL)
+    return [algorithm_cost(plan, DEFAULT_MODEL, int(n)) for n in orbital_counts]
 
 
 def table_to_csv(reports: list[ResourceReport]) -> str:
@@ -283,8 +240,3 @@ def report_to_json(report: ResourceReport) -> str:
         "depth": report.depth,
         "runtime_seconds": report.runtime_seconds,
     }, sort_keys=True)
-
-
-def report_from_json(text: str) -> ResourceReport:
-    doc = json.loads(text)
-    return ResourceReport(**doc)

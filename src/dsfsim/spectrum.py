@@ -98,23 +98,26 @@ class RunPlan:
 
     tau: float
     eta: float
-    n_max: int
     k: int
-    total_shots: int
     budgets: dict[str, int]
     epsilon_trunc: float
 
     def __post_init__(self):
         if self.tau <= 0 or self.eta <= 0 or self.k < 1:
             raise ValueError("tau, eta must be positive and k >= 1")
-        expected = max(1, round(math.log(1.0 / self.epsilon_trunc) / (self.eta * self.tau)))
-        if self.n_max != expected:
-            raise ValueError(f"n_max {self.n_max} inconsistent with the truncation "
-                             f"rule (expected {expected})")
+        if not 0 < self.epsilon_trunc < 1:
+            raise ValueError("epsilon_trunc must lie in (0, 1)")
         if set(self.budgets) != set(PAIR_KEYS):
             raise ValueError("budgets must cover exactly the six Cartesian pairs")
-        if sum(self.budgets.values()) != self.total_shots:
-            raise ValueError("pair budgets must sum to the total budget")
+
+    @property
+    def n_max(self) -> int:
+        """Series depth: the nearest integer to ln(1/epsilon_trunc)/(eta*tau), at least 1."""
+        return max(1, round(math.log(1.0 / self.epsilon_trunc) / (self.eta * self.tau)))
+
+    @property
+    def total_shots(self) -> int:
+        return sum(self.budgets.values())
 
 
 class NoDipoleIntensity(ValueError):
@@ -158,27 +161,22 @@ def pair_weights(moments: np.ndarray, q_set: list[QVector] | None = None,
 def plan_run(eta: float, delta_window: float, epsilon_trunc: float,
              total_shots: int, moments: np.ndarray,
              q_set: list[QVector] | None = None, k: int = 4) -> RunPlan:
-    """Choose tau, the series depth, and variance-minimizing pair budgets.
+    """Choose tau and variance-minimizing pair budgets; the depth is ``RunPlan.n_max``.
 
-    tau = pi / delta_window ties the sampling rate to the spectral window;
-    the series is truncated at the nearest integer to
-    ln(1/epsilon_trunc)/(eta*tau).  Budgets are proportional to
-    max_q |q_a q_b| (2 - delta_ab) |<mu_a mu_b>|, which minimizes the total
-    variance of the assembled structure factor over the target q set.
+    tau = pi / delta_window ties the sampling rate to the spectral window.
+    Budgets are proportional to max_q |q_a q_b| (2 - delta_ab) |<mu_a mu_b>|,
+    which minimizes the total variance of the assembled structure factor
+    over the target q set.
     """
     if delta_window <= 0 or eta <= 0:
         raise ValueError("eta and the spectral window must be positive")
-    if not 0 < epsilon_trunc < 1:
-        raise ValueError("epsilon_trunc must lie in (0, 1)")
     if total_shots < 6:
         raise ValueError("need at least one shot per Cartesian pair")
-    tau = math.pi / delta_window
-    n_max = max(1, round(math.log(1.0 / epsilon_trunc) / (eta * tau)))
     weights = pair_weights(moments, q_set, scale=total_shots)
     if weights.sum() == 0.0:
         raise NoDipoleIntensity("no dipole intensity")
     budgets = largest_remainder(total_shots, weights)
-    return RunPlan(tau=tau, eta=eta, n_max=n_max, k=k, total_shots=total_shots,
+    return RunPlan(tau=math.pi / delta_window, eta=eta, k=k,
                    budgets=dict(zip(PAIR_KEYS, (int(b) for b in budgets))),
                    epsilon_trunc=epsilon_trunc)
 
@@ -344,9 +342,14 @@ def resample_series(series: GreensSeries, master_seed: int) -> GreensSeries:
 # Reconstruction
 # ---------------------------------------------------------------------------
 
+def omega_grid_size(tau: float, eta: float) -> int:
+    """Points of ``default_omega_grid(tau, eta)``, counted without building it."""
+    return math.ceil(math.pi / tau / (eta / 5.0))
+
+
 def default_omega_grid(tau: float, eta: float) -> np.ndarray:
     """Grid step eta/5 over [0, pi/tau): >= 5 points per half-width."""
-    return np.arange(0.0, math.pi / tau, eta / 5.0)
+    return np.arange(omega_grid_size(tau, eta)) * (eta / 5.0)
 
 
 def reconstruct_intensity(series: GreensSeries, omega_grid: np.ndarray) -> Spectrum:

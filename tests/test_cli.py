@@ -19,9 +19,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # The baseline commands and files, as scripts/make_baselines.py defines them.
 _MAKE_BASELINES = runpy.run_path(str(ROOT / "scripts" / "make_baselines.py"))
-FIXTURE, EXACT, SAMPLED, EXACT_FILES, SAMPLED_FILES = (
+FIXTURE, EXACT, SAMPLED, EXACT_FILES, SAMPLED_FILES, RESOURCES = (
     _MAKE_BASELINES[name]
-    for name in ("FIXTURE", "EXACT", "SAMPLED", "EXACT_FILES", "SAMPLED_FILES"))
+    for name in ("FIXTURE", "EXACT", "SAMPLED", "EXACT_FILES", "SAMPLED_FILES",
+                 "RESOURCES"))
 
 
 def run_cli(*args, check=True, env=None):
@@ -73,6 +74,22 @@ def twelve_orbital_dir(tmp_path_factory):
     hop = np.eye(n, k=1) + np.eye(n, k=-1)
     (out / "hamiltonian.fcidump").write_text(write_fcidump(h, n_electrons=2))
     (out / "dipoles.json").write_text(dump_dipole_json(DipoleOperator(hop, hop, hop)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def bad_ground_state_dir(fixture_dir, tmp_path_factory):
+    """The 2-orbital inputs next to four faulty ``--ground-state`` files."""
+    out = tmp_path_factory.mktemp("bad_ground_state")
+    for name in ("hamiltonian.fcidump", "dipoles.json"):
+        shutil.copy(fixture_dir / name, out / name)
+    (out / "three_orbitals.jsonl").write_text(
+        ci.write_civector_jsonl(ci.CIVector(3, {ci.Determinant(1, 1): 1.0})))
+    (out / "no_re.jsonl").write_text('{"alpha": "10", "beta": "10", "im": 0.0}\n')
+    (out / "no_basis.json").write_text(
+        json.dumps({"n_orbitals": 2, "energies": [0.0], "coeffs": [[1.0]]}))
+    (out / "no_states.json").write_text(
+        json.dumps({"n_orbitals": 2, "basis": [[1, 1]], "energies": [], "coeffs": []}))
     return out
 
 
@@ -184,6 +201,24 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
                 "--n-electrons", "4", "--core-gap", "nan"], "invalid_config"),
     user_input("gen_fixtures_seed_negative", ["gen-fixtures", "--seed", "-1"],
                "invalid_config"),
+    user_input("ground_state_orbitals_mismatched",
+               ["spectrum", "--ground-state", "{inputs}/three_orbitals.jsonl",
+                "--delta", "2.0"], "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("ground_state_record_without_re",
+               ["spectrum", "--ground-state", "{inputs}/no_re.jsonl", "--delta", "2.0"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("ground_state_eigensystem_without_basis",
+               ["spectrum", "--ground-state", "{inputs}/no_basis.json", "--delta", "2.0"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("ground_state_eigensystem_without_states",
+               ["spectrum", "--ground-state", "{inputs}/no_states.json", "--delta", "2.0"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("series_over_budget", EXACT + ["--eta", "1e-4", "--epsilon-trunc", "1e-300"],
+               "budget_exceeded"),
+    user_input("oracle_grid_over_budget", ["oracle", "--eta", "1e-6", "--delta", "2.0"],
+               "budget_exceeded"),
+    user_input("series_size_overflows", EXACT + ["--delta", "1e300", "--eta", "1e-10"],
+               "budget_exceeded"),
 ])
 def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs):
     """A bad value is refused with a typed error; an ignored one changes nothing."""
@@ -351,12 +386,12 @@ def test_eta_accepts_ev_suffix(fixture_dir, tmp_path):
     assert np.allclose(produced.values, baseline.values, rtol=1e-9)
 
 
-def test_resources_table_cli():
-    proc = run_cli("resources", "--table", "14..30")
-    lines = proc.stdout.strip().splitlines()
-    assert len(lines) == 10
-    row18 = lines[3].split(",")
-    assert row18[0] == "18" and row18[1] == "100"
+def test_resources_table_cli(tmp_path):
+    """Each ``dsfsim resources`` baseline command reproduces its committed file."""
+    for args, name in RESOURCES:
+        run_cli(*args, "--out", str(tmp_path))
+        assert (tmp_path / name).read_bytes() \
+            == (BASELINES / "resources" / name).read_bytes(), f"{name} deviates"
 
 
 def test_resources_zero_shots():

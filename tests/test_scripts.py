@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("script, args, line", [
     ("run_toy_eels.py", ["--out", "{tmp}/out"], "window 22.79 Ha, tau 0.1379, n_max 604"),
     ("trotter_convergence.py", ["--ks", "1", "2"], "   1     7.296e-04     3.980e-05"),
+    ("resource_table.py", [], "samples/pair = 1549, volume/T = 27.15, qubits = 2 N + 64"),
 ])
 def test_script_prints_expected_line(tmp_path, script, args, line):
     args = [a.format(tmp=tmp_path) for a in args]

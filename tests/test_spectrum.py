@@ -60,10 +60,22 @@ def test_plan_small_budget_rejected():
         plan_run(0.05, 2.0, 1e-4, 5, uniform_moments())
 
 
+def test_plan_epsilon_trunc_range_checked():
+    for eps in (0.0, 1.0):
+        with pytest.raises(ValueError, match="epsilon_trunc"):
+            plan_run(0.05, 2.0, eps, 100, uniform_moments())
+
+
 def test_plan_invariant_checked():
-    with pytest.raises(ValueError, match="n_max"):
-        RunPlan(tau=1.0, eta=0.05, n_max=3, k=4, total_shots=6,
-                budgets=dict.fromkeys(sp.PAIR_KEYS, 1), epsilon_trunc=1e-4)
+    """Budgets that do not cover exactly the six Cartesian pairs are refused."""
+    for budgets in (dict.fromkeys(sp.PAIR_KEYS[:5], 1),
+                    dict.fromkeys(sp.PAIR_KEYS + ("yx",), 1)):
+        with pytest.raises(ValueError, match="six Cartesian pairs"):
+            RunPlan(tau=1.0, eta=0.05, k=4, budgets=budgets, epsilon_trunc=1e-4)
+    plan = RunPlan(tau=1.0, eta=0.05, k=4, budgets=dict.fromkeys(sp.PAIR_KEYS, 2),
+                   epsilon_trunc=1e-4)
+    assert plan.total_shots == 12
+    assert plan.n_max == round(math.log(1e4) / 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +489,7 @@ def test_sampling_budget_calibrates_error_scale(toy):
     budget = int(round(plan0.tau**2 * m0**2 * decay.sum()**2
                        / (4 * math.pi**2 * target**2)))
     budgets = {p: (budget if p == "zz" else 1) for p in sp.PAIR_KEYS}
-    plan = RunPlan(tau=plan0.tau, eta=toy.eta, n_max=plan0.n_max, k=4,
-                   total_shots=sum(budgets.values()), budgets=budgets,
+    plan = RunPlan(tau=plan0.tau, eta=toy.eta, k=4, budgets=budgets,
                    epsilon_trunc=plan0.epsilon_trunc)
     prog = toy.program()
     exact = measure_series("zz", plan, toy.states, prog, mode="exact")
