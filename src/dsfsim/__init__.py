@@ -9,8 +9,8 @@ from .ci import (CIVector, Determinant, apply_one_body, ci_to_statevector,
                  cvs_project, normalize)
 from .emulator import TrotterProgram, apply_trotter, build_trotter, hadamard_test
 from .oracle import (EigenSystem, TransitionTable, build_ci_matrix, exact_greens,
-                     exact_intensity, exact_spectrum, ground_state, sector_basis,
-                     solve_sector, transition_table)
+                     exact_intensity, exact_spectrum, sector_basis, solve_sector,
+                     transition_table)
 from .spectrum import (GreensSeries, RunPlan, Spectrum, allocate_shots,
                        assemble_dsf, cross_section, isotropic_dsf, measure_series,
                        plan_run, prepare_dipole_states, reconstruct_intensity,

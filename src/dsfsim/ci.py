@@ -17,6 +17,19 @@ import numpy as np
 
 PRUNE_THRESHOLD = 1e-12
 STATEVECTOR_QUBIT_CAP = 22  # 2^22 amplitudes, 64 MiB
+# Largest dimension of a dense matrix the package builds: the CI matrix of a
+# sector and the Trotter step over it.
+DENSE_CAP = 4000
+
+
+class SectorTooLarge(ValueError):
+    """A state space exceeds a size cap; raised before it is enumerated."""
+
+
+def check_dense(dim: int) -> None:
+    """Raise ``SectorTooLarge`` when a dense ``dim`` x ``dim`` matrix exceeds ``DENSE_CAP``."""
+    if dim > DENSE_CAP:
+        raise SectorTooLarge(f"a dense matrix over {dim} states exceeds the cap {DENSE_CAP}")
 
 
 class AnnihilatedError(ValueError):
@@ -165,7 +178,7 @@ def ci_to_statevector(v: CIVector) -> np.ndarray:
     """Dense statevector over 2*n_orbitals qubits (index = occupation word)."""
     n_qubits = 2 * v.n_orbitals
     if n_qubits > STATEVECTOR_QUBIT_CAP:
-        raise ValueError(f"{n_qubits} qubits exceed the statevector cap "
+        raise SectorTooLarge(f"{n_qubits} qubits exceed the statevector cap "
                          f"{STATEVECTOR_QUBIT_CAP}")
     state = np.zeros(1 << n_qubits, dtype=complex)
     for det, amp in v.entries.items():

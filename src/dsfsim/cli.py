@@ -230,10 +230,7 @@ def _load_ground_state(cfg: RunConfig, h, header):
             raise CliError("invalid_config",
                            f"sector ({n_alpha}, {n_beta}) does not fit "
                            f"{h.n_orbitals} orbitals")
-        try:
-            eig = oracle.solve_sector(h, n_alpha, n_beta)
-        except oracle.SectorTooLarge as exc:
-            raise CliError("budget_exceeded", str(exc)) from None
+        eig = oracle.solve_sector(h, n_alpha, n_beta)
         return eig.eigenvector(0), eig.ground_energy, eig
     path = _require_file(cfg.ground_state, "ground state")
     text = path.read_text()
@@ -313,16 +310,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         return cmd_oracle(args)
     eta = cfg.eta_hartree
     ham_path, dip_path, h, header, dip = _load_inputs(cfg)
-    if 2 * h.n_orbitals > ci_mod.STATEVECTOR_QUBIT_CAP:
-        raise CliError("budget_exceeded",
-                       f"{2 * h.n_orbitals} qubits exceed the statevector cap "
-                       f"{ci_mod.STATEVECTOR_QUBIT_CAP}")
     psi0, e0, eig = _load_ground_state(cfg, h, header)
     delta = _resolve_window(cfg, eig, eta)
-    try:
-        states = sp.prepare_dipole_states(psi0, dip, core_orbitals=cfg.cvs or None)
-    except emulator.StepTooLarge as exc:
-        raise CliError("budget_exceeded", str(exc)) from None
+    states = sp.prepare_dipole_states(psi0, dip, core_orbitals=cfg.cvs or None)
     try:
         plan = sp.plan_run(eta, delta, cfg.epsilon_trunc, cfg.shots,
                            states.moments, cfg.q_vectors, k=cfg.trotter_k)
@@ -368,10 +358,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise CliError("invalid_config",
                        "the oracle does not apply core-valence separation; "
                        "drop --cvs")
+    if cfg.ground_state != "solve":
+        raise CliError("invalid_config",
+                       "the oracle solves its own ground state; drop ground_state")
     eta = cfg.eta_hartree
     ham_path, dip_path, h, header, dip = _load_inputs(cfg)
-    cfg_solve = dataclasses.replace(cfg, ground_state="solve")
-    psi0, e0, eig = _load_ground_state(cfg_solve, h, header)
+    psi0, e0, eig = _load_ground_state(cfg, h, header)
     trans = oracle.transition_table(eig, dip)
     try:
         sp.pair_weights(trans.reference_moments, cfg.q_vectors)
@@ -400,20 +392,32 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _parse_orbital_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1, 2))
-    return [int(t) for t in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            counts = list(range(int(lo), int(hi) + 1, 2))
+        else:
+            counts = [int(t) for t in text.split(",")]
+    except ValueError:
+        raise CliError("invalid_config", f"not an orbital range: {text!r}") from None
+    if not counts:
+        raise CliError("invalid_config", f"orbital range {text!r} is empty")
+    return counts
 
 
 def cmd_resources(args: argparse.Namespace) -> int:
-    if args.table:
-        text = table_to_csv(resource_table(_parse_orbital_range(args.table)))
-    elif args.n_orbitals:
-        plan = reference_plan(DEFAULT_MODEL, total_shots=args.shots)
-        text = report_to_json(algorithm_cost(plan, DEFAULT_MODEL, args.n_orbitals)) + "\n"
-    else:
-        raise CliError("invalid_config", "give --table RANGE or --n-orbitals N")
+    if args.shots is not None and args.shots < 0:
+        raise CliError("invalid_config", f"shots must be non-negative, got {args.shots}")
+    try:
+        if args.table:
+            text = table_to_csv(resource_table(_parse_orbital_range(args.table)))
+        elif args.n_orbitals:
+            plan = reference_plan(DEFAULT_MODEL, total_shots=args.shots)
+            text = report_to_json(algorithm_cost(plan, DEFAULT_MODEL, args.n_orbitals)) + "\n"
+        else:
+            raise CliError("invalid_config", "give --table RANGE or --n-orbitals N")
+    except (ValueError, ArithmeticError) as exc:  # outside the calibrated model
+        raise CliError("invalid_config", str(exc)) from None
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -448,8 +452,15 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as ``invalid_config`` instead of exiting with usage."""
+
+    def error(self, message):
+        raise CliError("invalid_config", f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dsfsim",
         description="Momentum-resolved spectra from emulated time-domain "
                     "Green's-function measurements")
@@ -459,16 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config document")
         p.add_argument("--hamiltonian", help="FCIDUMP path")
         p.add_argument("--dipoles", help="dipole JSON path")
-        p.add_argument("--ground-state", dest="ground_state",
-                       help="CI-vector .jsonl, eigensystem .json, or 'solve'")
-        p.add_argument("--mode", choices=["sampled", "exact", "oracle"])
         p.add_argument("--eta", help="broadening, Hartree (or e.g. '1.63eV')")
         p.add_argument("--delta", type=float, help="spectral window, Hartree")
-        p.add_argument("--epsilon-trunc", dest="epsilon_trunc", type=float)
-        p.add_argument("--k", dest="trotter_k", type=int,
-                       help="Trotter substeps per tau")
-        p.add_argument("--shots", type=int)
-        p.add_argument("--seed", type=int)
         p.add_argument("--q", action="append", help="momentum 'qx,qy,qz' (repeatable)")
         p.add_argument("--cvs", help="comma-separated core orbitals")
         p.add_argument("--shift-ev", dest="shift_ev", type=float,
@@ -479,6 +482,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="measure and reconstruct spectra")
     add_common(p_spec)
+    p_spec.add_argument("--ground-state", dest="ground_state",
+                        help="CI-vector .jsonl, eigensystem .json, or 'solve'")
+    p_spec.add_argument("--mode", choices=["sampled", "exact", "oracle"])
+    p_spec.add_argument("--epsilon-trunc", dest="epsilon_trunc", type=float)
+    p_spec.add_argument("--k", dest="trotter_k", type=int,
+                        help="Trotter substeps per tau")
+    p_spec.add_argument("--shots", type=int)
+    p_spec.add_argument("--seed", type=int)
     p_spec.set_defaults(fn=cmd_spectrum)
 
     p_oracle = sub.add_parser("oracle", help="exact-diagonalization reference")
@@ -508,23 +519,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CliError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": {"kind": exc.kind, "message": str(exc)}}) + "\n")
-        return exc.exit_code
+        kind, message, code = exc.kind, str(exc), exc.exit_code
+    except ci_mod.SectorTooLarge as exc:  # refused before any large allocation
+        kind, message, code = "budget_exceeded", str(exc), 1
     except FileNotFoundError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": {"kind": "input_not_found", "message": str(exc)}}) + "\n")
-        return EXIT_INPUT_NOT_FOUND
+        kind, message, code = "input_not_found", str(exc), EXIT_INPUT_NOT_FOUND
     except Exception as exc:  # pragma: no cover - defensive envelope
-        sys.stderr.write(json.dumps(
-            {"error": {"kind": "internal_error",
-                       "message": f"{type(exc).__name__}: {exc}"}}) + "\n")
-        return 1
+        kind, message, code = "internal_error", f"{type(exc).__name__}: {exc}", 1
+    sys.stderr.write(json.dumps({"error": {"kind": kind, "message": message}}) + "\n")
+    return code
 
 
 if __name__ == "__main__":

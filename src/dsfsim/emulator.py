@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ci import check_dense
 from .pauli import PauliSum, masks_to_word, word_phases
 
 REAL = "real"
@@ -22,16 +23,6 @@ IMAG = "imag"
 
 NORM_TOL = 1e-8
 SECTOR_TOL = 1e-12  # largest coupling out of the basis taken as rounding
-STEP_CAP = 4000     # states; the oracle's dense cap
-
-
-class StepTooLarge(ValueError):
-    """A step matrix over more than ``STEP_CAP`` states; refused before allocation."""
-
-
-def check_step_size(dim: int) -> None:
-    if dim > STEP_CAP:
-        raise StepTooLarge(f"a step matrix over {dim} states exceeds the cap {STEP_CAP}")
 
 
 @dataclass(frozen=True)
@@ -159,8 +150,12 @@ def apply_trotter(state: np.ndarray, prog: TrotterProgram, reps: int) -> np.ndar
 
 
 def program_unitary(prog: TrotterProgram, basis: np.ndarray | None = None) -> np.ndarray:
-    """Matrix of one outer step on sorted ``basis`` words (default: the register)."""
-    check_step_size(1 << prog.n_qubits if basis is None else len(basis))
+    """Matrix of one outer step on sorted ``basis`` words (default: the register).
+
+    A basis over ``ci.DENSE_CAP`` states raises ``ci.SectorTooLarge`` before
+    the matrix is allocated.
+    """
+    check_dense(1 << prog.n_qubits if basis is None else len(basis))
     basis = np.arange(1 << prog.n_qubits) if basis is None else basis
     u = _sweep(np.eye(len(basis), dtype=complex), _group_factors(prog, basis, 0.5 * prog.dt))
     return prog.phase_per_rep * np.linalg.matrix_power(u, prog.k)

@@ -15,16 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ci import (AnnihilatedError, CIVector, Determinant, apply_one_body,
-                 sector_basis, sector_dimension)
+                 check_dense, sector_basis, sector_dimension)
 from .operators import DipoleOperator, Hamiltonian, QVector
 
-DENSE_CAP = 4000
-HARD_CAP = 1_000_000
 GRAM_TOL = 1e-10
-
-
-class SectorTooLarge(ValueError):
-    """A sector exceeds a dimension cap; raised before it is enumerated."""
 
 
 def _occupied_spin_orbitals(det: Determinant) -> list[int]:
@@ -121,19 +115,13 @@ class _SlaterCondon:
                 yield self.index[w4], s1 * s2 * s3 * s4 * val
 
 
-def _ci_elements(h: Hamiltonian, basis: list[Determinant]):
-    """Yield (row, column, element) over the basis; no (row, column) repeats."""
-    gen = _SlaterCondon(h, basis)
-    for i, det in enumerate(basis):
-        for j, val in gen.row(det):
-            yield i, j, val
-
-
 def build_ci_matrix(h: Hamiltonian, basis: list[Determinant]) -> np.ndarray:
     """Dense symmetric CI Hamiltonian over a one-sector determinant basis."""
+    gen = _SlaterCondon(h, basis)
     mat = np.zeros((len(basis), len(basis)))
-    for i, j, val in _ci_elements(h, basis):
-        mat[i, j] = val
+    for i, det in enumerate(basis):
+        for j, val in gen.row(det):
+            mat[i, j] = val
     return mat
 
 
@@ -187,14 +175,13 @@ def _phase_fix(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_sector(h: Hamiltonian, n_alpha: int, n_beta: int,
-                 dense_cap: int = DENSE_CAP) -> EigenSystem:
-    """Full diagonalization of one sector (dense; desk-scale dimensions)."""
-    dim = sector_dimension(h.n_orbitals, n_alpha, n_beta)
-    if dim > dense_cap:
-        raise SectorTooLarge(
-            f"sector dimension {dim} exceeds the dense cap {dense_cap}; "
-            "use ground_state for the iterative path")
+def solve_sector(h: Hamiltonian, n_alpha: int, n_beta: int) -> EigenSystem:
+    """Full diagonalization of one sector (dense; desk-scale dimensions).
+
+    A sector over ``ci.DENSE_CAP`` states raises ``ci.SectorTooLarge`` before
+    it is enumerated.
+    """
+    check_dense(sector_dimension(h.n_orbitals, n_alpha, n_beta))
     basis = sector_basis(h.n_orbitals, n_alpha, n_beta)
     mat = build_ci_matrix(h, basis)
     offdiag = mat - np.diag(np.diag(mat))
@@ -207,29 +194,6 @@ def solve_sector(h: Hamiltonian, n_alpha: int, n_beta: int,
     else:
         energies, coeffs = np.linalg.eigh(mat)
     return EigenSystem(h.n_orbitals, tuple(basis), energies, _phase_fix(coeffs))
-
-
-def ground_state(h: Hamiltonian, sector: tuple[int, int],
-                 dense_cap: int = DENSE_CAP, cap: int = HARD_CAP) -> CIVector:
-    """Lowest eigenvector of a sector, phase-fixed; ARPACK starts from a fixed vector."""
-    n_alpha, n_beta = sector
-    dim = sector_dimension(h.n_orbitals, n_alpha, n_beta)
-    if dim > cap:
-        raise SectorTooLarge(f"sector dimension {dim} exceeds the cap {cap}")
-    if dim <= dense_cap:
-        return solve_sector(h, n_alpha, n_beta, dense_cap).eigenvector(0)
-    # scipy is imported only where it runs (here and in
-    # validate.check_trotter_slope), so importing dsfsim.cli does not load it.
-    import scipy.sparse
-    import scipy.sparse.linalg
-    basis = sector_basis(h.n_orbitals, n_alpha, n_beta)
-    rows, cols, vals = zip(*_ci_elements(h, basis))
-    mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-    _, vecs = scipy.sparse.linalg.eigsh(
-        mat, k=1, which="SA", v0=np.random.default_rng(0).standard_normal(dim))
-    coeffs = _phase_fix(vecs[:, :1])
-    entries = {det: complex(c) for det, c in zip(basis, coeffs[:, 0]) if c != 0.0}
-    return CIVector(h.n_orbitals, entries)
 
 
 @dataclass(frozen=True)

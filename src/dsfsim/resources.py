@@ -78,7 +78,7 @@ class CostModel:
         a, b, c = self.rotation_coefficients
         rank = n_orbitals if rank is None else rank
         value = a * n_orbitals**2 * rank + b * n_orbitals**2 + c * n_orbitals
-        if value <= 0:
+        if n_orbitals < 1 or value <= 0:
             raise ValueError(
                 f"rotation model is not calibrated for {n_orbitals} orbitals")
         return value

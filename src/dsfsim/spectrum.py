@@ -22,8 +22,7 @@ import numpy as np
 from . import ci as ci_mod
 from .ci import (AnnihilatedError, CIVector, ci_to_statevector,
                  cvs_project, normalize)
-from .emulator import (IMAG, REAL, TrotterProgram, check_step_size,
-                       program_unitary)
+from .emulator import IMAG, REAL, TrotterProgram, program_unitary
 from .operators import DipoleOperator, QVector
 
 HARTREE_TO_EV = 27.211386245988
@@ -223,9 +222,9 @@ def prepare_dipole_states(ground: CIVector, dipole: DipoleOperator,
     projected vectors so the n = 0 limit of the measured series matches.
     Channels annihilated by the dipole (or the projection) get zero norm and
     contribute an identically zero intensity.  A sector over
-    ``emulator.STEP_CAP`` states raises ``StepTooLarge`` before any is built.
+    ``ci.DENSE_CAP`` states raises ``ci.SectorTooLarge`` before any is built.
     """
-    check_step_size(ci_mod.sector_dimension(ground.n_orbitals, ground.n_alpha, ground.n_beta))
+    ci_mod.check_dense(ci_mod.sector_dimension(ground.n_orbitals, ground.n_alpha, ground.n_beta))
     raw: dict[str, CIVector | None] = {}
     for axis in AXES:
         try:

@@ -127,7 +127,7 @@ def check_sum_rule() -> tuple[bool, str]:
         integral = float(np.mean(rec.values) * period)
         scale = max(1.0, abs(series.moment0))
         worst = max(worst, abs(integral - series.moment0) / scale)
-    bound = 10.0 * plan.epsilon_trunc
+    bound = max(1e-8, plan.epsilon_trunc * 1e-6)
     return worst <= bound, f"max sum-rule deviation = {worst:.2e} (bound {bound:.1e})"
 
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsfsim import ci, oracle, pauli
+from dsfsim import ci, emulator, oracle, pauli
+from dsfsim import spectrum as sp
 from dsfsim.ci import (AnnihilatedError, CIVector, Determinant, apply_one_body,
                        ci_to_statevector, cvs_project, normalize, overlap,
                        read_civector_jsonl, write_civector_jsonl)
@@ -157,8 +158,23 @@ def test_statevector_norm_preserved():
 def test_statevector_qubit_cap():
     v = CIVector(12, {Determinant(0b1, 0b1): 1.0})
     assert 2 * v.n_orbitals > ci.STATEVECTOR_QUBIT_CAP
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ci.SectorTooLarge, match="cap"):
         ci_to_statevector(v)
+
+
+@pytest.mark.parametrize("cap, refused", [(3, True), (4, False)])
+def test_dense_cap_bounds_every_dense_build(two_orb, monkeypatch, cap, refused):
+    """The CI solve, the dipole states and the sector step obey one cap (here d = 4)."""
+    monkeypatch.setattr(ci, "DENSE_CAP", cap)
+    builds = (lambda: oracle.solve_sector(two_orb.h, *two_orb.spec.sector),
+              lambda: sp.prepare_dipole_states(two_orb.psi0, two_orb.dipole),
+              lambda: emulator.program_unitary(two_orb.program(), two_orb.states.basis))
+    for build in builds:
+        if refused:
+            with pytest.raises(ci.SectorTooLarge):
+                build()
+        else:
+            build()
 
 
 def test_moment_trivials():

@@ -155,6 +155,8 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
                config={"q": [[1, 1]]}),
     user_input("config_not_an_object", ["spectrum"], "invalid_config", config=5),
     user_input("q_not_a_number", EXACT + ["--q", "1,a"], "invalid_config"),
+    user_input("k_not_an_integer", EXACT + ["--k", "abc"], "invalid_config"),
+    user_input("mode_unknown", EXACT + ["--mode", "bogus"], "invalid_config"),
     user_input("cvs_not_an_integer", EXACT + ["--cvs", "a"], "invalid_config"),
     user_input("cvs_outside_register", EXACT + ["--cvs", "9"], "invalid_config"),
     user_input("seed_negative", SAMPLED + ["--seed", "-1"], "invalid_config"),
@@ -165,6 +167,17 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
     user_input("delta_nan", EXACT + ["--delta", "nan"], "invalid_config"),
     user_input("shift_ev_nan", EXACT + ["--shift-ev", "nan"], "invalid_config"),
     user_input("n_alpha_exceeds_orbitals", EXACT + ["--n-alpha", "5", "--n-beta", "1"],
+               "invalid_config"),
+    user_input("oracle_ground_state_not_a_flag",
+               ["oracle", "--eta", "0.02", "--delta", "2.0",
+                "--ground-state", "{inputs}/missing.jsonl"], "invalid_config"),
+    user_input("oracle_shots_not_a_flag",
+               ["oracle", "--eta", "0.02", "--delta", "2.0", "--shots", "3"],
+               "invalid_config"),
+    user_input("config_oracle_ground_state_file", ["oracle", "--eta", "0.02"],
+               "invalid_config", config={"ground_state": "ground_state.jsonl"}),
+    user_input("mode_oracle_ground_state_file",
+               EXACT + ["--mode", "oracle", "--ground-state", "ground_state.jsonl"],
                "invalid_config"),
     user_input("oracle_dipoles_mismatched", ["oracle", "--eta", "0.02"], "invalid_config",
                inputs="mismatched_dir"),
@@ -201,6 +214,16 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
                 "--n-electrons", "4", "--core-gap", "nan"], "invalid_config"),
     user_input("gen_fixtures_seed_negative", ["gen-fixtures", "--seed", "-1"],
                "invalid_config"),
+    user_input("resources_table_not_a_range", ["resources", "--table", "14..x"],
+               "invalid_config"),
+    user_input("resources_table_empty", ["resources", "--table", "30..14"],
+               "invalid_config"),
+    user_input("resources_table_uncalibrated", ["resources", "--table", "2"],
+               "invalid_config"),
+    user_input("resources_orbitals_negative", ["resources", "--n-orbitals", "-5"],
+               "invalid_config"),
+    user_input("resources_shots_negative",
+               ["resources", "--n-orbitals", "22", "--shots", "-60"], "invalid_config"),
     user_input("ground_state_orbitals_mismatched",
                ["spectrum", "--ground-state", "{inputs}/three_orbitals.jsonl",
                 "--delta", "2.0"], "invalid_config", inputs="bad_ground_state_dir"),
@@ -228,7 +251,7 @@ def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs):
     if config is not None:
         (tmp_path / "run.json").write_text(json.dumps(config))
         args = args + ["--config", str(tmp_path / "run.json")]
-    if args[0] == "gen-fixtures":
+    if args[0] in ("gen-fixtures", "resources"):
         args = args + ["--out", str(out)]
     else:
         args = spectrum_args(directory, args, out)
@@ -243,15 +266,16 @@ def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs):
 
 
 def test_spectrum_run_does_not_load_scipy(fixture_dir, tmp_path):
-    """Importing the CLI and running ``spectrum`` never import scipy."""
-    argv = spectrum_args(fixture_dir, SAMPLED, tmp_path / "run")
-    code = ("import sys\n"
-            "import dsfsim.cli, dsfsim.spectrum\n"
-            f"assert dsfsim.cli.main({argv!r}) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    """Importing the CLI and running ``spectrum`` or ``oracle`` never import scipy."""
+    for base in (SAMPLED, ["oracle", "--eta", "0.02", "--delta", "2.0"]):
+        argv = spectrum_args(fixture_dir, base, tmp_path / base[0])
+        code = ("import sys\n"
+                "import dsfsim.cli, dsfsim.spectrum\n"
+                f"assert dsfsim.cli.main({argv!r}) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", base[0]
 
 
 def test_csv_outputs_parse_back(fixture_dir, tmp_path):

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsfsim import ci, emulator, fixtures
+from dsfsim import ci, fixtures
 from dsfsim.emulator import (IMAG, REAL, apply_trotter, build_trotter,
                              hadamard_test, hadamard_test_via_ancilla,
                              program_unitary, sector_expectation)
@@ -157,7 +157,7 @@ def test_sector_expectation_of_ground_state_is_ground_energy(spec):
 
 def test_step_matrix_over_the_cap_is_refused():
     prog = build_trotter(random_pauli_sum(12, 3, seed=25), 0.5, 1)
-    with pytest.raises(emulator.StepTooLarge):
+    with pytest.raises(ci.SectorTooLarge):
         program_unitary(prog)
 
 

@@ -8,8 +8,8 @@ from dsfsim.ci import CIVector, Determinant
 from dsfsim.operators import Hamiltonian, QVector, jordan_wigner
 from dsfsim.oracle import (EigenSystem, build_ci_matrix, eigensystem_from_json,
                            eigensystem_to_json, exact_greens, exact_intensity,
-                           exact_spectrum, ground_state, sector_basis,
-                           solve_sector, transition_table)
+                           exact_spectrum, sector_basis, solve_sector,
+                           transition_table)
 
 
 def test_sector_basis_counts():
@@ -73,11 +73,10 @@ def test_eigen_residuals(two_orb):
 
 def test_ground_state_offset_only_tie_break():
     h = Hamiltonian(-0.5, np.zeros((2, 2)), np.zeros((2,) * 4))
-    psi = ground_state(h, (1, 1))
+    eig = solve_sector(h, 1, 1)
     basis = sector_basis(2, 1, 1)
     # degenerate spectrum: documented tie-break keeps the lowest-index determinant
-    assert psi.entries == {basis[0]: pytest.approx(1.0)}
-    eig = solve_sector(h, 1, 1)
+    assert eig.eigenvector(0).entries == {basis[0]: pytest.approx(1.0)}
     assert np.all(eig.energies == -0.5)
 
 
@@ -99,29 +98,6 @@ def test_ground_state_matches_jw_diagonalization(two_orb):
 def test_ground_state_phase_fixed(two_orb):
     lead = max(two_orb.psi0.entries.values(), key=abs)
     assert lead.real > 0 and lead.imag == 0
-
-
-def test_sparse_path_matches_dense():
-    h, _ = fixtures.generate(fixtures.CORE_VALENCE_SPEC)
-    dense_psi = ground_state(h, (2, 2))
-    sparse_psi = ground_state(h, (2, 2), dense_cap=10)  # force iterative path
-    ov = sum(np.conj(dense_psi.entries[d]) * a for d, a in sparse_psi.entries.items()
-             if d in dense_psi.entries)
-    assert abs(abs(ov) - 1.0) < 1e-8
-
-
-def test_sparse_path_is_reproducible():
-    """Two iterative solves in one process give bit-equal amplitudes."""
-    spec = fixtures.ModelSpec(n_orbitals=5, n_electrons=4, seed=5)
-    h, _ = fixtures.generate(spec)
-    first = ground_state(h, (2, 2), dense_cap=10)
-    assert ground_state(h, (2, 2), dense_cap=10).entries == first.entries
-
-
-def test_ground_state_cap():
-    h, _ = fixtures.generate(fixtures.CORE_VALENCE_SPEC)
-    with pytest.raises(ValueError, match="cap"):
-        ground_state(h, (2, 2), cap=10)
 
 
 def test_transition_completeness(toy):
