@@ -186,6 +186,17 @@ def ci_to_statevector(v: CIVector) -> np.ndarray:
     return state
 
 
+def amplitudes_on(v: CIVector, words: np.ndarray) -> np.ndarray:
+    """``v``'s amplitudes on sorted occupation ``words``; ValueError if any lies outside."""
+    keys = np.array([det.interleaved() for det in v.entries])
+    pos = np.minimum(np.searchsorted(words, keys), len(words) - 1)
+    if np.any(words[pos] != keys):
+        raise ValueError("CI vector has a determinant outside the basis")
+    out = np.zeros(len(words), dtype=complex)
+    out[pos] = list(v.entries.values())
+    return out
+
+
 def sector_dimension(n_orbitals: int, n_alpha: int, n_beta: int) -> int:
     """C(n, N_alpha) * C(n, N_beta), without enumerating the sector."""
     if not (0 <= n_alpha <= n_orbitals and 0 <= n_beta <= n_orbitals):

@@ -30,6 +30,8 @@ from .spectrum import HARTREE_TO_EV
 EXIT_INPUT_NOT_FOUND = 2
 # Largest n_max plus omega-grid points one run may allocate.
 SERIES_BUDGET = 2**20
+# Most rows one `resources --table` may price.
+TABLE_ROW_CAP = 1000
 
 
 class CliError(Exception):
@@ -44,7 +46,7 @@ class RunConfig:
     hamiltonian: str = ""
     dipoles: str = ""
     ground_state: str = "solve"
-    mode: str = "exact"               # sampled | exact | oracle
+    mode: str = "exact"               # sampled | exact
     eta: str = "0.06"                 # Hartree by default; accepts "1.63eV"
     delta: float | None = None        # spectral window, Hartree
     epsilon_trunc: float = math.exp(-5.0)
@@ -117,8 +119,8 @@ def _check_config(cfg: RunConfig) -> None:
     for name in ("hamiltonian", "dipoles", "ground_state", "out"):
         if not isinstance(getattr(cfg, name), str):
             refuse(name, "a string")
-    if cfg.mode not in ("sampled", "exact", "oracle"):
-        refuse("mode", "sampled, exact or oracle")
+    if cfg.mode not in ("sampled", "exact"):
+        refuse("mode", "sampled or exact")
     parse_energy(cfg.eta)
     if cfg.delta is not None and not (_is_number(cfg.delta) and cfg.delta > 0):
         refuse("delta", "a finite positive energy in Hartree")
@@ -146,6 +148,7 @@ def _check_config(cfg: RunConfig) -> None:
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
+    """``args`` over its ``--config`` document, which may set only the command's flags."""
     cfg = RunConfig()
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -158,10 +161,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise CliError("invalid_config", f"config file {path}: {exc}") from None
         if not isinstance(doc, dict):
             raise CliError("invalid_config", f"config file {path} is not a JSON object")
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(doc) - known
+        flags = {f.name for f in dataclasses.fields(RunConfig)} & set(vars(args))
+        unknown = set(doc) - flags
         if unknown:
-            raise CliError("invalid_config", f"unknown config fields: {sorted(unknown)}")
+            raise CliError("invalid_config", f"config fields that are not "
+                                             f"{args.command} flags: {sorted(unknown)}")
         for key, value in doc.items():
             setattr(cfg, key, value)
     for f in dataclasses.fields(RunConfig):
@@ -306,8 +310,6 @@ def _omega_grids(delta: float, eta: float, shift_ev: float,
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = load_config(args)
-    if cfg.mode == "oracle":
-        return cmd_oracle(args)
     eta = cfg.eta_hartree
     ham_path, dip_path, h, header, dip = _load_inputs(cfg)
     psi0, e0, eig = _load_ground_state(cfg, h, header)
@@ -323,8 +325,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     grid, shown = _omega_grids(delta, eta, cfg.shift_ev, plan)
     psum = jordan_wigner(h)
     if e0 is None:
-        e0 = emulator.sector_expectation(
-            psum, states.basis, ci_mod.ci_to_statevector(psi0)[states.basis])
+        e0 = emulator.sector_expectation(psum, states.basis,
+                                         ci_mod.amplitudes_on(psi0, states.basis))
     prog = emulator.build_trotter(psum.shifted_identity(-e0), plan.tau, plan.k)
     series = {pair: sp.measure_series(pair, plan, states, prog, cfg.mode, cfg.seed)
               for pair in sp.PAIR_KEYS}
@@ -358,9 +360,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise CliError("invalid_config",
                        "the oracle does not apply core-valence separation; "
                        "drop --cvs")
-    if cfg.ground_state != "solve":
-        raise CliError("invalid_config",
-                       "the oracle solves its own ground state; drop ground_state")
     eta = cfg.eta_hartree
     ham_path, dip_path, h, header, dip = _load_inputs(cfg)
     psi0, e0, eig = _load_ground_state(cfg, h, header)
@@ -392,17 +391,20 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _parse_orbital_range(text: str) -> list[int]:
+    """'lo..hi' (every second count) or 'a,b,...', at most ``TABLE_ROW_CAP`` counts."""
     try:
         if ".." in text:
-            lo, hi = text.split("..")
-            counts = list(range(int(lo), int(hi) + 1, 2))
+            lo, hi = (int(t) for t in text.split(".."))
+            counts = range(lo, hi + 1, 2)
         else:
             counts = [int(t) for t in text.split(",")]
     except ValueError:
         raise CliError("invalid_config", f"not an orbital range: {text!r}") from None
     if not counts:
         raise CliError("invalid_config", f"orbital range {text!r} is empty")
-    return counts
+    if counts[TABLE_ROW_CAP:]:  # O(1) on a range, before the list is built
+        raise CliError("budget_exceeded", f"table {text!r} has over {TABLE_ROW_CAP} rows")
+    return list(counts)
 
 
 def cmd_resources(args: argparse.Namespace) -> int:
@@ -484,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_spec)
     p_spec.add_argument("--ground-state", dest="ground_state",
                         help="CI-vector .jsonl, eigensystem .json, or 'solve'")
-    p_spec.add_argument("--mode", choices=["sampled", "exact", "oracle"])
+    p_spec.add_argument("--mode", choices=["sampled", "exact"])
     p_spec.add_argument("--epsilon-trunc", dest="epsilon_trunc", type=float)
     p_spec.add_argument("--k", dest="trotter_k", type=int,
                         help="Trotter substeps per tau")

@@ -1,9 +1,9 @@
-"""Statevector emulation of Hadamard-test circuits with Trotterized evolution.
+"""Trotterized evolution and the ancilla-register reference of the Hadamard test.
 
-The default execution path evolves one branch and takes an inner product,
-which reproduces the ancilla circuit's measurement statistics exactly:
-P(0) = (1 + value)/2.  An explicit ancilla-register path exists to certify
-that equivalence on small registers.
+``spectrum.measure_series`` evolves one branch on a sector and takes an
+inner product, which reproduces the ancilla circuit's measurement
+statistics exactly: P(0) = (1 + value)/2.  ``hadamard_test_via_ancilla``
+builds the explicit register to certify that equivalence on small models.
 
 Evolution runs on sorted basis words (the register, or a conserved sector):
 the words of an X-mask group all flip the same bits x, so the group's
@@ -161,34 +161,19 @@ def program_unitary(prog: TrotterProgram, basis: np.ndarray | None = None) -> np
     return prog.phase_per_rep * np.linalg.matrix_power(u, prog.k)
 
 
-def _check_normalized(state: np.ndarray, name: str) -> None:
-    norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ValueError(f"{name} is not normalized (norm {norm:.3e})")
-
-
-def hadamard_test(a: np.ndarray, b: np.ndarray, prog: TrotterProgram,
-                  reps: int, which: str) -> float:
-    """Exact bias of the Hadamard test measuring Re or Im of <b|U^reps|a>."""
-    if which not in (REAL, IMAG):
-        raise ValueError(f"which must be {REAL!r} or {IMAG!r}")
-    _check_normalized(a, "state a")
-    _check_normalized(b, "state b")
-    amplitude = np.vdot(b, apply_trotter(a, prog, reps))
-    value = amplitude.real if which == REAL else amplitude.imag
-    return float(np.clip(value, -1.0, 1.0))
-
-
 def hadamard_test_via_ancilla(a: np.ndarray, b: np.ndarray, prog: TrotterProgram,
                               reps: int, which: str) -> float:
-    """Bias computed from an explicit (n+1)-qubit register; test-only path.
+    """Bias of the Re or Im Hadamard test, from an explicit (n+1)-qubit register.
 
     Builds (|0>|b> + |1>|a>)/sqrt(2) with the ancilla as the top qubit,
     applies every rotation and phase controlled on the ancilla, then W and H
     on the ancilla.  Returns P(0) - P(1).
     """
-    _check_normalized(a, "state a")
-    _check_normalized(b, "state b")
+    if which not in (REAL, IMAG):
+        raise ValueError(f"which must be {REAL!r} or {IMAG!r}")
+    for name, state in (("a", a), ("b", b)):
+        if abs(np.linalg.norm(state) - 1.0) > NORM_TOL:
+            raise ValueError(f"state {name} is not normalized")
     dim = 1 << prog.n_qubits
     joint = np.concatenate([b, a]).astype(complex) / np.sqrt(2.0)
     joint[dim:] = apply_trotter(joint[dim:], prog, reps)
@@ -196,7 +181,5 @@ def hadamard_test_via_ancilla(a: np.ndarray, b: np.ndarray, prog: TrotterProgram
         joint[dim:] *= -1j  # S^dagger on the ancilla |1> branch
     zero = (joint[:dim] + joint[dim:]) / np.sqrt(2.0)
     one = (joint[:dim] - joint[dim:]) / np.sqrt(2.0)
-    p0 = float(np.vdot(zero, zero).real)
-    p1 = float(np.vdot(one, one).real)
-    return p0 - p1
+    return float(np.vdot(zero, zero).real - np.vdot(one, one).real)  # P(0) - P(1)
 

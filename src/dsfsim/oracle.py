@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ci import (AnnihilatedError, CIVector, Determinant, apply_one_body,
-                 check_dense, sector_basis, sector_dimension)
+from .ci import (AnnihilatedError, CIVector, Determinant, amplitudes_on,
+                 apply_one_body, check_dense, sector_basis, sector_dimension)
 from .operators import DipoleOperator, Hamiltonian, QVector
 
 GRAM_TOL = 1e-10
@@ -156,15 +156,6 @@ class EigenSystem:
                    if c != 0}
         return CIVector(self.n_orbitals, entries)
 
-    def vector_on_basis(self, v: CIVector) -> np.ndarray:
-        out = np.zeros(len(self.basis), dtype=complex)
-        index = {det: i for i, det in enumerate(self.basis)}
-        for det, amp in v.entries.items():
-            if det not in index:
-                raise ValueError("CI vector leaves the eigensystem sector")
-            out[index[det]] = amp
-        return out
-
 
 def _phase_fix(coeffs: np.ndarray) -> np.ndarray:
     out = coeffs.copy()
@@ -213,23 +204,17 @@ class TransitionTable:
 
 
 def transition_table(eig: EigenSystem, dipole: DipoleOperator) -> TransitionTable:
+    """Dipole transitions out of the ground state; ``eig.basis`` sorted by word."""
     psi0 = eig.eigenvector(0)
-    rows, moments = [], np.zeros((3, 3))
-    rotated = {}
-    for axis in "xyz":
+    words = np.array([det.interleaved() for det in eig.basis])
+    vecs = np.zeros((3, len(words)))   # mu_a |Psi_0> on the basis, one row per axis
+    for i, axis in enumerate("xyz"):
         try:
-            rotated[axis] = apply_one_body(dipole.component(axis), psi0, prune=0.0)
+            rotated = apply_one_body(dipole.component(axis), psi0, prune=0.0)
         except AnnihilatedError:
-            rotated[axis] = None  # symmetry-forbidden channel
-    vecs = {axis: (eig.vector_on_basis(v).real if v is not None
-                   else np.zeros(len(eig.basis)))
-            for axis, v in rotated.items()}
-    for axis in "xyz":
-        rows.append(eig.coeffs.T @ vecs[axis])
-    for i, a in enumerate("xyz"):
-        for j, b in enumerate("xyz"):
-            moments[i, j] = float(vecs[a] @ vecs[b])
-    return TransitionTable(np.array(rows), moments)
+            continue  # symmetry-forbidden channel: a zero row
+        vecs[i] = amplitudes_on(rotated, words).real
+    return TransitionTable(vecs @ eig.coeffs, vecs @ vecs.T)
 
 
 def bright_excitations(eig: EigenSystem, trans: TransitionTable,

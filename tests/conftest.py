@@ -2,7 +2,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from dsfsim import fixtures
+from dsfsim import fixtures, validate
 
 
 def pytest_runtest_logreport(report):
@@ -38,3 +38,9 @@ def toy():
 @pytest.fixture(scope="session")
 def two_orb():
     return fixtures.solve(fixtures.TWO_ORBITAL_SPEC)
+
+
+@pytest.fixture(scope="session")
+def validate_results():
+    """Every ``dsfsim validate`` check, run once in-process: name -> (ok, detail)."""
+    return {name: (ok, detail) for name, ok, detail in validate.run_all()}

@@ -10,7 +10,7 @@ import scipy.linalg
 from scipy.optimize import minimize_scalar
 from scipy.signal import find_peaks
 
-from dsfsim import emulator, fixtures, oracle, resources
+from dsfsim import emulator, fixtures, oracle, resources, validate
 from dsfsim import spectrum as sp
 from dsfsim.operators import QVector
 from dsfsim.pauli import pauli_sum_dense
@@ -168,53 +168,16 @@ def test_criterion_4_parameter_reproduction():
     assert plan.n_max == 87
 
 
-def test_criterion_5_symmetry_and_sum_rule_suite():
+def test_criterion_5_symmetry_and_sum_rule_suite(validate_results):
     """Time-reversal parity, pair exchange, the moment sum rule, S(q=0) = 0,
     and the isotropic identity hold at 1e-8 on every bundled fixture."""
-    eta = 0.02
-    for spec in (fixtures.TWO_ORBITAL_SPEC, fixtures.THREE_ORBITAL_SPEC,
-                 fixtures.CORE_VALENCE_SPEC, fixtures.DIAGONAL_SPEC):
-        model = fixtures.solve(spec)
-        states = model.states
-        tau = math.pi / model.delta
-        plan = model.plan(eta, shots=600, k=2)
-        forward = model.program(2)
-        backward = emulator.build_trotter(model.shifted, -tau, 2)
-        axes = [a for a in sp.AXES if states.vectors[a] is not None]
-        for n in (1, 3):
-            for a in axes:
-                for b in axes:
-                    fwd = np.vdot(states.vectors[b],
-                                  emulator.apply_trotter(states.vectors[a], forward, n))
-                    bwd = np.vdot(states.vectors[b],
-                                  emulator.apply_trotter(states.vectors[a], backward, n))
-                    assert abs(fwd.real - bwd.real) <= 1e-8   # X even under n -> -n
-                    assert abs(fwd.imag + bwd.imag) <= 1e-8   # Y odd under n -> -n
-                    rev = np.vdot(states.vectors[a],
-                                  emulator.apply_trotter(states.vectors[b], forward, n))
-                    assert abs(fwd - rev) <= 1e-8             # pair exchange
-        period = 2 * math.pi / tau
-        n_points = max(plan.n_max + 1, int(round(period / (eta / 5.0))))
-        period_grid = np.linspace(0.0, period, n_points, endpoint=False)
-        grid = sp.default_omega_grid(tau, eta)
-        contributions = {}
-        for pair in sp.PAIR_KEYS:
-            series = sp.measure_series(pair, plan, states, forward, mode="exact")
-            contributions[pair] = sp.reconstruct_intensity(series, grid)
-            if pair in sp.DIAGONAL_KEYS and series.norm_product > 0:
-                on_period = sp.reconstruct_intensity(series, period_grid)
-                integral = float(np.mean(on_period.values)) * period
-                bound = max(1e-8, plan.epsilon_trunc * 1e-6) * max(
-                    1.0, abs(series.moment0))
-                assert abs(integral - series.moment0) <= bound
-        zero_q = sp.assemble_dsf(QVector(0.0, 0.0, 0.0), contributions)
-        assert np.max(np.abs(zero_q.values), initial=0.0) == 0.0
-        iso = sp.isotropic_dsf(1.0, contributions)
-        acc = np.zeros_like(grid)
-        for axis in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-                     (0, 0, 1), (0, 0, -1)):
-            acc += sp.assemble_dsf(QVector(*axis), contributions).values
-        assert np.max(np.abs(iso.values - acc / 6.0)) <= 1e-8
+    assert validate.SPECS == (fixtures.TWO_ORBITAL_SPEC, fixtures.THREE_ORBITAL_SPEC,
+                              fixtures.CORE_VALENCE_SPEC, fixtures.DIAGONAL_SPEC)
+    assert (validate.ETA, validate.K, validate.REPS, validate.TOL) == (0.02, 2, (1, 3), 1e-8)
+    # S(q=0) must be exactly 0: check_q_zero_and_isotropic allows no deviation
+    for name in ("time_reversal", "pair_symmetry", "sum_rule", "q_zero_and_isotropic"):
+        ok, detail = validate_results[name]
+        assert ok, f"{name}: {detail}"
 
 
 def test_criterion_6_resource_estimator():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dsfsim import ci, oracle
+from dsfsim import ci, oracle, validate
 from dsfsim import spectrum as sp
 from dsfsim.operators import (DipoleOperator, Hamiltonian, dump_dipole_json,
                               write_fcidump)
@@ -179,6 +179,12 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
     user_input("mode_oracle_ground_state_file",
                EXACT + ["--mode", "oracle", "--ground-state", "ground_state.jsonl"],
                "invalid_config"),
+    user_input("mode_oracle_measurement_flags",
+               EXACT + ["--mode", "oracle", "--k", "7", "--seed", "3",
+                        "--epsilon-trunc", "0.5"], "invalid_config"),
+    user_input("oracle_config_measurement_fields", ["oracle", "--eta", "0.02"],
+               "invalid_config",
+               config={"seed": 3, "trotter_k": 7, "shots": 600, "mode": "sampled"}),
     user_input("oracle_dipoles_mismatched", ["oracle", "--eta", "0.02"], "invalid_config",
                inputs="mismatched_dir"),
     user_input("spectrum_sector_too_large", ["spectrum"], "budget_exceeded",
@@ -222,6 +228,8 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
                "invalid_config"),
     user_input("resources_orbitals_negative", ["resources", "--n-orbitals", "-5"],
                "invalid_config"),
+    user_input("resources_table_over_cap", ["resources", "--table", "14..200000"],
+               "budget_exceeded"),
     user_input("resources_shots_negative",
                ["resources", "--n-orbitals", "22", "--shots", "-60"], "invalid_config"),
     user_input("ground_state_orbitals_mismatched",
@@ -426,4 +434,6 @@ def test_resources_zero_shots():
 
 def test_validate_subcommand_passes():
     proc = run_cli("validate")
-    assert "10/10 checks passed" in proc.stdout
+    n = len(validate.ALL_CHECKS)
+    assert f"{n}/{n} checks passed" in proc.stdout
+    assert not any(line.startswith("FAIL") for line in proc.stdout.splitlines())

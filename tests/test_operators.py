@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsfsim import fixtures, oracle, operators, pauli
+from dsfsim import fixtures, operators, pauli
 from dsfsim.operators import (DipoleOperator, FcidumpError, Hamiltonian,
                               dump_dipole_json, from_core_integrals,
                               jordan_wigner, load_dipole_json, one_body_to_pauli,
@@ -100,24 +100,6 @@ def test_offset_only_jw():
     assert jordan_wigner(h).words() == [(-0.75, "II")]
 
 
-def test_jw_matches_slater_condon_oracle(two_orb):
-    """Dense JW matrix equals the sector-blocked Slater-Condon construction."""
-    dense = pauli.pauli_sum_dense(jordan_wigner(two_orb.h))
-    rebuilt = np.zeros_like(dense)
-    for n_alpha in range(3):
-        for n_beta in range(3):
-            basis = oracle.sector_basis(2, n_alpha, n_beta)
-            mat = oracle.build_ci_matrix(two_orb.h, basis)
-            idx = [det.interleaved() for det in basis]
-            rebuilt[np.ix_(idx, idx)] = mat
-    assert np.max(np.abs(dense - rebuilt)) < 1e-10
-
-
-def test_jw_hermitian(two_orb):
-    dense = pauli.pauli_sum_dense(jordan_wigner(two_orb.h))
-    assert np.max(np.abs(dense - dense.conj().T)) < 1e-12
-
-
 def test_jw_linearity():
     rng = np.random.default_rng(17)
     def rand_ham(seed):
@@ -141,12 +123,6 @@ def test_jw_linearity():
     keys = set(lhs) | {k for k, v in rhs.items() if abs(v) > 1e-12}
     for key in keys:
         assert lhs.get(key, 0.0) == pytest.approx(rhs.get(key, 0.0), abs=1e-12)
-
-
-def test_jw_commutes_with_number(two_orb):
-    dense = pauli.pauli_sum_dense(jordan_wigner(two_orb.h))
-    number = pauli.pauli_sum_dense(one_body_to_pauli(np.eye(2)))
-    assert np.max(np.abs(dense @ number - number @ dense)) < 1e-10
 
 
 def test_one_body_zero_matrix():
