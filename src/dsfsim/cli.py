@@ -147,6 +147,11 @@ def _check_config(cfg: RunConfig) -> None:
             refuse(name, "a non-negative integer")
 
 
+def _fields(args: argparse.Namespace) -> set[str]:
+    """The ``RunConfig`` fields that ``args``'s command takes as flags."""
+    return {f.name for f in dataclasses.fields(RunConfig)} & set(vars(args))
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
     """``args`` over its ``--config`` document, which may set only the command's flags."""
     cfg = RunConfig()
@@ -161,8 +166,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise CliError("invalid_config", f"config file {path}: {exc}") from None
         if not isinstance(doc, dict):
             raise CliError("invalid_config", f"config file {path} is not a JSON object")
-        flags = {f.name for f in dataclasses.fields(RunConfig)} & set(vars(args))
-        unknown = set(doc) - flags
+        unknown = set(doc) - _fields(args)
         if unknown:
             raise CliError("invalid_config", f"config fields that are not "
                                              f"{args.command} flags: {sorted(unknown)}")
@@ -254,6 +258,12 @@ def _load_ground_state(cfg: RunConfig, h, header):
 
 
 def _resolve_window(cfg: RunConfig, eig, eta: float) -> float:
+    """``cfg.delta``, else 1.05 x the sector's full excitation span + 5 eta.
+
+    ``fixtures.solve`` takes 1.05 x the brightest excitation instead.  Telling
+    bright states from dark ones needs the oracle's dipole transition table,
+    which ``spectrum`` never builds, so the CLI covers every level.
+    """
     if cfg.delta is not None:
         return float(cfg.delta)
     if eig is None:
@@ -264,9 +274,10 @@ def _resolve_window(cfg: RunConfig, eig, eta: float) -> float:
     return 1.05 * span + 5.0 * eta
 
 
-def _manifest(cfg: RunConfig, extra: dict, inputs: dict[str, Path]) -> dict:
+def _manifest(cfg: RunConfig, args: argparse.Namespace, extra: dict,
+              inputs: dict[str, Path]) -> dict:
     return {
-        "parameters": dataclasses.asdict(cfg),
+        "parameters": {name: getattr(cfg, name) for name in _fields(args)},
         "inputs": {k: {"path": str(p), "sha256": _sha256(p)}
                    for k, p in inputs.items()},
         "versions": {"dsfsim": __version__, "numpy": np.__version__},
@@ -342,7 +353,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         dsf = sp.assemble_dsf(q, contribs)
         _write(outdir, f"dsf_q{i}.csv",
                sp.spectrum_to_csv(dataclasses.replace(dsf, omega=shown)))
-    manifest = _manifest(cfg, {
+    manifest = _manifest(cfg, args, {
         "derived": {
             "tau": plan.tau, "n_max": plan.n_max, "delta": delta,
             "ground_energy": e0, "budgets": plan.budgets,
@@ -382,7 +393,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         spec = oracle.exact_spectrum(eig, trans, q, eta, grid)
         _write(outdir, f"oracle_dsf_q{i}.csv",
                sp.spectrum_to_csv(dataclasses.replace(spec, omega=shown)))
-    manifest = _manifest(cfg, {
+    manifest = _manifest(cfg, args, {
         "derived": {"ground_energy": e0, "delta": delta,
                     "n_states": eig.n_states},
     }, {"hamiltonian": ham_path, "dipoles": dip_path})

@@ -1,7 +1,7 @@
 """Fault-tolerant logical resource estimation for the Hadamard-test circuits.
 
 Per-circuit T counts follow a parametric model: a second-order Trotter step
-over a rank-L factorized two-body operator costs ``rotations(N_a, L)``
+over a rank-L factorized two-body operator, L = N_a, costs ``rotations(N_a)``
 arbitrary-angle rotations, each synthesized at ``rot_t_cost(EPSILON_R)/2`` T
 gates (the factor 2 from trading controlled rotations for uncontrolled ones
 plus Cliffords), plus a fixed state-preparation block.  The three rotation
@@ -73,11 +73,10 @@ class CostModel:
     samples_per_pair: int
     fit_residuals: dict
 
-    def rotations_per_step(self, n_orbitals: int, rank: int | None = None) -> float:
-        """Rotations in one inner Trotter step for a rank-``rank`` factorization."""
+    def rotations_per_step(self, n_orbitals: int) -> float:
+        """Rotations in one inner Trotter step, at the calibrated rank L = N_a."""
         a, b, c = self.rotation_coefficients
-        rank = n_orbitals if rank is None else rank
-        value = a * n_orbitals**2 * rank + b * n_orbitals**2 + c * n_orbitals
+        value = a * n_orbitals**2 * n_orbitals + b * n_orbitals**2 + c * n_orbitals
         if n_orbitals < 1 or value <= 0:
             raise ValueError(
                 f"rotation model is not calibrated for {n_orbitals} orbitals")
@@ -119,7 +118,7 @@ class ResourceReport:
         return self.runtime_seconds / 86400.0
 
 
-def circuit_cost(n_orbitals: int, rank: int | None, k: int, n: int,
+def circuit_cost(n_orbitals: int, k: int, n: int,
                  model: CostModel, prep: str = OFF_DIAGONAL) -> CircuitCost:
     """Cost of one Hadamard-test circuit evolving to time step n.
 
@@ -131,7 +130,7 @@ def circuit_cost(n_orbitals: int, rank: int | None, k: int, n: int,
         raise ValueError("n and k must be positive")
     if prep not in (DIAGONAL, OFF_DIAGONAL):
         raise ValueError(f"unknown preparation style {prep!r}")
-    rotations = model.rotations_per_step(n_orbitals, rank) * k * n
+    rotations = model.rotations_per_step(n_orbitals) * k * n
     rotation_t = rotations * rot_t_cost(EPSILON_R) / 2.0
     prep_t = STATE_PREP_T[prep]
     return CircuitCost(t_gates=rotation_t + prep_t, rotations=rotations,
@@ -139,19 +138,18 @@ def circuit_cost(n_orbitals: int, rank: int | None, k: int, n: int,
                        + prep_t * model.volume_per_t)
 
 
-def algorithm_cost(plan: RunPlan, model: CostModel, n_orbitals: int,
-                   rank: int | None = None) -> ResourceReport:
+def algorithm_cost(plan: RunPlan, model: CostModel, n_orbitals: int) -> ResourceReport:
     """Aggregate cost over every Hadamard-test shot of a run plan.
 
     Each shot is priced at its pair's deepest circuit (n = n_max), which is
     how the calibration reference tabulates totals.
     """
-    largest = circuit_cost(n_orbitals, rank, plan.k, plan.n_max, model, OFF_DIAGONAL)
+    largest = circuit_cost(n_orbitals, plan.k, plan.n_max, model, OFF_DIAGONAL)
     total_t = 0.0
     total_v = 0.0
     for pair in PAIR_KEYS:
         prep = DIAGONAL if pair[0] == pair[1] else OFF_DIAGONAL
-        cost = circuit_cost(n_orbitals, rank, plan.k, plan.n_max, model, prep)
+        cost = circuit_cost(n_orbitals, plan.k, plan.n_max, model, prep)
         total_t += plan.budgets[pair] * cost.t_gates
         total_v += plan.budgets[pair] * cost.active_volume
     depth = 2.0 * total_v / N_LOGICAL_QUBITS

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ci as ci_mod
-from .ci import (AnnihilatedError, CIVector, ci_to_statevector,
-                 cvs_project, normalize)
+from .ci import AnnihilatedError, CIVector, cvs_project, normalize
 from .emulator import IMAG, REAL, TrotterProgram, program_unitary
 from .operators import DipoleOperator, QVector
 
@@ -199,18 +198,26 @@ def allocate_shots(n_pair: int, eta: float, tau: float, n_max: int) -> np.ndarra
 
 @dataclass
 class DipoleStates:
-    """Normalized dipole-rotated states plus their norms and static moments."""
+    """Unit dipole-rotated states on the ground state's sector, plus norms and moments."""
 
     norms: dict[str, float]
-    vectors: dict[str, np.ndarray | None]
+    kets: dict[str, np.ndarray | None]   # amplitudes on ``basis``
     moments: np.ndarray  # (3, 3), <psi0| mu_a mu_b |psi0> on the prepared states
     basis: np.ndarray    # sorted words of the ground state's (N_alpha, N_beta) sector
+    units: dict[str, CIVector | None]    # the same unit states, sparse
 
     def norm_product(self, pair: str) -> float:
         return self.norms[pair[0]] * self.norms[pair[1]]
 
     def pair_moment(self, pair: str) -> float:
         return float(self.moments[AXES.index(pair[0]), AXES.index(pair[1])])
+
+    @property
+    def vectors(self) -> dict[str, np.ndarray | None]:
+        """Each unit state on all 2^(2n) register amplitudes, for register-level
+        references only; ``ci.STATEVECTOR_QUBIT_CAP`` bounds it."""
+        return {axis: None if unit is None else ci_mod.ci_to_statevector(unit)
+                for axis, unit in self.units.items()}
 
 
 def prepare_dipole_states(ground: CIVector, dipole: DipoleOperator,
@@ -239,16 +246,15 @@ def prepare_dipole_states(ground: CIVector, dipole: DipoleOperator,
         for j, b in enumerate(AXES):
             if raw[a] is not None and raw[b] is not None:
                 moments[i, j] = float(np.real(ci_mod.overlap(raw[a], raw[b])))
-    norms, vectors = {}, {}
+    basis = ci_mod.sector_words(ground.n_orbitals, ground.n_alpha, ground.n_beta)
+    norms, kets, units = {}, {}, {}
     for axis in AXES:
         if raw[axis] is None:
-            norms[axis], vectors[axis] = 0.0, None
+            norms[axis], kets[axis], units[axis] = 0.0, None, None
             continue
-        unit, norm = normalize(raw[axis])
-        norms[axis] = norm
-        vectors[axis] = ci_to_statevector(unit)
-    basis = ci_mod.sector_words(ground.n_orbitals, ground.n_alpha, ground.n_beta)
-    return DipoleStates(norms=norms, vectors=vectors, moments=moments, basis=basis)
+        units[axis], norms[axis] = normalize(raw[axis])
+        kets[axis] = ci_mod.amplitudes_on(units[axis], basis)
+    return DipoleStates(norms=norms, kets=kets, moments=moments, basis=basis, units=units)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +311,10 @@ def measure_series(pair: str, plan: RunPlan, states: DipoleStates,
     norm_product = states.norm_product(pair)
     if norm_product == 0.0:
         return _zero_series(pair, plan, shots, exact=(mode == "exact"))
-    bra = states.vectors[pair[1]][states.basis]
+    bra = states.kets[pair[1]]
     step = program_unitary(program, states.basis)
     amplitudes = np.zeros(plan.n_max, dtype=complex)
-    current = states.vectors[pair[0]][states.basis]
+    current = states.kets[pair[0]]
     for n in range(plan.n_max):
         current = step @ current
         amplitudes[n] = np.vdot(bra, current)

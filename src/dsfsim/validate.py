@@ -130,8 +130,7 @@ def check_pair_symmetry() -> tuple[bool, str]:
     worst = 0.0
     for model, _, prog, _ in _runs():
         states = model.states
-        kets = np.column_stack([v[states.basis] for v in states.vectors.values()
-                                if v is not None])
+        kets = np.column_stack([k for k in states.kets.values() if k is not None])
         step, evolved = emulator.program_unitary(prog, states.basis), kets
         for n in range(1, max(REPS) + 1):
             evolved = step @ evolved

@@ -1,3 +1,6 @@
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import runpy
@@ -5,14 +8,15 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from dsfsim import ci, oracle, validate
+from dsfsim import ci, cli, oracle, validate
 from dsfsim import spectrum as sp
 from dsfsim.operators import (DipoleOperator, Hamiltonian, dump_dipole_json,
-                              write_fcidump)
+                              load_dipole_json, read_fcidump_file, write_fcidump)
 
 BASELINES = Path(__file__).parent / "baselines"
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,9 +30,13 @@ FIXTURE, EXACT, SAMPLED, EXACT_FILES, SAMPLED_FILES, RESOURCES = (
 
 
 def run_cli(*args, check=True, env=None):
-    proc = subprocess.run([sys.executable, "-m", "dsfsim", *args],
-                          capture_output=True, text=True,
-                          env={**os.environ, **(env or {})})
+    """``dsfsim ARGS`` in-process; ``env`` patches ``os.environ`` for the call only."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env or {}), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = cli.main(list(args))
+    proc = subprocess.CompletedProcess(["dsfsim", *args], code,
+                                       stdout.getvalue(), stderr.getvalue())
     if check and proc.returncode != 0:
         raise AssertionError(f"CLI failed ({proc.returncode}): {proc.stderr}")
     return proc
@@ -191,8 +199,6 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
                inputs="eight_orbital_dir"),
     user_input("oracle_sector_too_large", ["oracle"], "budget_exceeded",
                inputs="eight_orbital_dir"),
-    user_input("register_over_statevector_cap", EXACT, "budget_exceeded",
-               inputs="twelve_orbital_dir"),
     user_input("file_ground_state_step_too_large",
                ["spectrum", "--ground-state", "{inputs}/ground_state.jsonl",
                 "--delta", "2.0"], "budget_exceeded", inputs="eight_orbital_dir"),
@@ -273,6 +279,31 @@ def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs):
         assert json.loads(proc.stderr)["error"]["kind"] == expected
 
 
+def test_spectrum_runs_past_the_register_cap(twelve_orbital_dir, tmp_path):
+    """24 qubits are over the register cap, but ``spectrum`` holds only the
+    144-state sector; every exact series matches the oracle's spectral sum."""
+    assert 2 * 12 > ci.STATEVECTOR_QUBIT_CAP
+    out = tmp_path / "twelve"
+    run_cli(*spectrum_args(twelve_orbital_dir, EXACT, out))
+    h, _ = read_fcidump_file(twelve_orbital_dir / "hamiltonian.fcidump")
+    eig = oracle.solve_sector(h, 1, 1)
+    trans = oracle.transition_table(
+        eig, load_dipole_json((twelve_orbital_dir / "dipoles.json").read_text()))
+    for pair in sp.PAIR_KEYS:
+        series = sp.series_from_json((out / f"greens_{pair}.json").read_text())
+        want = [oracle.exact_greens(eig, trans, pair, series.tau, n) for n in series.n]
+        err = np.max(np.abs(series.x + 1j * series.y - np.array(want)))
+        assert err <= 1e-10 * series.norm_product, pair
+
+
+def test_module_entry_point():
+    """``python -m dsfsim`` runs the CLI and writes its report to stdout."""
+    proc = subprocess.run([sys.executable, "-m", "dsfsim", "resources", "--n-orbitals", "22"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (BASELINES / "resources" / "resources.json").read_text()
+
+
 def test_spectrum_run_does_not_load_scipy(fixture_dir, tmp_path):
     """Importing the CLI and running ``spectrum`` or ``oracle`` never import scipy."""
     for base in (SAMPLED, ["oracle", "--eta", "0.02", "--delta", "2.0"]):
@@ -303,6 +334,18 @@ def test_manifest_records_run(fixture_dir, tmp_path):
     assert manifest["derived"]["n_max"] >= 1
     for rec in manifest["inputs"].values():
         assert len(rec["sha256"]) == 64
+
+
+def test_manifest_records_the_command_flags(fixture_dir, tmp_path):
+    """A manifest's parameters are the config fields its command takes as flags."""
+    every = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    measurement = {"ground_state", "mode", "seed", "shots", "trotter_k", "epsilon_trunc"}
+    for base, fields in ((EXACT, every),
+                         (["oracle", "--eta", "0.02", "--delta", "2.0"], every - measurement)):
+        out = tmp_path / base[0]
+        run_cli(*spectrum_args(fixture_dir, base, out))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["parameters"]) == fields, base[0]
 
 
 def test_oracle_outputs_feed_spectrum(fixture_dir, tmp_path):
