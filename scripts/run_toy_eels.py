@@ -36,11 +36,8 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
     results = {}
     for mode, seed in (("exact", 0), ("sampled", args.seed)):
-        contribs = {}
-        for pair in sp.PAIR_KEYS:
-            series = sp.measure_series(pair, plan, model.states, program,
-                                       mode=mode, master_seed=seed)
-            contribs[pair] = sp.reconstruct_intensity(series, grid)
+        series = sp.measure_all(plan, model.states, program, mode=mode, master_seed=seed)
+        contribs = {pair: sp.reconstruct_intensity(s, grid) for pair, s in series.items()}
         dsf = sp.assemble_dsf(q, contribs)
         results[mode] = dsf.values
         (outdir / f"dsf_{mode}.csv").write_text(sp.spectrum_to_csv(dsf))

@@ -72,8 +72,7 @@ def main():
         step_err = float(np.linalg.norm(emulator.program_unitary(program)
                                         - exact_step, 2))
         plan_k = model.plan(args.eta, 1e-6, 600, k, [q])
-        series = {p: sp.measure_series(p, plan_k, states, program, mode="exact")
-                  for p in sp.PAIR_KEYS}
+        series = sp.measure_all(plan_k, states, program, mode="exact")
         shift = abs(refined_peak(series, q, grid) - ref_peak)
         op_rows.append(step_err)
         peak_rows.append(shift)

@@ -12,9 +12,9 @@ from .oracle import (EigenSystem, TransitionTable, build_ci_matrix, exact_greens
                      exact_intensity, exact_spectrum, sector_basis, solve_sector,
                      transition_table)
 from .spectrum import (GreensSeries, RunPlan, Spectrum, allocate_shots,
-                       assemble_dsf, cross_section, isotropic_dsf, measure_series,
-                       plan_run, prepare_dipole_states, reconstruct_intensity,
-                       resample_series)
+                       assemble_dsf, cross_section, isotropic_dsf, measure_all,
+                       measure_series, plan_run, prepare_dipole_states,
+                       reconstruct_intensity, resample_series)
 from .resources import (DEFAULT_MODEL, CostModel, ResourceReport, algorithm_cost,
                         calibrate, circuit_cost, rot_t_cost)
 from .fixtures import ModelSpec, generate

@@ -339,8 +339,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         e0 = emulator.sector_expectation(psum, states.basis,
                                          ci_mod.amplitudes_on(psi0, states.basis))
     prog = emulator.build_trotter(psum.shifted_identity(-e0), plan.tau, plan.k)
-    series = {pair: sp.measure_series(pair, plan, states, prog, cfg.mode, cfg.seed)
-              for pair in sp.PAIR_KEYS}
+    series = sp.measure_all(plan, states, prog, cfg.mode, cfg.seed)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     contribs = {}

@@ -1,7 +1,7 @@
 """Trotterized evolution and the ancilla-register reference of the Hadamard test.
 
-``spectrum.measure_series`` evolves one branch on a sector and takes an
-inner product, which reproduces the ancilla circuit's measurement
+``spectrum.measure_all`` evolves each branch on a sector and takes its
+inner products, which reproduces the ancilla circuit's measurement
 statistics exactly: P(0) = (1 + value)/2.  ``hadamard_test_via_ancilla``
 builds the explicit register to certify that equivalence on small models.
 

@@ -123,7 +123,9 @@ class NoDipoleIntensity(ValueError):
 
 
 def largest_remainder(total: int, weights: np.ndarray) -> np.ndarray:
-    """Integer apportionment of ``total`` by weight, conserving the sum exactly."""
+    """Integer apportionment of ``total`` <= 2**53 by weight, conserving the sum exactly."""
+    if total > 2**53:  # float shares would lose whole units
+        raise ValueError(f"total {total} exceeds 2**53, beyond exact apportionment")
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0) or weights.sum() <= 0:
         raise ValueError("weights must be nonnegative with a positive sum")
@@ -284,49 +286,53 @@ def _sample_biases(pair: str, which: str, biases: np.ndarray, shots: np.ndarray,
     return np.where(counts > 0, 2.0 * successes / np.maximum(counts, 1) - 1.0, 0.0)
 
 
-def _zero_series(pair: str, plan: RunPlan, shots: np.ndarray,
-                 exact: bool) -> GreensSeries:
-    zeros = np.zeros(plan.n_max)
-    return GreensSeries(pair=pair, tau=plan.tau, eta=plan.eta, n_max=plan.n_max,
-                        norm_product=0.0, moment0=0.0, x=zeros, y=zeros.copy(),
-                        shots=shots, exact=exact)
+def measure_all(plan: RunPlan, states: DipoleStates, program: TrotterProgram,
+                mode: str = "sampled", master_seed: int = 0) -> dict[str, GreensSeries]:
+    """Run the Hadamard-test schedule for all six Cartesian pairs.
+
+    The evolution runs on the d amplitudes of the ground state's sector: one
+    outer Trotter step is compiled into a d x d matrix once
+    (``emulator.program_unitary``), each nonzero ket is advanced by
+    matrix-vector products, and every pair it opens reads its overlap with
+    the bra.  A pair with a zero-norm state records zeros.  In exact mode
+    sampling is bypassed and the recorded values are the exact circuit biases
+    (shot counts are still recorded so the same series can be resampled
+    later); sampled mode draws them with ``resample_series``.
+    """
+    if mode not in ("sampled", "exact"):
+        raise ValueError(f"unknown mode {mode!r}")
+    step = program_unitary(program, states.basis)
+    amplitudes = {pair: np.zeros(plan.n_max, dtype=complex) for pair in PAIR_KEYS}
+    for axis in AXES:
+        current = states.kets[axis]
+        if current is None:
+            continue
+        pairs = [p for p in PAIR_KEYS if p[0] == axis and states.kets[p[1]] is not None]
+        for n in range(plan.n_max):
+            current = step @ current
+            for pair in pairs:
+                amplitudes[pair][n] = np.vdot(states.kets[pair[1]], current)
+    series = {}
+    for pair in PAIR_KEYS:
+        norm_product = states.norm_product(pair)
+        exact = GreensSeries(
+            pair=pair, tau=plan.tau, eta=plan.eta, n_max=plan.n_max,
+            norm_product=norm_product, moment0=states.pair_moment(pair),
+            x=norm_product * np.clip(amplitudes[pair].real, -1.0, 1.0),
+            y=norm_product * np.clip(amplitudes[pair].imag, -1.0, 1.0),
+            shots=allocate_shots(plan.budgets[pair], plan.eta, plan.tau, plan.n_max),
+            exact=True)
+        series[pair] = exact if mode == "exact" else resample_series(exact, master_seed)
+    return series
 
 
 def measure_series(pair: str, plan: RunPlan, states: DipoleStates,
                    program: TrotterProgram, mode: str = "sampled",
                    master_seed: int = 0) -> GreensSeries:
-    """Run the Hadamard-test schedule for one Cartesian pair.
-
-    In exact mode sampling is bypassed and the recorded values are the exact
-    circuit biases (shot counts are still recorded so the same series can be
-    resampled later).  The evolution runs on the d amplitudes of the ground
-    state's sector: one outer Trotter step is compiled into a d x d matrix
-    (``emulator.program_unitary``) and advanced by matrix-vector products.
-    """
-    if mode not in ("sampled", "exact"):
-        raise ValueError(f"unknown mode {mode!r}")
+    """One pair of ``measure_all``; kept for callers that measure pair by pair."""
     if pair not in PAIR_KEYS:
         raise ValueError(f"unknown pair {pair!r}")
-    shots = allocate_shots(plan.budgets[pair], plan.eta, plan.tau, plan.n_max)
-    norm_product = states.norm_product(pair)
-    if norm_product == 0.0:
-        return _zero_series(pair, plan, shots, exact=(mode == "exact"))
-    bra = states.kets[pair[1]]
-    step = program_unitary(program, states.basis)
-    amplitudes = np.zeros(plan.n_max, dtype=complex)
-    current = states.kets[pair[0]]
-    for n in range(plan.n_max):
-        current = step @ current
-        amplitudes[n] = np.vdot(bra, current)
-    re = np.clip(amplitudes.real, -1.0, 1.0)
-    im = np.clip(amplitudes.imag, -1.0, 1.0)
-    if mode == "sampled":
-        re = _sample_biases(pair, REAL, re, shots, master_seed)
-        im = _sample_biases(pair, IMAG, im, shots, master_seed)
-    return GreensSeries(pair=pair, tau=plan.tau, eta=plan.eta, n_max=plan.n_max,
-                        norm_product=norm_product, moment0=states.pair_moment(pair),
-                        x=norm_product * re, y=norm_product * im, shots=shots,
-                        exact=(mode == "exact"))
+    return measure_all(plan, states, program, mode, master_seed)[pair]
 
 
 def resample_series(series: GreensSeries, master_seed: int) -> GreensSeries:

@@ -86,12 +86,7 @@ def _runs():
     for spec in SPECS:
         model = fixtures.solve(spec)
         plan, prog = model.plan(ETA, shots=600, k=K), model.program(K)
-        yield model, plan, prog, _series(model, plan, prog)
-
-
-def _series(model, plan, prog) -> dict:
-    return {pair: sp.measure_series(pair, plan, model.states, prog, mode="exact")
-            for pair in sp.PAIR_KEYS}
+        yield model, plan, prog, sp.measure_all(plan, model.states, prog, mode="exact")
 
 
 def _biases(series: dict) -> dict:
@@ -101,7 +96,7 @@ def _biases(series: dict) -> dict:
 
 
 def check_ancilla_equivalence() -> tuple[bool, str]:
-    """The explicit ancilla register reproduces every bias ``measure_series`` records."""
+    """The explicit ancilla register reproduces every bias ``measure_all`` records."""
     worst = 0.0
     for model, _, prog, series in _runs():
         vectors = model.states.vectors
@@ -118,8 +113,9 @@ def check_time_reversal() -> tuple[bool, str]:
     """X_n is even and Y_n odd under tau -> -tau: the series at -tau is the conjugate."""
     worst = 0.0
     for model, plan, _, series in _runs():
-        back = _biases(_series(model, plan,
-                               emulator.build_trotter(model.shifted, -plan.tau, K)))
+        back = _biases(sp.measure_all(plan, model.states,
+                                      emulator.build_trotter(model.shifted, -plan.tau, K),
+                                      mode="exact"))
         for pair, fwd in _biases(series).items():
             worst = max(worst, float(np.max(np.abs(fwd - back[pair].conj()))))
     return worst <= TOL, f"max X/Y parity violation = {worst:.2e}"

@@ -61,8 +61,7 @@ def test_criterion_1_oracle_equivalence_exact_mode():
         assert step_err <= 1e-6, f"case {case}: Trotter step error {step_err:.2e}"
         plan = model.plan(eta, 1e-8, 600, k=k)
         grid = sp.default_omega_grid(tau, eta)
-        for pair in sp.PAIR_KEYS:
-            series = sp.measure_series(pair, plan, model.states, prog, mode="exact")
+        for pair, series in sp.measure_all(plan, model.states, prog, mode="exact").items():
             if series.norm_product == 0.0:
                 continue
             recon = sp.reconstruct_intensity(series, grid)
@@ -107,8 +106,7 @@ def test_criterion_2_trotter_convergence(toy):
     spectra = {}
     for k in (1, 2, 4, 8):
         prog = toy.program(k=k)
-        series = {p: sp.measure_series(p, plan_by_k[k], toy.states, prog,
-                                       mode="exact") for p in sp.PAIR_KEYS}
+        series = sp.measure_all(plan_by_k[k], toy.states, prog, mode="exact")
         values = sp.assemble_dsf(q, {p: sp.reconstruct_intensity(s, grid)
                                      for p, s in series.items()}).values
         spectra[k] = values
@@ -138,8 +136,7 @@ def test_criterion_3_shot_budget_resolves_both_bands(toy):
     plan = toy.plan(shots=10**4, q_set=[q])
     prog = toy.program(k=4)
     grid = sp.default_omega_grid(plan.tau, toy.eta)
-    exact_series = {p: sp.measure_series(p, plan, toy.states, prog, mode="exact")
-                    for p in sp.PAIR_KEYS}
+    exact_series = sp.measure_all(plan, toy.states, prog, mode="exact")
     exact_values = sp.assemble_dsf(q, {p: sp.reconstruct_intensity(s, grid)
                                        for p, s in exact_series.items()}).values
     bands, weights = toy.bright_lines(threshold=0.2)
@@ -214,9 +211,8 @@ def test_criterion_7_shape_level_coverage(toy):
     plan = toy.plan(epsilon_trunc=1e-6)
     prog = toy.program(k=4)
     grid = sp.default_omega_grid(plan.tau, toy.eta)
-    contributions = {p: sp.reconstruct_intensity(
-        sp.measure_series(p, plan, toy.states, prog, mode="exact"), grid)
-        for p in sp.PAIR_KEYS}
+    contributions = {p: sp.reconstruct_intensity(s, grid) for p, s in
+                     sp.measure_all(plan, toy.states, prog, mode="exact").items()}
     values = sp.assemble_dsf(q, contributions).values
     peaks, props = find_peaks(values, height=0.2 * float(values.max()))
     assert len(peaks) == 2, "expected exactly two dominant maxima"

@@ -133,6 +133,13 @@ def test_sampled_run_reproduces_committed_baseline(fixture_dir, tmp_path):
         assert produced == committed, f"{name} deviates from the baseline"
 
 
+def test_spectrum_builds_the_step_once(fixture_dir, tmp_path):
+    """One ``spectrum`` run compiles the sector step once for all six pairs."""
+    with mock.patch.object(sp, "program_unitary", wraps=sp.program_unitary) as build:
+        run_cli(*spectrum_args(fixture_dir, EXACT, tmp_path / "exact"))
+    assert build.call_count == 1
+
+
 def test_missing_dipole_file_error(fixture_dir, tmp_path):
     proc = run_cli("spectrum",
                    "--hamiltonian", str(fixture_dir / "hamiltonian.fcidump"),
@@ -169,6 +176,10 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
     user_input("cvs_outside_register", EXACT + ["--cvs", "9"], "invalid_config"),
     user_input("seed_negative", SAMPLED + ["--seed", "-1"], "invalid_config"),
     user_input("shots_negative", EXACT + ["--shots", "-5"], "invalid_config"),
+    user_input("shots_over_int64", EXACT + ["--shots", "100000000000000000000"],
+               "invalid_config"),
+    user_input("shots_over_float_precision", EXACT + ["--shots", "1152921504606846979"],
+               "invalid_config"),
     user_input("k_zero", EXACT + ["--k", "0"], "invalid_config"),
     user_input("epsilon_trunc_above_one", EXACT + ["--epsilon-trunc", "2"],
                "invalid_config"),

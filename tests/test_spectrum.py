@@ -12,10 +12,10 @@ from dsfsim import spectrum as sp
 from dsfsim.operators import QVector
 from dsfsim.spectrum import (GreensSeries, RunPlan, Spectrum, allocate_shots,
                              assemble_dsf, cross_section, default_omega_grid,
-                             isotropic_dsf, largest_remainder, measure_series,
-                             plan_run, reconstruct_intensity, resample_series,
-                             series_from_json, series_to_json, spectrum_from_csv,
-                             spectrum_to_csv)
+                             isotropic_dsf, largest_remainder, measure_all,
+                             measure_series, plan_run, reconstruct_intensity,
+                             resample_series, series_from_json, series_to_json,
+                             spectrum_from_csv, spectrum_to_csv)
 
 
 def uniform_moments():
@@ -124,7 +124,7 @@ def test_largest_remainder_conserves(weights, total):
 
 
 # ---------------------------------------------------------------------------
-# measure_series / resample
+# measure_all / resample
 # ---------------------------------------------------------------------------
 
 def test_series_time_zero_limit(toy):
@@ -148,7 +148,7 @@ def test_exact_series_matches_eigendecomposition(toy, two_orb):
         step_err = np.linalg.norm(
             emulator.program_unitary(prog)
             - scipy.linalg.expm(-1j * pauli_sum_dense(model.shifted) * plan.tau), 2)
-        series = measure_series("xy", plan, model.states, prog, mode="exact")
+        series = measure_all(plan, model.states, prog, mode="exact")["xy"]
         norms = series.norm_product
         for n in (1, 3, series.n_max):
             want = oracle.exact_greens(model.eig, model.trans, "xy", plan.tau, n)
@@ -159,7 +159,7 @@ def test_exact_series_matches_eigendecomposition(toy, two_orb):
 def test_sampled_variance_matches_bernoulli(toy):
     plan = toy.plan(shots=60000)
     prog = toy.program()
-    exact = measure_series("zz", plan, toy.states, prog, mode="exact")
+    exact = measure_all(plan, toy.states, prog, mode="exact")["zz"]
     n_probe = 2
     shots_re, _ = sp.split_shots(int(exact.shots[n_probe - 1]))
     value = exact.x[n_probe - 1] / exact.norm_product
@@ -173,23 +173,41 @@ def test_sampled_variance_matches_bernoulli(toy):
 def test_sampled_series_deterministic_per_seed(toy):
     plan = toy.plan(shots=3000)
     prog = toy.program()
-    s1 = measure_series("xx", plan, toy.states, prog, mode="sampled", master_seed=9)
-    s2 = measure_series("xx", plan, toy.states, prog, mode="sampled", master_seed=9)
+    s1 = measure_all(plan, toy.states, prog, mode="sampled", master_seed=9)["xx"]
+    s2 = measure_all(plan, toy.states, prog, mode="sampled", master_seed=9)["xx"]
     assert np.array_equal(s1.x, s2.x) and np.array_equal(s1.y, s2.y)
-    s3 = measure_series("xx", plan, toy.states, prog, mode="sampled", master_seed=10)
+    s3 = measure_all(plan, toy.states, prog, mode="sampled", master_seed=10)["xx"]
     assert not np.array_equal(s1.x, s3.x)
 
 
 def test_resample_matches_fresh_measurement(toy):
-    """Resampling an exact series equals a fresh sampled measurement."""
+    """Resampling an exact series equals a fresh sampled measurement, bit for bit."""
     plan = toy.plan(shots=2000)
     prog = toy.program()
-    exact = measure_series("yy", plan, toy.states, prog, mode="exact")
-    direct = measure_series("yy", plan, toy.states, prog, mode="sampled",
-                            master_seed=4)
+    exact = measure_all(plan, toy.states, prog, mode="exact")["yy"]
+    direct = measure_all(plan, toy.states, prog, mode="sampled", master_seed=4)["yy"]
     redrawn = resample_series(exact, master_seed=4)
-    assert np.allclose(direct.x, redrawn.x, atol=1e-12)
-    assert np.allclose(direct.y, redrawn.y, atol=1e-12)
+    assert np.array_equal(direct.x, redrawn.x)
+    assert np.array_equal(direct.y, redrawn.y)
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_measure_series_is_one_pair_of_measure_all(toy, mode):
+    """The per-pair entry point returns ``measure_all``'s series bit for bit."""
+    plan = toy.plan(shots=2000)
+    prog = toy.program()
+    every = measure_all(plan, toy.states, prog, mode=mode, master_seed=7)
+    for pair in sp.PAIR_KEYS:
+        one = measure_series(pair, plan, toy.states, prog, mode=mode, master_seed=7)
+        assert one.exact == (mode == "exact")
+        for field in ("x", "y", "shots"):
+            assert np.array_equal(getattr(one, field), getattr(every[pair], field))
+    with pytest.raises(ValueError, match="unknown pair"):
+        measure_series("xw", plan, toy.states, prog, mode=mode)
+    with pytest.raises(ValueError, match="unknown mode"):
+        measure_series("xx", plan, toy.states, prog, mode="oracle")
+    with pytest.raises(ValueError, match="unknown mode"):
+        measure_all(plan, toy.states, prog, mode="oracle")
 
 
 @pytest.mark.parametrize("bias", [1.0, -1.0])
@@ -220,7 +238,7 @@ def test_resample_records_zero_without_shots():
 
 def test_series_bound_invariant(toy):
     plan = toy.plan(shots=1200)
-    series = measure_series("xy", plan, toy.states, toy.program(), mode="exact")
+    series = measure_all(plan, toy.states, toy.program(), mode="exact")["xy"]
     assert np.all(np.abs(series.x) <= series.norm_product + 1e-12)
     assert np.all(np.abs(series.y) <= series.norm_product + 1e-12)
 
@@ -273,7 +291,7 @@ def direct_intensity(series, omega):
 
 def toy_series(toy, epsilon_trunc):
     plan = toy.plan(epsilon_trunc=epsilon_trunc)
-    series = measure_series("xy", plan, toy.states, toy.program(), mode="exact")
+    series = measure_all(plan, toy.states, toy.program(), mode="exact")["xy"]
     return series, default_omega_grid(plan.tau, toy.eta)
 
 
@@ -324,9 +342,9 @@ def test_reconstruct_matches_oracle_lorentzians(toy):
     plan = toy.plan(epsilon_trunc=1e-6)
     prog = toy.program(k=32)
     grid = default_omega_grid(plan.tau, toy.eta)
+    every = measure_all(plan, toy.states, prog, mode="exact")
     for pair in ("xx", "xy"):
-        series = measure_series(pair, plan, toy.states, prog, mode="exact")
-        rec = reconstruct_intensity(series, grid)
+        rec = reconstruct_intensity(every[pair], grid)
         ora = oracle.exact_intensity(toy.eig, toy.trans, pair, toy.eta, grid)
         rel = np.max(np.abs(rec.values - ora.values)) / np.max(np.abs(ora.values))
         assert rel < 2e-3
@@ -337,8 +355,9 @@ def test_diagonal_positivity(toy):
     prog = toy.program(k=8)
     grid = default_omega_grid(plan.tau, toy.eta)
     floor = -10 * plan.epsilon_trunc
+    every = measure_all(plan, toy.states, prog, mode="exact")
     for pair in sp.DIAGONAL_KEYS:
-        series = measure_series(pair, plan, toy.states, prog, mode="exact")
+        series = every[pair]
         rec = reconstruct_intensity(series, grid)
         assert np.min(rec.values) >= floor * max(1.0, series.moment0)
 
@@ -348,9 +367,8 @@ def test_diagonal_positivity(toy):
 # ---------------------------------------------------------------------------
 
 def contributions_on(grid, toy, plan, prog):
-    return {p: reconstruct_intensity(
-        measure_series(p, plan, toy.states, prog, mode="exact"), grid)
-        for p in sp.PAIR_KEYS}
+    return {p: reconstruct_intensity(s, grid)
+            for p, s in measure_all(plan, toy.states, prog, mode="exact").items()}
 
 
 @pytest.fixture(scope="module")
@@ -454,7 +472,7 @@ def test_sampling_budget_calibrates_error_scale(toy):
     plan = RunPlan(tau=plan0.tau, eta=toy.eta, k=4, budgets=budgets,
                    epsilon_trunc=plan0.epsilon_trunc)
     prog = toy.program()
-    exact = measure_series("zz", plan, toy.states, prog, mode="exact")
+    exact = measure_all(plan, toy.states, prog, mode="exact")["zz"]
     # every time point must stay measured, else an unmodeled truncation bias
     # enters; the budget formula presumes this regime
     assert exact.shots.min() >= 1
@@ -501,8 +519,8 @@ def test_sampling_budget_calibrates_error_scale(toy):
 
 def test_series_json_round_trip(toy):
     plan = toy.plan(shots=900)
-    series = measure_series("xz", plan, toy.states, toy.program(), mode="sampled",
-                            master_seed=3)
+    series = measure_all(plan, toy.states, toy.program(), mode="sampled",
+                         master_seed=3)["xz"]
     back = series_from_json(series_to_json(series))
     assert back.pair == series.pair
     assert back.tau == series.tau
