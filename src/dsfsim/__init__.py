@@ -6,7 +6,7 @@ from .operators import (DipoleOperator, Hamiltonian, QVector, from_core_integral
                         write_fcidump)
 from .pauli import PauliSum
 from .ci import (CIVector, Determinant, apply_one_body, ci_to_statevector,
-                 cvs_project, normalize)
+                 cvs_mask, normalize)
 from .emulator import TrotterProgram, apply_trotter, build_trotter
 from .oracle import (EigenSystem, TransitionTable, build_ci_matrix, exact_greens,
                      exact_intensity, exact_spectrum, sector_basis, solve_sector,

@@ -33,7 +33,7 @@ def check_dense(dim: int) -> None:
 
 
 class AnnihilatedError(ValueError):
-    """An operator or projection mapped the state to zero.
+    """An operator mapped the state to zero.
 
     Signals a symmetry-forbidden channel; callers record an identically
     zero contribution for it.
@@ -110,14 +110,6 @@ class CIVector:
         return float(np.sqrt(sum(abs(a) ** 2 for a in self.entries.values())))
 
 
-def overlap(a: CIVector, b: CIVector) -> complex:
-    """<a|b> computed sparsely; a diagnostic for input-state quality."""
-    if len(a.entries) > len(b.entries):
-        return complex(np.conj(overlap(b, a)))
-    return complex(sum(np.conj(a.entries[d]) * b.entries[d]
-                       for d in a.entries if d in b.entries))
-
-
 def _hop_sign(word: int, src: int, dst: int) -> float:
     """Fermionic sign of a+_dst a_src on occupation ``word`` (src occupied)."""
     if src == dst:
@@ -174,16 +166,20 @@ def normalize(v: CIVector) -> tuple[CIVector, float]:
     return unit, norm
 
 
+def register_state(n_orbitals: int, words, amplitudes) -> np.ndarray:
+    """``amplitudes`` (a row per occupation word in ``words``) on the 2^(2n) register."""
+    if 2 * n_orbitals > STATEVECTOR_QUBIT_CAP:
+        raise SectorTooLarge(f"{2 * n_orbitals} qubits exceed the statevector cap "
+                             f"{STATEVECTOR_QUBIT_CAP}")
+    state = np.zeros((4 ** n_orbitals,) + np.shape(amplitudes)[1:], dtype=complex)
+    state[words] = amplitudes
+    return state
+
+
 def ci_to_statevector(v: CIVector) -> np.ndarray:
     """Dense statevector over 2*n_orbitals qubits (index = occupation word)."""
-    n_qubits = 2 * v.n_orbitals
-    if n_qubits > STATEVECTOR_QUBIT_CAP:
-        raise SectorTooLarge(f"{n_qubits} qubits exceed the statevector cap "
-                         f"{STATEVECTOR_QUBIT_CAP}")
-    state = np.zeros(1 << n_qubits, dtype=complex)
-    for det, amp in v.entries.items():
-        state[det.interleaved()] = amp
-    return state
+    return register_state(v.n_orbitals, [det.interleaved() for det in v.entries],
+                          list(v.entries.values()))
 
 
 def amplitudes_on(v: CIVector, words: np.ndarray) -> np.ndarray:
@@ -218,24 +214,20 @@ def sector_words(n_orbitals: int, n_alpha: int, n_beta: int) -> np.ndarray:
     return np.array([d.interleaved() for d in sector_basis(n_orbitals, n_alpha, n_beta)])
 
 
-def cvs_project(v: CIVector, core_orbitals: Iterable[int]) -> CIVector:
-    """Keep determinants with exactly one hole (over both spins) in the core.
+def cvs_mask(words: np.ndarray, core_orbitals: Iterable[int], n_orbitals: int) -> np.ndarray:
+    """Which occupation ``words`` have exactly one hole (over both spins) in the core.
 
-    Used on dipole-rotated states so the propagated state stays in the
-    core-excited window.
+    Core-valence separation keeps these rows of a dipole-rotated state so the
+    propagated state stays in the core-excited window.  A core orbital
+    outside the ``n_orbitals`` register raises ValueError.
     """
-    core = set(int(c) for c in core_orbitals)
-    if any(c < 0 or c >= v.n_orbitals for c in core):
+    core = {int(c) for c in core_orbitals}
+    if any(c < 0 or c >= n_orbitals for c in core):
         raise ValueError("core orbital outside the register")
-    kept = {}
-    for det, amp in v.entries.items():
-        holes = sum(2 - ((det.occ_alpha >> c) & 1) - ((det.occ_beta >> c) & 1)
-                    for c in core)
-        if holes == 1:
-            kept[det] = amp
-    if not kept:
-        raise AnnihilatedError("CVS projection annihilated state")
-    return CIVector(v.n_orbitals, kept)
+    words = np.asarray(words)
+    occupied = sum(((words >> s) & 1 for c in core for s in (2 * c, 2 * c + 1)),
+                   np.zeros_like(words))
+    return occupied == 2 * len(core) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def parse_energy(text) -> float:
     raw = str(text).strip()
     lowered = raw.lower()
     try:
-        if isinstance(text, (int, float)):
+        if _is_number(text):
             value = float(text)
         elif lowered.endswith("ev"):
             value = float(raw[:-2]) / HARTREE_TO_EV
@@ -102,12 +102,10 @@ def _parse_list(text: str, kind: type) -> list:
 
 
 def _is_number(value, integer: bool = False) -> bool:
-    """A finite int or float that is not a bool; an int when ``integer``."""
-    if isinstance(value, bool):
+    """A finite int or float, not a bool, within the float range; an int when ``integer``."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         return False
-    if isinstance(value, int):
-        return True
-    return (not integer and isinstance(value, float) and math.isfinite(value))
+    return abs(value) <= sys.float_info.max  # False for nan, inf and ints beyond any float
 
 
 def _check_config(cfg: RunConfig) -> None:
@@ -156,10 +154,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     """``args`` over its ``--config`` document, which may set only the command's flags."""
     cfg = RunConfig()
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise CliError("input_not_found", f"config file {path} does not exist",
-                           EXIT_INPUT_NOT_FOUND)
+        path = _require_file(args.config, "config")
         try:
             doc = json.loads(path.read_text())
         except ValueError as exc:
@@ -196,6 +191,8 @@ def _require_file(path_str: str, what: str) -> Path:
     if not path.exists():
         raise CliError("input_not_found", f"{what} file {path} does not exist",
                        EXIT_INPUT_NOT_FOUND)
+    if not path.is_file():
+        raise CliError("invalid_config", f"{what} path {path} is not a file")
     return path
 
 
@@ -206,8 +203,11 @@ def _load_inputs(cfg: RunConfig):
     """
     ham_path = _require_file(cfg.hamiltonian, "hamiltonian")
     dip_path = _require_file(cfg.dipoles, "dipole")
-    h, header = read_fcidump_file(ham_path)
-    dip = load_dipole_json(dip_path.read_text())
+    try:
+        h, header = read_fcidump_file(ham_path)
+        dip = load_dipole_json(dip_path.read_text())
+    except (ValueError, LookupError, TypeError) as exc:
+        raise CliError("invalid_config", f"{type(exc).__name__}: {exc}") from None
     if dip.n_orbitals != h.n_orbitals:
         raise CliError("invalid_config", "dipole and Hamiltonian orbital counts differ")
     if any(c >= h.n_orbitals for c in cfg.cvs):
@@ -241,8 +241,8 @@ def _load_ground_state(cfg: RunConfig, h, header):
         eig = oracle.solve_sector(h, n_alpha, n_beta)
         return eig.eigenvector(0), eig.ground_energy, eig
     path = _require_file(cfg.ground_state, "ground state")
-    text = path.read_text()
     try:
+        text = path.read_text()
         if path.suffix == ".jsonl":
             psi0 = ci_mod.normalize(ci_mod.read_civector_jsonl(text))[0]
             e0 = eig = None
@@ -283,6 +283,15 @@ def _manifest(cfg: RunConfig, args: argparse.Namespace, extra: dict,
         "versions": {"dsfsim": __version__, "numpy": np.__version__},
         **extra,
     }
+
+
+def _outdir(path: str) -> Path:
+    """The output directory, created if missing; refused if it cannot be one."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError("invalid_config", f"output directory {path}: {exc}") from None
+    return Path(path)
 
 
 def _write(outdir: Path, name: str, text: str) -> None:
@@ -340,8 +349,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                                          ci_mod.amplitudes_on(psi0, states.basis))
     prog = emulator.build_trotter(psum.shifted_identity(-e0), plan.tau, plan.k)
     series = sp.measure_all(plan, states, prog, cfg.mode, cfg.seed)
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(cfg.out)
     contribs = {}
     for pair, ser in series.items():
         _write(outdir, f"greens_{pair}.json", sp.series_to_json(ser) + "\n")
@@ -380,8 +388,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise CliError("invalid_config", str(exc)) from None
     delta = _resolve_window(cfg, eig, eta)
     grid, shown = _omega_grids(delta, eta, cfg.shift_ev)
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(cfg.out)
     _write(outdir, "eigensystem.json", oracle.eigensystem_to_json(eig) + "\n")
     _write(outdir, "ground_state.jsonl", ci_mod.write_civector_jsonl(psi0))
     for pair in sp.PAIR_KEYS:
@@ -431,8 +438,7 @@ def cmd_resources(args: argparse.Namespace) -> int:
     except (ValueError, ArithmeticError) as exc:  # outside the calibrated model
         raise CliError("invalid_config", str(exc)) from None
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        outdir = _outdir(args.out)
         name = "resources_table.csv" if args.table else "resources.json"
         _write(outdir, name, text)
     else:
@@ -458,7 +464,7 @@ def cmd_gen_fixtures(args: argparse.Namespace) -> int:
                                   core_gap=args.core_gap)
     except ValueError as exc:
         raise CliError("invalid_config", str(exc)) from None
-    paths = fixtures.write_fixture(spec, args.out)
+    paths = fixtures.write_fixture(spec, _outdir(args.out))
     for name, path in paths.items():
         print(f"{name}: {path}")
     return 0

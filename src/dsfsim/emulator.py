@@ -1,13 +1,17 @@
-"""Trotterized evolution and the ancilla-register reference of the Hadamard test.
+"""Trotterized evolution, Pauli sums on a sector, and the ancilla-register
+reference of the Hadamard test.
 
-``spectrum.measure_all`` evolves each branch on a sector and takes its
-inner products, which reproduces the ancilla circuit's measurement
-statistics exactly: P(0) = (1 + value)/2.  ``hadamard_test_via_ancilla``
-builds the explicit register to certify that equivalence on small models.
+Everything runs on sorted basis words (the register, or a conserved
+sector): the words of an X-mask group all flip the same bits x, so a group
+couples each pair (b, b ^ x) and its exponential is an exact 2x2 rotation
+of that pair.  The same couplings give H c (``sector_apply``, which builds
+the dipole block in ``spectrum.prepare_dipole_states``) and <c|H|c>.
 
-Evolution runs on sorted basis words (the register, or a conserved sector):
-the words of an X-mask group all flip the same bits x, so the group's
-exponential is an exact 2x2 rotation of each pair (b, b ^ x).
+``spectrum.dipole_overlaps`` evolves the d x 3 dipole block on a sector and
+takes its inner products, which reproduces the ancilla circuit's
+measurement statistics exactly: P(0) = (1 + value)/2.
+``hadamard_test_via_ancilla`` builds the explicit register to certify that
+equivalence on small models.
 """
 from __future__ import annotations
 
@@ -116,15 +120,18 @@ def _group_factors(prog: TrotterProgram, basis: np.ndarray, theta: float) -> lis
     return factors
 
 
-def sector_expectation(paulis: PauliSum, basis: np.ndarray, amplitudes: np.ndarray) -> float:
-    """<c|H|c> of a Hermitian sum for amplitudes ``c`` on sorted ``basis`` words.
+def sector_apply(paulis: PauliSum, basis: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """H c for amplitudes ``c`` on sorted ``basis`` words, summed over the same
+    X-mask couplings as the Trotter step; a sum that leaves the basis raises ValueError."""
+    out = np.zeros(len(basis), dtype=complex)
+    for rows, partner, g in _couplings(((x, z, coeff) for coeff, x, z in paulis.terms), basis):
+        out[rows] += g * amplitudes[partner]
+    return out
 
-    Sums the same X-mask couplings as the Trotter step, identity term
-    included, so a sum that leaves the basis raises ValueError.
-    """
-    terms = ((x, z, coeff) for coeff, x, z in paulis.terms)
-    return float(sum(np.vdot(amplitudes[rows], g * amplitudes[partner])
-                     for rows, partner, g in _couplings(terms, basis)).real)
+
+def sector_expectation(paulis: PauliSum, basis: np.ndarray, amplitudes: np.ndarray) -> float:
+    """<c|H|c> of a Hermitian sum for amplitudes ``c`` on sorted ``basis`` words."""
+    return float(np.vdot(amplitudes, sector_apply(paulis, basis, amplitudes)).real)
 
 
 def _sweep(block: np.ndarray, factors: list) -> np.ndarray:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ci as ci_mod
-from .ci import AnnihilatedError, CIVector, cvs_project, normalize
-from .emulator import IMAG, REAL, TrotterProgram, program_unitary
-from .operators import DipoleOperator, QVector
+from .ci import CIVector
+from .emulator import IMAG, REAL, TrotterProgram, program_unitary, sector_apply
+from .operators import DipoleOperator, QVector, one_body_to_pauli
 
 HARTREE_TO_EV = 27.211386245988
 
@@ -203,10 +203,10 @@ class DipoleStates:
     """Unit dipole-rotated states on the ground state's sector, plus norms and moments."""
 
     norms: dict[str, float]
-    kets: dict[str, np.ndarray | None]   # amplitudes on ``basis``
+    kets: np.ndarray     # (d, 3): column a is the unit mu_a |psi0> on ``basis``, 0 if dark
     moments: np.ndarray  # (3, 3), <psi0| mu_a mu_b |psi0> on the prepared states
     basis: np.ndarray    # sorted words of the ground state's (N_alpha, N_beta) sector
-    units: dict[str, CIVector | None]    # the same unit states, sparse
+    n_orbitals: int
 
     def norm_product(self, pair: str) -> float:
         return self.norms[pair[0]] * self.norms[pair[1]]
@@ -216,47 +216,38 @@ class DipoleStates:
 
     @property
     def vectors(self) -> dict[str, np.ndarray | None]:
-        """Each unit state on all 2^(2n) register amplitudes, for register-level
-        references only; ``ci.STATEVECTOR_QUBIT_CAP`` bounds it."""
-        return {axis: None if unit is None else ci_mod.ci_to_statevector(unit)
-                for axis, unit in self.units.items()}
+        """Each unit state on all 2^(2n) register amplitudes (None if dark), for
+        register-level references only; ``ci.STATEVECTOR_QUBIT_CAP`` bounds it."""
+        block = ci_mod.register_state(self.n_orbitals, self.basis, self.kets)
+        return {axis: block[:, i] if self.norms[axis] else None
+                for i, axis in enumerate(AXES)}
 
 
 def prepare_dipole_states(ground: CIVector, dipole: DipoleOperator,
                           core_orbitals=None) -> DipoleStates:
-    """Apply each dipole component to the ground state and normalize.
+    """Apply each dipole component to the ground state on its sector and normalize.
 
-    With ``core_orbitals`` given, states are projected onto single-core-hole
-    determinants first (core-valence separation); moments are taken on the
-    projected vectors so the n = 0 limit of the measured series matches.
-    Channels annihilated by the dipole (or the projection) get zero norm and
-    contribute an identically zero intensity.  A sector over
-    ``ci.DENSE_CAP`` states raises ``ci.SectorTooLarge`` before any is built.
+    Column a of the (d, 3) block is the qubit operator of mu_a applied to
+    psi0 by ``emulator.sector_apply``.  With ``core_orbitals`` given, rows
+    off the single-core-hole determinants are zeroed (core-valence
+    separation, ``ci.cvs_mask``); moments are taken on the projected columns
+    so the n = 0 limit of the measured series matches.  A column the dipole
+    (or the projection) annihilates gets zero norm and contributes an
+    identically zero intensity.  A sector over ``ci.DENSE_CAP`` states
+    raises ``ci.SectorTooLarge`` before any is built.
     """
-    ci_mod.check_dense(ci_mod.sector_dimension(ground.n_orbitals, ground.n_alpha, ground.n_beta))
-    raw: dict[str, CIVector | None] = {}
-    for axis in AXES:
-        try:
-            w = ci_mod.apply_one_body(dipole.component(axis), ground)
-            if core_orbitals is not None:
-                w = cvs_project(w, core_orbitals)
-        except AnnihilatedError:
-            w = None
-        raw[axis] = w
-    moments = np.zeros((3, 3))
-    for i, a in enumerate(AXES):
-        for j, b in enumerate(AXES):
-            if raw[a] is not None and raw[b] is not None:
-                moments[i, j] = float(np.real(ci_mod.overlap(raw[a], raw[b])))
-    basis = ci_mod.sector_words(ground.n_orbitals, ground.n_alpha, ground.n_beta)
-    norms, kets, units = {}, {}, {}
-    for axis in AXES:
-        if raw[axis] is None:
-            norms[axis], kets[axis], units[axis] = 0.0, None, None
-            continue
-        units[axis], norms[axis] = normalize(raw[axis])
-        kets[axis] = ci_mod.amplitudes_on(units[axis], basis)
-    return DipoleStates(norms=norms, kets=kets, moments=moments, basis=basis, units=units)
+    n = ground.n_orbitals
+    ci_mod.check_dense(ci_mod.sector_dimension(n, ground.n_alpha, ground.n_beta))
+    basis = ci_mod.sector_words(n, ground.n_alpha, ground.n_beta)
+    psi0 = ci_mod.amplitudes_on(ground, basis)
+    raw = np.column_stack([sector_apply(one_body_to_pauli(dipole.component(axis)), basis, psi0)
+                           for axis in AXES])
+    if core_orbitals is not None:
+        raw[~ci_mod.cvs_mask(basis, core_orbitals, n)] = 0.0
+    norms = np.linalg.norm(raw, axis=0)
+    return DipoleStates(norms=dict(zip(AXES, map(float, norms))),
+                        kets=raw / np.where(norms > 0.0, norms, 1.0),
+                        moments=(raw.conj().T @ raw).real, basis=basis, n_orbitals=n)
 
 
 # ---------------------------------------------------------------------------
@@ -286,40 +277,46 @@ def _sample_biases(pair: str, which: str, biases: np.ndarray, shots: np.ndarray,
     return np.where(counts > 0, 2.0 * successes / np.maximum(counts, 1) - 1.0, 0.0)
 
 
+def dipole_overlaps(states: DipoleStates, program: TrotterProgram, n_max: int) -> np.ndarray:
+    """(n_max, 3, 3) overlaps [n - 1, b, a] = <b|U^n|a> of the unit dipole states.
+
+    One outer Trotter step is compiled into a d x d matrix once
+    (``emulator.program_unitary``); each step advances the d x 3 block by
+    one matrix product and takes the nine overlaps with one more.
+    """
+    step = program_unitary(program, states.basis)
+    bras, current = states.kets.conj().T, states.kets
+    out = np.empty((n_max, len(AXES), len(AXES)), dtype=complex)
+    for n in range(n_max):
+        current = step @ current
+        out[n] = bras @ current
+    return out
+
+
 def measure_all(plan: RunPlan, states: DipoleStates, program: TrotterProgram,
                 mode: str = "sampled", master_seed: int = 0) -> dict[str, GreensSeries]:
     """Run the Hadamard-test schedule for all six Cartesian pairs.
 
-    The evolution runs on the d amplitudes of the ground state's sector: one
-    outer Trotter step is compiled into a d x d matrix once
-    (``emulator.program_unitary``), each nonzero ket is advanced by
-    matrix-vector products, and every pair it opens reads its overlap with
-    the bra.  A pair with a zero-norm state records zeros.  In exact mode
-    sampling is bypassed and the recorded values are the exact circuit biases
-    (shot counts are still recorded so the same series can be resampled
-    later); sampled mode draws them with ``resample_series``.
+    The evolution runs on the d amplitudes of the ground state's sector
+    (``dipole_overlaps``); pair ab reads <b|U^n|a>, and a pair with a
+    zero-norm state records +0.0 (a dark column's products may be -0.0).  In exact mode sampling is bypassed and
+    the recorded values are the exact circuit biases (shot counts are still
+    recorded so the same series can be resampled later); sampled mode draws
+    them with ``resample_series``.
     """
     if mode not in ("sampled", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    step = program_unitary(program, states.basis)
-    amplitudes = {pair: np.zeros(plan.n_max, dtype=complex) for pair in PAIR_KEYS}
-    for axis in AXES:
-        current = states.kets[axis]
-        if current is None:
-            continue
-        pairs = [p for p in PAIR_KEYS if p[0] == axis and states.kets[p[1]] is not None]
-        for n in range(plan.n_max):
-            current = step @ current
-            for pair in pairs:
-                amplitudes[pair][n] = np.vdot(states.kets[pair[1]], current)
+    overlaps = dipole_overlaps(states, program, plan.n_max)
     series = {}
     for pair in PAIR_KEYS:
         norm_product = states.norm_product(pair)
+        biases = (overlaps[:, AXES.index(pair[1]), AXES.index(pair[0])] if norm_product
+                  else np.zeros(plan.n_max, dtype=complex))
         exact = GreensSeries(
             pair=pair, tau=plan.tau, eta=plan.eta, n_max=plan.n_max,
             norm_product=norm_product, moment0=states.pair_moment(pair),
-            x=norm_product * np.clip(amplitudes[pair].real, -1.0, 1.0),
-            y=norm_product * np.clip(amplitudes[pair].imag, -1.0, 1.0),
+            x=norm_product * np.clip(biases.real, -1.0, 1.0),
+            y=norm_product * np.clip(biases.imag, -1.0, 1.0),
             shots=allocate_shots(plan.budgets[pair], plan.eta, plan.tau, plan.n_max),
             exact=True)
         series[pair] = exact if mode == "exact" else resample_series(exact, master_seed)

@@ -125,14 +125,8 @@ def check_pair_symmetry() -> tuple[bool, str]:
     """<b|U^n|a> = <a|U^n|b> for all dipole states, through the sector step."""
     worst = 0.0
     for model, _, prog, _ in _runs():
-        states = model.states
-        kets = np.column_stack([k for k in states.kets.values() if k is not None])
-        step, evolved = emulator.program_unitary(prog, states.basis), kets
-        for n in range(1, max(REPS) + 1):
-            evolved = step @ evolved
-            if n in REPS:
-                overlaps = kets.conj().T @ evolved
-                worst = max(worst, float(np.max(np.abs(overlaps - overlaps.T))))
+        overlaps = sp.dipole_overlaps(model.states, prog, max(REPS))[np.array(REPS) - 1]
+        worst = max(worst, float(np.max(np.abs(overlaps - overlaps.transpose(0, 2, 1)))))
     return worst <= TOL, f"max pair asymmetry = {worst:.2e}"
 
 

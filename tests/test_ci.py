@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from dsfsim import ci, emulator, oracle, pauli
 from dsfsim import spectrum as sp
 from dsfsim.ci import (AnnihilatedError, CIVector, Determinant, apply_one_body,
-                       ci_to_statevector, cvs_project, normalize, overlap,
+                       ci_to_statevector, cvs_mask, normalize,
                        read_civector_jsonl, write_civector_jsonl)
 from dsfsim.operators import one_body_to_pauli
 
@@ -18,6 +18,12 @@ def random_civector(n_orbitals, n_alpha, n_beta, seed, complex_amps=True):
     if complex_amps:
         amps = amps + 1j * rng.normal(size=len(basis))
     return CIVector(n_orbitals, dict(zip(basis, amps)))
+
+
+def overlap(a, b):
+    """<a|b> of two sparse CI vectors."""
+    return complex(sum(np.conj(amp) * b.entries[d] for d, amp in a.entries.items()
+                       if d in b.entries))
 
 
 def random_symmetric(n, seed, scale=1.0):
@@ -192,35 +198,41 @@ def test_moment_completeness_oracle(two_orb):
 
 
 def test_cvs_requires_single_hole():
-    full_core = CIVector(3, {Determinant(0b011, 0b001): 1.0})
-    with pytest.raises(ValueError, match="annihilated"):
-        cvs_project(full_core, [0])
-    mixed = CIVector(3, {Determinant(0b010, 0b001): 0.8,   # alpha core hole
-                         Determinant(0b001, 0b001): 0.6})  # core filled
-    projected = cvs_project(mixed, [0])
-    assert projected.entries == {Determinant(0b010, 0b001): 0.8}
+    dets = [Determinant(0b011, 0b001),   # core filled, valence alpha
+            Determinant(0b010, 0b001),   # alpha core hole
+            Determinant(0b001, 0b010),   # beta core hole
+            Determinant(0b010, 0b010)]   # both core spin orbitals empty
+    words = np.array([d.interleaved() for d in dets])
+    assert cvs_mask(words, [0], 3).tolist() == [False, True, True, False]
+    # two core orbitals: one hole over both of them, not one in each
+    two_core = np.array([Determinant(0b101, 0b001).interleaved(),   # beta hole in 2
+                         Determinant(0b001, 0b100).interleaved(),   # holes in 0 and 2
+                         Determinant(0b101, 0b101).interleaved()])  # core filled
+    assert cvs_mask(two_core, [0, 2], 3).tolist() == [True, False, False]
 
 
 def test_cvs_rejects_bad_orbital():
-    v = random_civector(2, 1, 1, seed=71)
-    with pytest.raises(ValueError, match="outside"):
-        cvs_project(v, [5])
+    words = ci.sector_words(2, 1, 1)
+    for core in ([5], [2], [-1]):
+        with pytest.raises(ValueError, match="outside"):
+            cvs_mask(words, core, 2)
 
 
 def test_cvs_oracle_spectrum_agreement(toy):
-    """Projected vs raw dipole states give the same core-window spectrum.
+    """Masked vs raw dipole states give the same core-window spectrum.
 
     The toy couples core and valence at 0.01 Ha against a 20 Ha gap, so
     weights inside the core window agree to ~(0.01/20)^2.
     """
     excit = toy.eig.energies - toy.eig.ground_energy
     window = (excit > toy.spec.core_gap - 2.0)
+    keep = cvs_mask(toy.states.basis, [0], toy.spec.n_orbitals)
     worst = 0.0
     for axis in "xyz":
         raw = apply_one_body(toy.dipole.component(axis), toy.psi0, prune=0.0)
-        projected = cvs_project(raw, [0])
-        wr = toy.eig.coeffs.T @ ci.amplitudes_on(raw, toy.states.basis).real
-        wp = toy.eig.coeffs.T @ ci.amplitudes_on(projected, toy.states.basis).real
+        amps = ci.amplitudes_on(raw, toy.states.basis).real
+        wr = toy.eig.coeffs.T @ amps
+        wp = toy.eig.coeffs.T @ np.where(keep, amps, 0.0)
         diff = np.max(np.abs(wr[window] ** 2 - wp[window] ** 2))
         worst = max(worst, diff / np.max(wr[window] ** 2))
     assert worst < 1e-6

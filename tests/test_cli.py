@@ -12,6 +12,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dsfsim import ci, cli, oracle, validate
 from dsfsim import spectrum as sp
@@ -169,6 +171,9 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
     user_input("config_q_two_components", ["spectrum"], "invalid_config",
                config={"q": [[1, 1]]}),
     user_input("config_not_an_object", ["spectrum"], "invalid_config", config=5),
+    user_input("config_eta_bool", ["spectrum"], "invalid_config", config={"eta": True}),
+    user_input("config_delta_beyond_the_float_range", ["spectrum"], "invalid_config",
+               config={"delta": 10**400}),
     user_input("q_not_a_number", EXACT + ["--q", "1,a"], "invalid_config"),
     user_input("k_not_an_integer", EXACT + ["--k", "abc"], "invalid_config"),
     user_input("mode_unknown", EXACT + ["--mode", "bogus"], "invalid_config"),
@@ -288,6 +293,55 @@ def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs):
     else:
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"]["kind"] == expected
+
+
+def test_unusable_paths_are_refused(fixture_dir, tmp_path):
+    """An input path that is a directory or holds the wrong format, and an output
+    path that is a file, end in ``invalid_config``."""
+    ham, dip = str(fixture_dir / "hamiltonian.fcidump"), str(fixture_dir / "dipoles.json")
+    a_file, binary, out = tmp_path / "a_file", tmp_path / "binary.jsonl", str(tmp_path / "out")
+    a_file.write_text("")
+    binary.write_bytes(b"\xff\xfe")
+    for args in (EXACT + ["--hamiltonian", str(tmp_path), "--dipoles", dip, "--out", out],
+                 EXACT + ["--hamiltonian", dip, "--dipoles", dip, "--out", out],
+                 EXACT + ["--hamiltonian", ham, "--dipoles", ham, "--out", out],
+                 EXACT + ["--hamiltonian", ham, "--dipoles", dip, "--out", str(a_file)],
+                 ["spectrum", "--config", str(tmp_path), "--hamiltonian", ham,
+                  "--dipoles", dip, "--out", out],
+                 ["spectrum", "--ground-state", str(binary), "--delta", "2.0",
+                  "--hamiltonian", ham, "--dipoles", dip, "--out", out],
+                 ["gen-fixtures", "--out", str(a_file)]):
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 1, args
+        assert json.loads(proc.stderr)["error"]["kind"] == "invalid_config", proc.stderr
+
+
+# Wrong-type or out-of-range JSON values for one config field.  Strings use an
+# alphabet without path separators or dots, so a drawn ``out`` stays in the cwd.
+WRONG_CONFIG_VALUES = st.one_of(
+    st.booleans(), st.none(), st.text(alphabet="aeHV19-", max_size=6),
+    st.lists(st.lists(st.integers(-3, 3), max_size=3), max_size=3),
+    st.dictionaries(st.text(alphabet="abq", max_size=3), st.integers(), max_size=3),
+    st.integers(min_value=2**53), st.integers(max_value=-1),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from([f.name for f in dataclasses.fields(cli.RunConfig)]),
+       value=WRONG_CONFIG_VALUES)
+def test_config_values_never_end_in_internal_error(fixture_dir, tmp_path, monkeypatch,
+                                                   field, value):
+    """A config document of the exact baseline run with one field replaced by a
+    wrong-type or out-of-range value is refused with a typed error, or runs."""
+    monkeypatch.chdir(tmp_path)
+    argv = spectrum_args(fixture_dir, EXACT, tmp_path / "run")
+    doc = dataclasses.asdict(cli.load_config(cli.build_parser().parse_args(argv)))
+    doc[field] = value
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    proc = run_cli("spectrum", "--config", str(tmp_path / "run.json"), check=False)
+    if proc.returncode != 0:
+        assert json.loads(proc.stderr)["error"]["kind"] != "internal_error", proc.stderr
 
 
 def test_spectrum_runs_past_the_register_cap(twelve_orbital_dir, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from dsfsim import ci, fixtures
 from dsfsim.emulator import (IMAG, REAL, apply_trotter, build_trotter,
                              hadamard_test_via_ancilla, program_unitary,
-                             sector_expectation)
+                             sector_apply, sector_expectation)
 from dsfsim.operators import jordan_wigner
 from dsfsim.pauli import PauliSum, pauli_sum_dense
 
@@ -136,10 +136,12 @@ def test_sector_step_refuses_non_conserving_sum():
 
 
 def test_sector_expectation_matches_dense():
-    """On the whole register the sector expectation is <c|H|c> of the dense sum."""
+    """On the whole register H c is the dense sum's product, and the sector
+    expectation is <c|H|c>."""
     psum = random_pauli_sum(4, 12, seed=6)
     state = random_state(4, 7)
     dense = pauli_sum_dense(psum)
+    assert np.max(np.abs(sector_apply(psum, np.arange(16), state) - dense @ state)) < 1e-13
     assert sector_expectation(psum, np.arange(16), state) == pytest.approx(
         float(np.vdot(state, dense @ state).real), abs=1e-12)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsfsim import emulator, oracle
+from dsfsim import ci, emulator, fixtures, oracle
 from dsfsim import spectrum as sp
 from dsfsim.operators import QVector
 from dsfsim.spectrum import (GreensSeries, RunPlan, Spectrum, allocate_shots,
@@ -126,6 +126,56 @@ def test_largest_remainder_conserves(weights, total):
 # ---------------------------------------------------------------------------
 # measure_all / resample
 # ---------------------------------------------------------------------------
+
+def _sparse_route(model, axis, core=None):
+    """mu_a psi0 on the sector by the Slater-Condon route ``oracle.transition_table``
+    uses, with core-valence separation counted on the determinants themselves."""
+    amps = ci.amplitudes_on(ci.apply_one_body(model.dipole.component(axis), model.psi0,
+                                              prune=0.0), model.states.basis)
+    if core is not None:
+        basis = oracle.sector_basis(model.spec.n_orbitals, *model.spec.sector)
+        holes = np.array([2 - (d.occ_alpha >> core & 1) - (d.occ_beta >> core & 1)
+                          for d in basis])
+        amps = np.where(holes == 1, amps, 0.0)
+    return amps
+
+
+@pytest.mark.parametrize("spec", [fixtures.TWO_ORBITAL_SPEC, fixtures.THREE_ORBITAL_SPEC,
+                                  fixtures.CORE_VALENCE_SPEC, fixtures.DIAGONAL_SPEC],
+                         ids=["two_orbital", "three_orbital", "core_valence", "diagonal"])
+def test_dipole_block_matches_the_sparse_route(spec):
+    """The qubit-operator block equals mu_a psi0 from ``ci.apply_one_body``, and its
+    moments equal the oracle's reference moments."""
+    model = fixtures.solve(spec)
+    states = model.states
+    assert states.kets.shape == (len(states.basis), 3)
+    for i, axis in enumerate(sp.AXES):
+        want = _sparse_route(model, axis)
+        assert np.max(np.abs(states.kets[:, i] * states.norms[axis] - want)) <= 1e-13
+    assert np.max(np.abs(states.moments - model.trans.reference_moments)) <= 1e-12
+
+
+def test_cvs_dipole_block_matches_the_sparse_route(toy):
+    """With core orbital 0, each column keeps only the single-core-hole rows."""
+    states = sp.prepare_dipole_states(toy.psi0, toy.dipole, core_orbitals=[0])
+    raw = np.column_stack([_sparse_route(toy, axis, core=0) for axis in sp.AXES])
+    assert np.max(np.abs(states.kets * [states.norms[a] for a in sp.AXES] - raw)) <= 1e-13
+    assert np.max(np.abs(states.moments - (raw.conj().T @ raw).real)) <= 1e-12
+
+
+def test_dark_axis_records_positive_zeros(two_orb):
+    """A dipole component that vanishes gives a zero column, no register vector,
+    and +0.0 in every series it opens."""
+    dipole = dataclasses.replace(two_orb.dipole, z=np.zeros_like(two_orb.dipole.z))
+    states = sp.prepare_dipole_states(two_orb.psi0, dipole)
+    assert states.norms["z"] == 0.0 and not np.any(states.kets[:, 2])
+    assert not np.any(states.moments[2]) and states.vectors["z"] is None
+    plan = plan_run(0.06, two_orb.delta, 1e-2, 600, states.moments)
+    series = measure_all(plan, states, two_orb.program(), mode="exact")
+    for pair in ("xz", "yz", "zz"):
+        values = np.concatenate([series[pair].x, series[pair].y])
+        assert not np.any(values) and not np.any(np.signbit(values)), pair
+
 
 def test_series_time_zero_limit(toy):
     """<b|a> scaled by the norms equals the stored static moment."""
