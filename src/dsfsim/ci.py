@@ -15,7 +15,6 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-PRUNE_THRESHOLD = 1e-12
 STATEVECTOR_QUBIT_CAP = 22  # 2^22 amplitudes, 64 MiB
 # Largest dimension of a dense matrix the package builds: the CI matrix of a
 # sector and the Trotter step over it.
@@ -119,14 +118,13 @@ def _hop_sign(word: int, src: int, dst: int) -> float:
     return -1.0 if between.bit_count() & 1 else 1.0
 
 
-def apply_one_body(m: np.ndarray, v: CIVector,
-                   prune: float = PRUNE_THRESHOLD) -> CIVector:
+def apply_one_body(m: np.ndarray, v: CIVector) -> CIVector:
     """Apply ``sum_{pq,s} m[p,q] a+_{ps} a_{qs}`` to a CI vector.
 
     Signs follow the ascending-qubit-order amplitude convention: each hop
     picks up the parity of occupied spin orbitals strictly between source
-    and destination.  Amplitudes below ``prune`` (relative to the largest)
-    are discarded to keep the support sparse.
+    and destination.  Every nonzero amplitude is kept; exact zeros (hops
+    that cancel) are dropped, as ``CIVector`` stores none.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (v.n_orbitals, v.n_orbitals):
@@ -150,8 +148,7 @@ def apply_one_body(m: np.ndarray, v: CIVector,
                     new = (Determinant(new_occ, det.occ_beta) if spin == 0
                            else Determinant(det.occ_alpha, new_occ))
                     out[new] = out.get(new, 0j) + sign * m[p, q] * amp
-    scale = max((abs(a) for a in out.values()), default=0.0)
-    kept = {d: a for d, a in out.items() if abs(a) > prune * max(scale, 1e-300)}
+    kept = {d: a for d, a in out.items() if a != 0}
     if not kept:
         raise AnnihilatedError("operator annihilates the CI vector")
     return CIVector(v.n_orbitals, kept)

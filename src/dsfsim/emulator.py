@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ci import check_dense
-from .pauli import PauliSum, masks_to_word, word_phases
+from .pauli import PauliSum, word_phases
 
 REAL = "real"
 IMAG = "imag"
@@ -34,7 +34,8 @@ class TrotterProgram:
     """Second-order symmetric product formula for exp(-i H tau).
 
     ``terms`` hold (x_mask, z_mask, coeff) in the fixed sweep order: Z-diagonal
-    words first, then off-diagonal words, each group sorted lexicographically.
+    words first, then off-diagonal words, each group in the word order of the
+    ``PauliSum`` it was compiled from.
     One outer application is U2(dt)^k times the identity-term phase, with dt =
     tau / k and U2 applying each X-mask group at half angle forward then back.
     """
@@ -59,7 +60,9 @@ def build_trotter(paulis: PauliSum, tau: float, k: int) -> TrotterProgram:
 
     Identity terms become a tracked global phase (the Hadamard test is
     phase sensitive).  Negative ``tau`` yields the inverse propagator, used
-    by time-reversal checks.
+    by time-reversal checks.  ``paulis.terms`` are already in word order
+    (the ``PauliSum`` invariant), so a stable split into diagonal and
+    off-diagonal words keeps each group sorted.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -74,10 +77,8 @@ def build_trotter(paulis: PauliSum, tau: float, k: int) -> TrotterProgram:
             diagonal.append((x, z, coeff))
         else:
             offdiag.append((x, z, coeff))
-    word = lambda t: masks_to_word(t[0], t[1], paulis.n_qubits)
-    ordered = sorted(diagonal, key=word) + sorted(offdiag, key=word)
     return TrotterProgram(paulis.n_qubits, float(tau), int(k),
-                          tuple(ordered), identity)
+                          tuple(diagonal + offdiag), identity)
 
 
 def _couplings(terms, basis: np.ndarray) -> list:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import LinearPauli, PauliSum, ladder
+from .pauli import LinearPauli, PauliSum, collapse, ladder
 
 SYMMETRY_TOL = 1e-12
 
@@ -285,29 +285,71 @@ def one_body_to_pauli(m: np.ndarray) -> PauliSum:
     return acc.collapse(2 * n)
 
 
+# i**-k for k = 0..3.  The canonical word i**|x & z| X^x Z^z with coefficient c
+# is the bare product X^x Z^z with coefficient a = c i**|x & z|, so
+# c = a * _I_INVERSE[|x & z| % 4]; either conversion is exact.
+_I_INVERSE = (1 + 0j, -1j, -1 + 0j, 1j)
+
+
 def jordan_wigner(h: Hamiltonian) -> PauliSum:
     """Map a Hamiltonian to its qubit representation.
 
-    The two-body expansion multiplies spin-summed excitation pairs term by
-    term and merges coefficients, dropping negligible ones (see
-    ``LinearPauli.collapse``); the result is Hermitian with purely real
-    coefficients.
+    Each spin-summed excitation E_pq is a sum of at most 8 words, built from
+    ladder products.  For the two-body part 1/2 sum g_pqrs E_pq E_rs, a word
+    (x, z) is packed into the integer ``x << 2n | z`` and carried as a bare
+    product a X^x Z^z.  The product of two words is then one XOR of the
+    packed keys and the sign Z^z1 X^x2 = (-1)^|z1 & x2| X^x2 Z^z1; that sign
+    is worked out once per word of E_pq and X-mask of E_rs.  The running
+    totals are bare too, and become canonical coefficients at the end.
+
+    Accumulation-order contract, which keeps every coefficient bit-identical
+    to multiplying the ladder-product sums term by term:
+    - every excitation coefficient, and every product of two of them, is
+      +-2**-k times a unit phase, so the per-word sum within one product
+      E_pq E_rs is exact in any order;
+    - only two steps round: fl(g_pqrs / 2 * that sum), and the running
+      total of each word; multiplying by a unit phase only swaps and
+      negates real and imaginary parts, so it commutes with both;
+    - each running total starts at zero and adds the offset, then the
+      one-body terms in (p, q) order, then the two-body terms in
+      (p, q, r, s) order.
+
+    Negligible coefficients are dropped (see ``pauli.collapse``); the result
+    is Hermitian with purely real coefficients.
     """
     n = h.n_orbitals
+    shift = 2 * n
+    excitations = [_spin_excitation(p, q) for p in range(n) for q in range(n)]
     acc = LinearPauli()
     acc.add(complex(h.offset), 0, 0)
-    excitations: dict[tuple[int, int], LinearPauli] = {}
-    for p in range(n):
-        for q in range(n):
-            excitations[(p, q)] = _spin_excitation(p, q)
-            if abs(h.one_body[p, q]) > 0.0:
-                acc.add_sum(excitations[(p, q)], h.one_body[p, q])
-    for p in range(n):
-        for q in range(n):
-            e_pq = excitations[(p, q)]
-            for r in range(n):
-                for s in range(n):
-                    g = h.two_body[p, q, r, s]
-                    if abs(g) > 0.0:
-                        acc.add_sum(e_pq * excitations[(r, s)], 0.5 * g)
-    return acc.collapse(2 * n)
+    for e, m in zip(excitations, h.one_body.flat):
+        if abs(m) > 0.0:
+            acc.add_sum(e, m)
+    bare = lambda x, z, c: c * _I_INVERSE[-(x & z).bit_count() % 4]
+    totals = {x << shift | z: bare(x, z, c) for (x, z), c in acc.terms.items()}
+    # (packed key, x, z, a) for each word of each E_pq, in pq = p * n + q order
+    words = [[(x << shift | z, x, z, bare(x, z, c)) for (x, z), c in e.terms.items()]
+             for e in excitations]
+    g = h.two_body.reshape(n * n, n * n).tolist()
+    for left, g_pq in zip(words, g):
+        signed: dict[int, list] = {}   # X-mask of a right word -> signed left words
+        for right, g_pqrs in zip(words, g_pq):
+            if g_pqrs == 0.0:
+                continue
+            product: dict[int, complex] = {}
+            for k2, x2, _, a2 in right:
+                lw = signed.get(x2)
+                if lw is None:
+                    lw = signed[x2] = [(k1, -a1 if (z1 & x2).bit_count() & 1 else a1)
+                                       for k1, _, z1, a1 in left]
+                for k1, a1 in lw:
+                    k = k1 ^ k2
+                    product[k] = product.get(k, 0j) + a1 * a2
+            half_g = 0.5 * g_pqrs
+            for k, a in product.items():
+                totals[k] = totals.get(k, 0j) + half_g * a
+    for k, a in totals.items():
+        # + 0j turns the -0.0 a negated zero part may carry into the +0.0 of a total
+        totals[k] = a * _I_INVERSE[(k & k >> shift).bit_count() % 4] + 0j
+    mask = (1 << shift) - 1
+    return collapse(totals, shift, unpack=lambda k: (k >> shift, k & mask))

@@ -210,7 +210,7 @@ def transition_table(eig: EigenSystem, dipole: DipoleOperator) -> TransitionTabl
     vecs = np.zeros((3, len(words)))   # mu_a |Psi_0> on the basis, one row per axis
     for i, axis in enumerate("xyz"):
         try:
-            rotated = apply_one_body(dipole.component(axis), psi0, prune=0.0)
+            rotated = apply_one_body(dipole.component(axis), psi0)
         except AnnihilatedError:
             continue  # symmetry-forbidden channel: a zero row
         vecs[i] = amplitudes_on(rotated, words).real

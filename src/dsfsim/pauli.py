@@ -49,35 +49,62 @@ def multiply_words(x1: int, z1: int, x2: int, z2: int) -> tuple[complex, int, in
     return sign * (1j**ipow), x3, z3
 
 
+def _word_key(n_qubits: int):
+    """Key function on ``(x, z)`` that orders words as ``masks_to_word`` does.
+
+    Qubit q is the base-4 digit 2 z_q + (x_q ^ z_q), that is 0, 1, 2, 3 for
+    I, X, Y, Z, and qubit 0 is the most significant digit: a bit string
+    reversed and read in base 4 puts each bit in its own digit.
+    """
+    spec = f"0{n_qubits}b"
+    return lambda xz: (2 * int(format(xz[1], spec)[::-1], 4)
+                       + int(format(xz[0] ^ xz[1], spec)[::-1], 4))
+
+
+def _precedes(x1: int, z1: int, x2: int, z2: int) -> bool:
+    """Whether word 1 sorts strictly before word 2: compare the digits of
+    ``_word_key`` at the first qubit where the words differ."""
+    diff = (x1 ^ x2) | (z1 ^ z2)
+    low = diff & -diff
+    return diff != 0 and ((z1 & low != 0, (x1 ^ z1) & low != 0)
+                          < (z2 & low != 0, (x2 ^ z2) & low != 0))
+
+
 @dataclass(frozen=True)
 class PauliSum:
     """Weighted sum of Pauli words with real coefficients (Hartree).
 
-    ``terms`` maps each word, keyed by its ``(x, z)`` masks, to a coefficient.
-    Construction enforces: no duplicate words, finite real coefficients, and
-    masks confined to ``n_qubits`` bits.
+    ``terms`` holds one ``(coeff, x, z)`` per word, keyed by the word's masks.
+    Construction enforces finite real coefficients, masks confined to
+    ``n_qubits`` bits, and the word-order invariant: the terms are strictly
+    increasing in ``masks_to_word`` order (qubit 0 first, I < X < Y < Z), so
+    no word repeats and the identity, when present, is the first term.
+    ``shifted_identity`` and ``emulator.build_trotter`` rely on that order and
+    never re-sort.
     """
 
     n_qubits: int
-    terms: tuple[tuple[float, int, int], ...]  # (coeff, x, z) sorted by word
+    terms: tuple[tuple[float, int, int], ...]  # (coeff, x, z) in word order
 
     def __post_init__(self):
         if self.n_qubits < 1 or self.n_qubits > 62:
             raise ValueError(f"unsupported qubit count {self.n_qubits}")
         limit = 1 << self.n_qubits
-        seen = set()
         for coeff, x, z in self.terms:
             if not math.isfinite(coeff):
                 raise ValueError("non-finite Pauli coefficient")
             if x >= limit or z >= limit:
                 raise ValueError("Pauli word exceeds qubit register")
-            if (x, z) in seen:
+        for (_, x1, z1), (_, x2, z2) in zip(self.terms, self.terms[1:]):
+            if x1 == x2 and z1 == z2:
                 raise ValueError("duplicate Pauli word")
-            seen.add((x, z))
+            if not _precedes(x1, z1, x2, z2):
+                raise ValueError("Pauli terms are not in word order")
 
     @staticmethod
     def from_dict(terms: dict[tuple[int, int], float], n_qubits: int) -> "PauliSum":
-        ordered = sorted(terms.items(), key=lambda kv: masks_to_word(*kv[0], n_qubits))
+        key = _word_key(n_qubits)
+        ordered = sorted(terms.items(), key=lambda kv: key(kv[0]))
         return PauliSum(n_qubits, tuple((float(c), x, z) for (x, z), c in ordered))
 
     @staticmethod
@@ -98,18 +125,24 @@ class PauliSum:
 
     @property
     def identity_coefficient(self) -> float:
-        for c, x, z in self.terms:
-            if x == 0 and z == 0:
-                return c
+        if self.terms and self.terms[0][1] == 0 and self.terms[0][2] == 0:
+            return self.terms[0][0]
         return 0.0
 
     def shifted_identity(self, delta: float) -> "PauliSum":
-        """Return a copy with ``delta`` added to the identity coefficient."""
-        acc = self.as_dict()
-        acc[(0, 0)] = acc.get((0, 0), 0.0) + delta
-        if abs(acc[(0, 0)]) < DROP_THRESHOLD:
-            del acc[(0, 0)]
-        return PauliSum.from_dict(acc, self.n_qubits)
+        """Return a copy with ``delta`` added to the identity coefficient.
+
+        The identity sorts first, so only the head of ``terms`` changes: it is
+        replaced, prepended, or dropped when the sum falls below
+        ``DROP_THRESHOLD``.
+        """
+        rest = self.terms
+        identity = 0.0
+        if rest and rest[0][1] == 0 and rest[0][2] == 0:
+            identity, rest = rest[0][0], rest[1:]
+        identity = identity + delta
+        head = () if abs(identity) < DROP_THRESHOLD else ((float(identity), 0, 0),)
+        return PauliSum(self.n_qubits, head + rest)
 
 
 class LinearPauli:
@@ -137,16 +170,26 @@ class LinearPauli:
         return out
 
     def collapse(self, n_qubits: int) -> PauliSum:
-        """Collapse to a real-coefficient PauliSum, dropping tiny terms."""
-        scale = max((abs(c) for c in self.terms.values()), default=1.0)
-        out: dict[tuple[int, int], float] = {}
-        for key, c in self.terms.items():
-            if abs(c) < DROP_THRESHOLD * max(1.0, scale):
-                continue
-            if abs(c.imag) > IMAG_TOL * max(1.0, scale):
-                raise ValueError("non-Hermitian accumulation: imaginary coefficient survives")
-            out[key] = c.real
-        return PauliSum.from_dict(out, n_qubits)
+        return collapse(self.terms, n_qubits)
+
+
+def collapse(terms: dict, n_qubits: int, unpack=None) -> PauliSum:
+    """Collapse complex word coefficients to a real-coefficient PauliSum.
+
+    Coefficients below ``DROP_THRESHOLD`` times max(1, the largest) are
+    dropped; a surviving imaginary part above ``IMAG_TOL`` on that scale
+    raises ValueError.  ``terms`` is keyed by ``(x, z)``, or by packed words
+    that ``unpack`` turns into ``(x, z)``.
+    """
+    scale = max(1.0, max(map(abs, terms.values()), default=1.0))
+    out: dict[tuple[int, int], float] = {}
+    for key, c in terms.items():
+        if abs(c) < DROP_THRESHOLD * scale:
+            continue
+        if abs(c.imag) > IMAG_TOL * scale:
+            raise ValueError("non-Hermitian accumulation: imaginary coefficient survives")
+        out[unpack(key) if unpack else key] = c.real
+    return PauliSum.from_dict(out, n_qubits)
 
 
 def ladder(j: int, dagger: bool) -> LinearPauli:

@@ -63,7 +63,7 @@ def check_sign_convention() -> tuple[bool, str]:
             basis = oracle.sector_basis(n, n_alpha, 1)
             amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
             v = ci_mod.CIVector(n, dict(zip(basis, amps)))
-            lhs = ci_mod.ci_to_statevector(ci_mod.apply_one_body(m, v, prune=0.0))
+            lhs = ci_mod.ci_to_statevector(ci_mod.apply_one_body(m, v))
             rhs = pauli_sum_dense(one_body_to_pauli(m)) @ ci_mod.ci_to_statevector(v)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst <= 1e-12, f"max statevector mismatch = {worst:.2e}"

@@ -59,7 +59,7 @@ def test_hop_crosses_occupied_spin_orbital():
 def test_apply_matches_dense_oracle():
     m = random_symmetric(2, seed=3)
     v = random_civector(2, 1, 1, seed=4)
-    got = ci_to_statevector(apply_one_body(m, v, prune=0.0))
+    got = ci_to_statevector(apply_one_body(m, v))
     want = pauli.pauli_sum_dense(one_body_to_pauli(m)) @ ci_to_statevector(v)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -68,9 +68,9 @@ def test_apply_linearity():
     m1, m2 = random_symmetric(3, 21), random_symmetric(3, 22)
     v = random_civector(3, 2, 1, seed=23)
     a, b = 0.7, -1.3
-    lhs = apply_one_body(a * m1 + b * m2, v, prune=0.0)
-    r1 = apply_one_body(m1, v, prune=0.0)
-    r2 = apply_one_body(m2, v, prune=0.0)
+    lhs = apply_one_body(a * m1 + b * m2, v)
+    r1 = apply_one_body(m1, v)
+    r2 = apply_one_body(m2, v)
     for det in set(lhs.entries) | set(r1.entries) | set(r2.entries):
         combo = a * r1.entries.get(det, 0) + b * r2.entries.get(det, 0)
         assert lhs.entries.get(det, 0) == pytest.approx(combo, abs=1e-12)
@@ -80,8 +80,8 @@ def test_apply_hermiticity():
     m = random_symmetric(3, 31)
     u = random_civector(3, 1, 1, seed=32)
     v = random_civector(3, 1, 1, seed=33)
-    lhs = overlap(u, apply_one_body(m, v, prune=0.0))
-    rhs = overlap(apply_one_body(m, u, prune=0.0), v)
+    lhs = overlap(u, apply_one_body(m, v))
+    rhs = overlap(apply_one_body(m, u), v)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -124,9 +124,9 @@ def test_normalize_scale_covariance(scale):
 
 def test_dipole_norm_matches_moment_oracle(two_orb):
     """||mu_x psi0|| equals sqrt(<psi0|mu_x (mu_x psi0)>), mu_x applied twice."""
-    w = apply_one_body(two_orb.dipole.x, two_orb.psi0, prune=0.0)
+    w = apply_one_body(two_orb.dipole.x, two_orb.psi0)
     _, norm = normalize(w)
-    m_xx = overlap(two_orb.psi0, apply_one_body(two_orb.dipole.x, w, prune=0.0)).real
+    m_xx = overlap(two_orb.psi0, apply_one_body(two_orb.dipole.x, w)).real
     assert norm == pytest.approx(np.sqrt(m_xx), rel=1e-12)
 
 
@@ -179,8 +179,8 @@ def test_moment_trivials():
     v = random_civector(3, 2, 1, seed=61)
     unit, _ = normalize(v)
     with pytest.raises(AnnihilatedError):
-        apply_one_body(np.zeros((3, 3)), unit, prune=0.0)
-    number = apply_one_body(np.eye(3), unit, prune=0.0)
+        apply_one_body(np.zeros((3, 3)), unit)
+    number = apply_one_body(np.eye(3), unit)
     n_e = unit.n_electrons
     assert overlap(number, number).real == pytest.approx(n_e**2, rel=1e-12)
 
@@ -189,10 +189,8 @@ def test_moment_completeness_oracle(two_orb):
     """<psi0|mu_a mu_b|psi0> equals the eigenstate-resolved transition sum."""
     for a in "xyz":
         for b in "xyz":
-            direct = overlap(apply_one_body(two_orb.dipole.component(a), two_orb.psi0,
-                                            prune=0.0),
-                             apply_one_body(two_orb.dipole.component(b), two_orb.psi0,
-                                            prune=0.0)).real
+            direct = overlap(apply_one_body(two_orb.dipole.component(a), two_orb.psi0),
+                             apply_one_body(two_orb.dipole.component(b), two_orb.psi0)).real
             summed = float(np.sum(two_orb.trans.component(a) * two_orb.trans.component(b)))
             assert direct == pytest.approx(summed, abs=1e-10)
 
@@ -229,7 +227,7 @@ def test_cvs_oracle_spectrum_agreement(toy):
     keep = cvs_mask(toy.states.basis, [0], toy.spec.n_orbitals)
     worst = 0.0
     for axis in "xyz":
-        raw = apply_one_body(toy.dipole.component(axis), toy.psi0, prune=0.0)
+        raw = apply_one_body(toy.dipole.component(axis), toy.psi0)
         amps = ci.amplitudes_on(raw, toy.states.basis).real
         wr = toy.eig.coeffs.T @ amps
         wp = toy.eig.coeffs.T @ np.where(keep, amps, 0.0)

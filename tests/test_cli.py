@@ -344,6 +344,34 @@ def test_config_values_never_end_in_internal_error(fixture_dir, tmp_path, monkey
         assert json.loads(proc.stderr)["error"]["kind"] != "internal_error", proc.stderr
 
 
+# Flag text that is malformed, out of range or at the edge of the float range.
+# No value holds a path separator, so a drawn ``--out`` stays in the cwd.
+WRONG_FLAG_VALUES = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "-0", "0", "1", "-1", "1e308", "1e999",
+                     "1e-300", "5e-324", "true", "1,1", "1,,1", "1,1,1,1", "a,b,c",
+                     "1.63eV", "-2eV", "0eV", "1e400eV", "eV", "3Ha", "exact", "sampled"]),
+    st.integers(min_value=-2**70, max_value=2**70).map(str),
+    st.text(alphabet="aeHV19-,", max_size=6))
+# Every flag of ``spectrum``: one per ``RunConfig`` field, and ``--config``.
+SPECTRUM_FLAGS = ["--config"] + [
+    {"trotter_k": "--k"}.get(f.name, "--" + f.name.replace("_", "-"))
+    for f in dataclasses.fields(cli.RunConfig)]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flag=st.sampled_from(SPECTRUM_FLAGS), value=WRONG_FLAG_VALUES)
+def test_flag_values_never_end_in_internal_error(fixture_dir, tmp_path, monkeypatch,
+                                                 flag, value):
+    """The exact baseline command with one flag set to a drawn value is refused
+    with a typed error, or runs."""
+    monkeypatch.chdir(tmp_path)
+    argv = spectrum_args(fixture_dir, EXACT, tmp_path / "run") + [f"{flag}={value}"]
+    proc = run_cli(*argv, check=False)
+    if proc.returncode != 0:
+        assert json.loads(proc.stderr)["error"]["kind"] != "internal_error", proc.stderr
+
+
 def test_spectrum_runs_past_the_register_cap(twelve_orbital_dir, tmp_path):
     """24 qubits are over the register cap, but ``spectrum`` holds only the
     144-state sector; every exact series matches the oracle's spectral sum."""

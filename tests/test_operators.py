@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +125,61 @@ def test_jw_linearity():
     keys = set(lhs) | {k for k, v in rhs.items() if abs(v) > 1e-12}
     for key in keys:
         assert lhs.get(key, 0.0) == pytest.approx(rhs.get(key, 0.0), abs=1e-12)
+
+
+# sha256 of repr(jordan_wigner(h).terms), recorded from the term-by-term
+# ladder-product expansion before the two-body loop was rewritten.
+JW_DIGESTS = [
+    (fixtures.TWO_ORBITAL_SPEC,
+     "17cda64cc53a48c0e7a6fde629502305f2794f29c249a0d20562dd75743117b5"),
+    (fixtures.THREE_ORBITAL_SPEC,
+     "5618e4895533fc681f9d635705e94a94081b839e8584ce106e4f24587197bd20"),
+    (fixtures.CORE_VALENCE_SPEC,
+     "a68a885cc9f25cb71ab9c10d36f36d23525aa49cb7ef12d36b08804ea5dc36b4"),
+    (fixtures.DIAGONAL_SPEC,
+     "9f66ac56c536e7d78ca1153ecb7e801d931bf07e91abfcb20426aa33b0aa2ad5"),
+    (fixtures.ModelSpec(6, 4, 1),   # the rand6_exact benchmark model, seed 1
+     "dcff35f3f31ad7be7c53b5b6eeca98a675e246532a8ffc72bbfb1ad4225aa0d4"),
+    (fixtures.ModelSpec(7, 6, 3),
+     "34164228668ac98dfe604b7ddff04b21001601f4e8709e7c4a691801d98400d0"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", JW_DIGESTS,
+                         ids=[f"{s.kind}-{s.n_orbitals}-{s.seed}" for s, _ in JW_DIGESTS])
+def test_jw_terms_are_pinned(spec, digest):
+    h, _ = fixtures.generate(spec)
+    terms = jordan_wigner(h).terms
+    assert hashlib.sha256(repr(terms).encode()).hexdigest() == digest
+
+
+def _ladder_product_jw(h):
+    """Reference: multiply the spin-summed ladder products term by term."""
+    n = h.n_orbitals
+    exc = {}
+    for p in range(n):
+        for q in range(n):
+            exc[p, q] = pauli.LinearPauli()
+            for spin in (0, 1):
+                exc[p, q].add_sum(pauli.ladder(2 * p + spin, True)
+                                  * pauli.ladder(2 * q + spin, False))
+    acc = pauli.LinearPauli()
+    acc.add(complex(h.offset), 0, 0)
+    for (p, q), e in exc.items():
+        if abs(h.one_body[p, q]) > 0.0:
+            acc.add_sum(e, h.one_body[p, q])
+    for (p, q), e_pq in exc.items():
+        for (r, s), e_rs in exc.items():
+            if abs(h.two_body[p, q, r, s]) > 0.0:
+                acc.add_sum(e_pq * e_rs, 0.5 * h.two_body[p, q, r, s])
+    return acc.collapse(2 * n)
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=5, deadline=None)
+def test_jw_equals_ladder_products_exactly(seed):
+    h, _ = fixtures.generate(fixtures.ModelSpec(n_orbitals=3, n_electrons=2, seed=seed))
+    assert jordan_wigner(h).terms == _ladder_product_jw(h).terms
 
 
 def test_one_body_zero_matrix():

@@ -67,6 +67,62 @@ def test_from_words_merges_duplicates():
     assert psum.words() == [(1.5, "XI")]
 
 
+@st.composite
+def word_dicts(draw):
+    """(n_qubits, {(x, z): coeff}) with masks anywhere in a register of up to 62 qubits."""
+    n = draw(st.integers(min_value=1, max_value=62))
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    coeffs = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    return n, draw(st.dictionaries(st.tuples(masks, masks), coeffs, max_size=12))
+
+
+@given(word_dicts())
+@settings(max_examples=80, deadline=None)
+def test_terms_are_in_word_order(case):
+    n, terms = case
+    psum = pauli.PauliSum.from_dict(terms, n)
+    words = [w for _, w in psum.words()]
+    assert words == sorted(words)
+    assert len(set(words)) == len(words) == len(terms)
+    assert psum.as_dict() == terms
+    if len(terms) > 1:
+        with pytest.raises(ValueError, match="word order"):
+            pauli.PauliSum(n, psum.terms[::-1])
+
+
+def _shift_by_resorting(psum, delta):
+    """The as_dict / from_dict route that ``shifted_identity`` replaces."""
+    acc = psum.as_dict()
+    acc[(0, 0)] = acc.get((0, 0), 0.0) + delta
+    if abs(acc[(0, 0)]) < pauli.DROP_THRESHOLD:
+        del acc[(0, 0)]
+    return pauli.PauliSum.from_dict(acc, psum.n_qubits)
+
+
+@given(word_dicts(), st.sampled_from(["absent", "present", "cancelled"]),
+       st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+       st.floats(min_value=-0.9, max_value=0.9))
+@settings(max_examples=80, deadline=None)
+def test_shifted_identity_matches_resorting(case, identity, delta, residual):
+    n, terms = case
+    terms.pop((0, 0), None)
+    if identity != "absent":
+        terms[(0, 0)] = 0.75
+    if identity == "cancelled":
+        delta = -0.75 + residual * pauli.DROP_THRESHOLD
+    psum = pauli.PauliSum.from_dict(terms, n)
+    shifted = psum.shifted_identity(delta)
+    assert repr(shifted.terms) == repr(_shift_by_resorting(psum, delta).terms)
+    if identity == "cancelled":
+        assert shifted.identity_coefficient == 0.0
+        assert (0, 0) not in shifted.as_dict()
+
+
+def test_terms_out_of_word_order_rejected():
+    with pytest.raises(ValueError, match="word order"):
+        pauli.PauliSum(2, ((1.0, 0, 1), (2.0, 1, 0)))   # "ZI" before "XI"
+
+
 def test_identity_shift():
     psum = pauli.PauliSum.from_words([(1.0, "ZI")], 2)
     shifted = psum.shifted_identity(-0.25)

@@ -130,8 +130,8 @@ def test_largest_remainder_conserves(weights, total):
 def _sparse_route(model, axis, core=None):
     """mu_a psi0 on the sector by the Slater-Condon route ``oracle.transition_table``
     uses, with core-valence separation counted on the determinants themselves."""
-    amps = ci.amplitudes_on(ci.apply_one_body(model.dipole.component(axis), model.psi0,
-                                              prune=0.0), model.states.basis)
+    amps = ci.amplitudes_on(ci.apply_one_body(model.dipole.component(axis), model.psi0),
+                            model.states.basis)
     if core is not None:
         basis = oracle.sector_basis(model.spec.n_orbitals, *model.spec.sector)
         holes = np.array([2 - (d.occ_alpha >> core & 1) - (d.occ_beta >> core & 1)
