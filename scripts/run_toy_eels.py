@@ -29,7 +29,7 @@ def main():
     model = fixtures.solve(fixtures.CORE_VALENCE_SPEC)
     q = QVector(1.0, 1.0, 1.0)
     plan = model.plan(args.eta, shots=args.shots, k=args.k, q_set=[q])
-    program = model.program(plan.k)
+    program = model.program(plan)
     grid = sp.default_omega_grid(plan.tau, args.eta)
 
     outdir = Path(args.out)

@@ -7,7 +7,6 @@ Both should fall off as the square of the step.
     python scripts/trotter_convergence.py --ks 1 2 4 8 16
 """
 import argparse
-import math
 
 import numpy as np
 import scipy.linalg
@@ -44,12 +43,11 @@ def main():
 
     model = fixtures.solve(fixtures.CORE_VALENCE_SPEC)
     states = model.states
-    tau = math.pi / model.delta
-    exact_step = scipy.linalg.expm(-1j * pauli_sum_dense(model.shifted) * tau)
-
     q = QVector(1.0, 1.0, 1.0)
-    grid = sp.default_omega_grid(tau, args.eta)
     plan = model.plan(args.eta, 1e-6, 600, 4, [q])
+    tau = plan.tau
+    exact_step = scipy.linalg.expm(-1j * pauli_sum_dense(model.shifted) * tau)
+    grid = sp.default_omega_grid(tau, args.eta)
 
     # step-exact reference series with the same truncation isolates the
     # Trotter-induced shift
@@ -68,10 +66,10 @@ def main():
     print(f"{'k':>4}  {'step error':>12}  {'peak shift':>12}")
     op_rows, peak_rows = [], []
     for k in args.ks:
-        program = model.program(k)
+        plan_k = model.plan(args.eta, 1e-6, 600, k, [q])
+        program = model.program(plan_k)
         step_err = float(np.linalg.norm(emulator.program_unitary(program)
                                         - exact_step, 2))
-        plan_k = model.plan(args.eta, 1e-6, 600, k, [q])
         series = sp.measure_all(plan_k, states, program, mode="exact")
         shift = abs(refined_peak(series, q, grid) - ref_peak)
         op_rows.append(step_err)

@@ -190,6 +190,17 @@ def amplitudes_on(v: CIVector, words: np.ndarray) -> np.ndarray:
     return out
 
 
+def electron_sector(n_electrons: int, ms2: int) -> tuple[int, int]:
+    """(N_alpha, N_beta) of ``n_electrons`` electrons with 2 S_z = ``ms2``.
+
+    Raises ValueError unless |ms2| <= N (so N >= 0) and N + ms2 is even.
+    """
+    if abs(ms2) > n_electrons or (n_electrons + ms2) % 2:
+        raise ValueError(f"no sector has {n_electrons} electrons and MS2 = {ms2}")
+    n_alpha = (n_electrons + ms2) // 2
+    return n_alpha, n_electrons - n_alpha
+
+
 def sector_dimension(n_orbitals: int, n_alpha: int, n_beta: int) -> int:
     """C(n, N_alpha) * C(n, N_beta), without enumerating the sector."""
     if not (0 <= n_alpha <= n_orbitals and 0 <= n_beta <= n_orbitals):

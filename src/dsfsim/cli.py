@@ -143,6 +143,8 @@ def _check_config(cfg: RunConfig) -> None:
         value = getattr(cfg, name)
         if value is not None and not (_is_number(value, integer=True) and value >= 0):
             refuse(name, "a non-negative integer")
+    if (cfg.n_alpha is None) != (cfg.n_beta is None):
+        raise CliError("invalid_config", "give n_alpha and n_beta together, or neither")
 
 
 def _fields(args: argparse.Namespace) -> set[str]:
@@ -219,21 +221,23 @@ def _load_inputs(cfg: RunConfig):
 def _load_ground_state(cfg: RunConfig, h, header):
     """Returns (psi0, E0_or_None, eigensystem_or_None).
 
-    A ground-state file that does not parse, or whose orbital count differs
-    from the Hamiltonian's, is refused with ``invalid_config``.
+    A solved sector comes from ``n_alpha``/``n_beta``, else from the
+    header's NELEC and MS2 (``ci.electron_sector``).  A header that names no
+    sector, and a ground-state file that does not parse or whose orbital
+    count differs from the Hamiltonian's, are refused with ``invalid_config``.
     """
     if cfg.ground_state == "solve":
-        n_alpha = cfg.n_alpha
-        n_beta = cfg.n_beta
-        if n_alpha is None or n_beta is None:
+        n_alpha, n_beta = cfg.n_alpha, cfg.n_beta   # both or neither (_check_config)
+        if n_alpha is None:
             nelec = header.get("NELEC", 0)
-            ms2 = header.get("MS2", 0)
             if nelec <= 0:
                 raise CliError("invalid_config",
                                "cannot solve: electron count unknown "
                                "(set NELEC in FCIDUMP or n_alpha/n_beta)")
-            n_alpha = (nelec + ms2) // 2
-            n_beta = nelec - n_alpha
+            try:
+                n_alpha, n_beta = ci_mod.electron_sector(nelec, header.get("MS2", 0))
+            except ValueError as exc:
+                raise CliError("invalid_config", f"FCIDUMP header: {exc}") from None
         if not (0 <= n_alpha <= h.n_orbitals and 0 <= n_beta <= h.n_orbitals):
             raise CliError("invalid_config",
                            f"sector ({n_alpha}, {n_beta}) does not fit "

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import emulator, oracle
 from . import spectrum as sp
-from .ci import CIVector
-from .operators import (DipoleOperator, Hamiltonian, QVector, dump_dipole_json,
-                        jordan_wigner, write_fcidump)
+from .ci import CIVector, electron_sector
+from .operators import (DipoleOperator, Hamiltonian, QVector, canonical_quadruples,
+                        dump_dipole_json, eightfold_orbit, jordan_wigner, write_fcidump)
 from .pauli import PauliSum
 
 RANDOM_TWO_BODY = "random_two_body"
@@ -58,29 +58,23 @@ class ModelSpec:
                 raise ValueError("core-valence toy needs a valence shell")
 
     @property
+    def ms2(self) -> int:
+        """2 S_z: 0 for an even electron count, 1 for an odd one."""
+        return self.n_electrons % 2
+
+    @property
     def sector(self) -> tuple[int, int]:
-        """(n_alpha, n_beta) with S_z = 0 or 1/2."""
-        n_beta = self.n_electrons // 2
-        return self.n_electrons - n_beta, n_beta
+        return electron_sector(self.n_electrons, self.ms2)
 
 
 def _symmetrize_two_body(g: np.ndarray) -> np.ndarray:
     """Bitwise-exact 8-fold symmetrization: every orbit copies one value."""
-    n = g.shape[0]
     out = np.zeros_like(g)
-    for p in range(n):
-        for q in range(p + 1):
-            pq = p * (p + 1) // 2 + q
-            for r in range(p + 1):
-                for s in range(r + 1):
-                    if r * (r + 1) // 2 + s > pq:
-                        continue
-                    orbit = {(p, q, r, s), (q, p, r, s), (p, q, s, r),
-                             (q, p, s, r), (r, s, p, q), (r, s, q, p),
-                             (s, r, p, q), (s, r, q, p)}
-                    value = sum(g[idx] for idx in sorted(orbit)) / len(orbit)
-                    for idx in orbit:
-                        out[idx] = value
+    for quad in canonical_quadruples(g.shape[0]):
+        orbit = eightfold_orbit(quad)
+        value = sum(g[idx] for idx in sorted(orbit)) / len(orbit)
+        for idx in orbit:
+            out[idx] = value
     return out
 
 
@@ -175,8 +169,9 @@ class SolvedModel:
     delta: float        # spectral window, Hartree
     shifted: PauliSum   # JW(H) - E0
 
-    def program(self, k: int = 4) -> emulator.TrotterProgram:
-        return emulator.build_trotter(self.shifted, math.pi / self.delta, k)
+    def program(self, plan: sp.RunPlan) -> emulator.TrotterProgram:
+        """The Trotter program of ``plan``'s time step and substep count."""
+        return emulator.build_trotter(self.shifted, plan.tau, plan.k)
 
     def plan(self, eta: float, epsilon_trunc: float = math.exp(-5.0),
              shots: int = 10000, k: int = 4,
@@ -202,14 +197,13 @@ def write_fixture(spec: ModelSpec, outdir) -> dict[str, str]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     h, dip = generate(spec)
-    n_alpha, n_beta = spec.sector
     paths = {
         "hamiltonian": outdir / "hamiltonian.fcidump",
         "dipoles": outdir / "dipoles.json",
         "modelspec": outdir / "modelspec.json",
     }
     paths["hamiltonian"].write_text(
-        write_fcidump(h, n_electrons=spec.n_electrons, ms2=n_alpha - n_beta))
+        write_fcidump(h, n_electrons=spec.n_electrons, ms2=spec.ms2))
     paths["dipoles"].write_text(dump_dipole_json(dip) + "\n")
     import json
     paths["modelspec"].write_text(json.dumps({

@@ -43,6 +43,23 @@ _EIGHTFOLD = [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
               (2, 3, 0, 1), (2, 3, 1, 0), (3, 2, 0, 1), (3, 2, 1, 0)]
 
 
+def eightfold_orbit(idx: tuple[int, int, int, int]) -> set[tuple[int, int, int, int]]:
+    """The index quadruples that 8-fold symmetry ties to ``idx``."""
+    return {(idx[a], idx[b], idx[c], idx[d]) for a, b, c, d in _EIGHTFOLD}
+
+
+def canonical_quadruples(n: int):
+    """One (p, q, r, s) per 8-fold orbit of range(n)^4, in FCIDUMP order:
+    p >= q, r >= s, and the pair index of (r, s) at most that of (p, q)."""
+    for p in range(n):
+        for q in range(p + 1):
+            pq = p * (p + 1) // 2 + q
+            for r in range(p + 1):
+                for s in range(r + 1):
+                    if r * (r + 1) // 2 + s <= pq:
+                        yield p, q, r, s
+
+
 def _check_eightfold(g: np.ndarray) -> None:
     if g.ndim != 4 or len(set(g.shape)) != 1:
         raise ValueError("two-body tensor must be rank-4 with equal axes")
@@ -201,35 +218,30 @@ def parse_fcidump(text: str) -> Hamiltonian:
         else:
             if min(p, q, r, s) == 0:
                 raise FcidumpError(f"line {lineno}: incomplete two-body index quad")
-            i, j, k, l = p - 1, q - 1, r - 1, s - 1
-            for a, b, c, d in _EIGHTFOLD:
-                idx = (i, j, k, l)
-                two[idx[a], idx[b], idx[c], idx[d]] = value
+            for idx in eightfold_orbit((p - 1, q - 1, r - 1, s - 1)):
+                two[idx] = value
     return Hamiltonian(offset, one, two)
 
 
-def write_fcidump(h: Hamiltonian, n_electrons: int = 0, ms2: int = 0,
-                  tol: float = 1e-15) -> str:
+# Integrals at most this large in magnitude are left out of a written FCIDUMP.
+FCIDUMP_WRITE_TOL = 1e-15
+
+
+def write_fcidump(h: Hamiltonian, n_electrons: int = 0, ms2: int = 0) -> str:
     """Render a Hamiltonian as FCIDUMP text (canonical 8-fold entries only)."""
     n = h.n_orbitals
     out = [f" &FCI NORB={n},NELEC={n_electrons},MS2={ms2},",
            "  ORBSYM=" + "1," * n,
            "  ISYM=1,",
            " &END"]
-    for p in range(n):
-        for q in range(p + 1):
-            pq = p * (p + 1) // 2 + q
-            for r in range(p + 1):
-                for s in range(r + 1):
-                    if r * (r + 1) // 2 + s > pq:
-                        continue
-                    v = float(h.two_body[p, q, r, s])
-                    if abs(v) > tol:
-                        out.append(f"{v!r} {p+1} {q+1} {r+1} {s+1}")
+    for p, q, r, s in canonical_quadruples(n):
+        v = float(h.two_body[p, q, r, s])
+        if abs(v) > FCIDUMP_WRITE_TOL:
+            out.append(f"{v!r} {p+1} {q+1} {r+1} {s+1}")
     for p in range(n):
         for q in range(p + 1):
             v = float(h.one_body[p, q])
-            if abs(v) > tol:
+            if abs(v) > FCIDUMP_WRITE_TOL:
                 out.append(f"{v!r} {p+1} {q+1} 0 0")
     out.append(f"{float(h.offset)!r} 0 0 0 0")
     return "\n".join(out) + "\n"

@@ -31,14 +31,11 @@ def _occupied_spin_orbitals(det: Determinant) -> list[int]:
     return out
 
 
-def _sign_annihilate(word: int, so: int) -> tuple[float, int]:
+def _ladder(word: int, so: int) -> tuple[float, int]:
+    """Sign and word of a_so on a word that occupies ``so``, or of a+_so on one
+    that does not: (-1)^(occupied spin orbitals below so), and bit so flipped."""
     below = (word & ((1 << so) - 1)).bit_count()
     return (-1.0 if below & 1 else 1.0), word ^ (1 << so)
-
-
-def _sign_create(word: int, so: int) -> tuple[float, int]:
-    below = (word & ((1 << so) - 1)).bit_count()
-    return (-1.0 if below & 1 else 1.0), word | (1 << so)
 
 
 class _SlaterCondon:
@@ -76,13 +73,13 @@ class _SlaterCondon:
         yield self.index[word], self.diagonal(det)
         # singles: m -> e, same spin
         for so_m in occ:
-            s1, w1 = _sign_annihilate(word, so_m)
+            s1, w1 = _ladder(word, so_m)
             pm = so_m >> 1
             for so_e in virt:
                 if (so_e ^ so_m) & 1:
                     continue
                 pe = so_e >> 1
-                s2, w2 = _sign_create(w1, so_e)
+                s2, w2 = _ladder(w1, so_e)
                 val = self.h_eff[pe, pm]
                 for so_o in occ:
                     if so_o == so_m:
@@ -95,8 +92,8 @@ class _SlaterCondon:
                     yield self.index[w2], s1 * s2 * val
         # doubles: (m < n) -> (e < f), spin content preserved
         for so_m, so_n in itertools.combinations(occ, 2):
-            s1, w1 = _sign_annihilate(word, so_m)
-            s2, w2 = _sign_annihilate(w1, so_n)
+            s1, w1 = _ladder(word, so_m)
+            s2, w2 = _ladder(w1, so_n)
             spins_removed = ((so_m & 1) + (so_n & 1))
             pm, pn = so_m >> 1, so_n >> 1
             for so_e, so_f in itertools.combinations(virt, 2):
@@ -110,8 +107,8 @@ class _SlaterCondon:
                     val -= self.g[pe, pn, pf, pm]
                 if val == 0.0:
                     continue
-                s3, w3 = _sign_create(w2, so_f)
-                s4, w4 = _sign_create(w3, so_e)
+                s3, w3 = _ladder(w2, so_f)
+                s4, w4 = _ladder(w3, so_e)
                 yield self.index[w4], s1 * s2 * s3 * s4 * val
 
 

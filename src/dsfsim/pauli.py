@@ -150,8 +150,8 @@ class LinearPauli:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[tuple[int, int], complex] | None = None):
-        self.terms = dict(terms) if terms else {}
+    def __init__(self):
+        self.terms: dict[tuple[int, int], complex] = {}
 
     def add(self, coeff: complex, x: int, z: int) -> None:
         key = (x, z)

@@ -228,13 +228,4 @@ def table_to_csv(reports: list[ResourceReport]) -> str:
 
 
 def report_to_json(report: ResourceReport) -> str:
-    return json.dumps({
-        "n_orbitals": report.n_orbitals,
-        "logical_qubits": report.logical_qubits,
-        "largest_t": report.largest_t,
-        "largest_volume": report.largest_volume,
-        "total_t": report.total_t,
-        "total_volume": report.total_volume,
-        "depth": report.depth,
-        "runtime_seconds": report.runtime_seconds,
-    }, sort_keys=True)
+    return json.dumps(dataclasses.asdict(report), sort_keys=True)

@@ -138,9 +138,14 @@ def largest_remainder(total: int, weights: np.ndarray) -> np.ndarray:
     return base
 
 
+def pair_factor(q: QVector, pair: str) -> float:
+    """q_a q_b (2 - delta_ab): the weight of pair ab in S(q, w)."""
+    return q.component(pair[0]) * q.component(pair[1]) * (1.0 if pair[0] == pair[1] else 2.0)
+
+
 def pair_weights(moments: np.ndarray, q_set: list[QVector] | None = None,
                  scale: float = 1.0) -> np.ndarray:
-    """max_q |q_a q_b| (2 - delta_ab) |<mu_a mu_b>| over ``PAIR_KEYS``; raises
+    """max_q |``pair_factor``| |<mu_a mu_b>| over ``PAIR_KEYS``; raises
     ValueError if ``scale`` times their sum overflows (q too large)."""
     moments = np.asarray(moments, dtype=float)
     if moments.shape != (3, 3):
@@ -149,9 +154,8 @@ def pair_weights(moments: np.ndarray, q_set: list[QVector] | None = None,
     weights = []
     for key in PAIR_KEYS:
         ia, ib = AXES.index(key[0]), AXES.index(key[1])
-        qq = max(abs(q.component(key[0]) * q.component(key[1])) for q in qs)
-        factor = 1.0 if key[0] == key[1] else 2.0
-        weights.append(qq * factor * abs(moments[ia, ib]))
+        qq = max(abs(pair_factor(q, key)) for q in qs)
+        weights.append(qq * abs(moments[ia, ib]))
     weights = np.array(weights)
     if not math.isfinite(scale * float(weights.sum())):
         raise ValueError("pair weights overflow: the momentum transfers are too large")
@@ -164,9 +168,8 @@ def plan_run(eta: float, delta_window: float, epsilon_trunc: float,
     """Choose tau and variance-minimizing pair budgets; the depth is ``RunPlan.n_max``.
 
     tau = pi / delta_window ties the sampling rate to the spectral window.
-    Budgets are proportional to max_q |q_a q_b| (2 - delta_ab) |<mu_a mu_b>|,
-    which minimizes the total variance of the assembled structure factor
-    over the target q set.
+    Budgets are proportional to ``pair_weights``, which minimizes the total
+    variance of the assembled structure factor over the target q set.
     """
     if delta_window <= 0 or eta <= 0:
         raise ValueError("eta and the spectral window must be positive")
@@ -401,7 +404,7 @@ def reconstruct_intensity(series: GreensSeries, omega_grid: np.ndarray) -> Spect
 
 
 def assemble_dsf(q: QVector, contributions: dict[str, Spectrum]) -> Spectrum:
-    """S(q, w) = sum_{a >= b} q_a q_b (2 - delta_ab) * contribution_ab(w).
+    """S(q, w) = sum_{a >= b} ``pair_factor(q, ab)`` * contribution_ab(w).
 
     Stored pair contributions are reused for every q, so evaluating new
     momentum transfers costs no further measurements.
@@ -416,9 +419,7 @@ def assemble_dsf(q: QVector, contributions: dict[str, Spectrum]) -> Spectrum:
     omega = grids[0]
     values = np.zeros_like(omega)
     for key in PAIR_KEYS:
-        qq = q.component(key[0]) * q.component(key[1])
-        factor = 1.0 if key[0] == key[1] else 2.0
-        values = values + qq * factor * contributions[key].values
+        values = values + pair_factor(q, key) * contributions[key].values
     eta = contributions["xx"].eta
     return Spectrum(omega, values, eta, kind="dsf",
                     label=f"q=({q.qx},{q.qy},{q.qz})")
@@ -493,8 +494,7 @@ def spectrum_to_csv(spectrum: Spectrum) -> str:
     return "\n".join(lines) + "\n"
 
 
-def spectrum_from_csv(text: str, eta: float = 0.0, kind: str = "intensity",
-                      label: str = "") -> Spectrum:
+def spectrum_from_csv(text: str, eta: float = 0.0) -> Spectrum:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "omega_hartree,omega_ev,value":
         raise ValueError("unrecognized spectrum CSV header")
@@ -503,4 +503,4 @@ def spectrum_from_csv(text: str, eta: float = 0.0, kind: str = "intensity",
         w, _, v = ln.split(",")
         omega.append(float(w))
         values.append(float(v))
-    return Spectrum(np.array(omega), np.array(values), eta, kind=kind, label=label)
+    return Spectrum(np.array(omega), np.array(values), eta)

@@ -7,6 +7,7 @@ the sector step ``dsfsim spectrum`` ships; acceptance criterion 5 pins them.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -80,13 +81,18 @@ def check_trotter_slope() -> tuple[bool, str]:
     return abs(slope + 2.0) <= 0.1, f"log-log slope = {slope:.3f}"
 
 
-def _runs():
+@functools.cache
+def _runs() -> tuple:
     """Per bundled fixture: the solved model, its plan and forward program, and
-    the exact series ``dsfsim spectrum`` records for each pair."""
+    the exact series ``dsfsim spectrum`` records for each pair; solved once."""
+    runs = []
     for spec in SPECS:
         model = fixtures.solve(spec)
-        plan, prog = model.plan(ETA, shots=600, k=K), model.program(K)
-        yield model, plan, prog, sp.measure_all(plan, model.states, prog, mode="exact")
+        plan = model.plan(ETA, shots=600, k=K)
+        prog = model.program(plan)
+        series = sp.measure_all(plan, model.states, prog, mode="exact")
+        runs.append((model, plan, prog, series))
+    return tuple(runs)
 
 
 def _biases(series: dict) -> dict:
@@ -113,9 +119,8 @@ def check_time_reversal() -> tuple[bool, str]:
     """X_n is even and Y_n odd under tau -> -tau: the series at -tau is the conjugate."""
     worst = 0.0
     for model, plan, _, series in _runs():
-        back = _biases(sp.measure_all(plan, model.states,
-                                      emulator.build_trotter(model.shifted, -plan.tau, K),
-                                      mode="exact"))
+        backward = emulator.build_trotter(model.shifted, -plan.tau, plan.k)
+        back = _biases(sp.measure_all(plan, model.states, backward, mode="exact"))
         for pair, fwd in _biases(series).items():
             worst = max(worst, float(np.max(np.abs(fwd - back[pair].conj()))))
     return worst <= TOL, f"max X/Y parity violation = {worst:.2e}"

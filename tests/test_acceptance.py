@@ -105,7 +105,7 @@ def test_criterion_2_trotter_convergence(toy):
     errors = {}
     spectra = {}
     for k in (1, 2, 4, 8):
-        prog = toy.program(k=k)
+        prog = toy.program(plan_by_k[k])
         series = sp.measure_all(plan_by_k[k], toy.states, prog, mode="exact")
         values = sp.assemble_dsf(q, {p: sp.reconstruct_intensity(s, grid)
                                      for p, s in series.items()}).values
@@ -134,7 +134,7 @@ def test_criterion_3_shot_budget_resolves_both_bands(toy):
     t_start = time.time()
     q = QVector(1.0, 1.0, 1.0)
     plan = toy.plan(shots=10**4, q_set=[q])
-    prog = toy.program(k=4)
+    prog = toy.program(plan)
     grid = sp.default_omega_grid(plan.tau, toy.eta)
     exact_series = sp.measure_all(plan, toy.states, prog, mode="exact")
     exact_values = sp.assemble_dsf(q, {p: sp.reconstruct_intensity(s, grid)
@@ -209,7 +209,7 @@ def test_criterion_7_shape_level_coverage(toy):
     bands."""
     q = QVector(1.0, 1.0, 1.0)
     plan = toy.plan(epsilon_trunc=1e-6)
-    prog = toy.program(k=4)
+    prog = toy.program(plan)
     grid = sp.default_omega_grid(plan.tau, toy.eta)
     contributions = {p: sp.reconstruct_intensity(s, grid) for p, s in
                      sp.measure_all(plan, toy.states, prog, mode="exact").items()}

@@ -163,15 +163,29 @@ def test_statevector_qubit_cap():
 def test_dense_cap_bounds_every_dense_build(two_orb, monkeypatch, cap, refused):
     """The CI solve, the dipole states and the sector step obey one cap (here d = 4)."""
     monkeypatch.setattr(ci, "DENSE_CAP", cap)
+    prog = two_orb.program(two_orb.plan(0.06))
     builds = (lambda: oracle.solve_sector(two_orb.h, *two_orb.spec.sector),
               lambda: sp.prepare_dipole_states(two_orb.psi0, two_orb.dipole),
-              lambda: emulator.program_unitary(two_orb.program(), two_orb.states.basis))
+              lambda: emulator.program_unitary(prog, two_orb.states.basis))
     for build in builds:
         if refused:
             with pytest.raises(ci.SectorTooLarge):
                 build()
         else:
             build()
+
+
+@pytest.mark.parametrize("n_electrons, ms2, sector",
+                         [(0, 0, (0, 0)), (3, 1, (2, 1)), (3, -1, (1, 2)), (4, 4, (4, 0))])
+def test_electron_sector(n_electrons, ms2, sector):
+    assert ci.electron_sector(n_electrons, ms2) == sector
+
+
+@pytest.mark.parametrize("n_electrons, ms2", [(-2, 0), (2, 4), (2, -4), (3, 0), (2, 1)])
+def test_electron_sector_refuses_a_header_with_no_sector(n_electrons, ms2):
+    """A negative count, |MS2| above it, or an odd N + MS2 names no sector."""
+    with pytest.raises(ValueError, match="no sector"):
+        ci.electron_sector(n_electrons, ms2)
 
 
 def test_moment_trivials():

@@ -89,10 +89,14 @@ def twelve_orbital_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def bad_ground_state_dir(fixture_dir, tmp_path_factory):
-    """The 2-orbital inputs next to four faulty ``--ground-state`` files."""
+    """The 2-orbital inputs next to four faulty ``--ground-state`` files and an
+    FCIDUMP whose header (NELEC=3, MS2=0) names no sector."""
     out = tmp_path_factory.mktemp("bad_ground_state")
     for name in ("hamiltonian.fcidump", "dipoles.json"):
         shutil.copy(fixture_dir / name, out / name)
+    text = (fixture_dir / "hamiltonian.fcidump").read_text()
+    assert "NELEC=2,MS2=0," in text
+    (out / "no_sector.fcidump").write_text(text.replace("NELEC=2,", "NELEC=3,"))
     (out / "three_orbitals.jsonl").write_text(
         ci.write_civector_jsonl(ci.CIVector(3, {ci.Determinant(1, 1): 1.0})))
     (out / "no_re.jsonl").write_text('{"alpha": "10", "beta": "10", "im": 0.0}\n')
@@ -104,9 +108,10 @@ def bad_ground_state_dir(fixture_dir, tmp_path_factory):
 
 
 def spectrum_args(fixture_dir, base, out):
-    return base + ["--hamiltonian", str(fixture_dir / "hamiltonian.fcidump"),
-                   "--dipoles", str(fixture_dir / "dipoles.json"),
-                   "--out", str(out)]
+    """``base`` on the inputs in ``fixture_dir``; a flag in ``base`` wins."""
+    return base[:1] + ["--hamiltonian", str(fixture_dir / "hamiltonian.fcidump"),
+                       "--dipoles", str(fixture_dir / "dipoles.json"),
+                       "--out", str(out)] + base[1:]
 
 
 def test_gen_fixtures_deterministic(tmp_path):
@@ -192,6 +197,20 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
     user_input("shift_ev_nan", EXACT + ["--shift-ev", "nan"], "invalid_config"),
     user_input("n_alpha_exceeds_orbitals", EXACT + ["--n-alpha", "5", "--n-beta", "1"],
                "invalid_config"),
+    user_input("n_alpha_alone", EXACT + ["--n-alpha=99"], "invalid_config"),
+    user_input("config_n_beta_alone", ["spectrum"], "invalid_config", config={"n_beta": 1}),
+    user_input("oracle_n_alpha_alone", ["oracle", "--eta", "0.02", "--n-alpha", "1"],
+               "invalid_config"),
+    user_input("header_names_no_sector",
+               EXACT + ["--hamiltonian", "{inputs}/no_sector.fcidump"], "invalid_config",
+               inputs="bad_ground_state_dir"),
+    user_input("oracle_header_names_no_sector",
+               ["oracle", "--eta", "0.02", "--hamiltonian", "{inputs}/no_sector.fcidump"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("sector_flags_override_the_header",
+               EXACT + ["--hamiltonian", "{inputs}/no_sector.fcidump",
+                        "--n-alpha", "1", "--n-beta", "1"], "exact_2orb",
+               inputs="bad_ground_state_dir"),
     user_input("oracle_ground_state_not_a_flag",
                ["oracle", "--eta", "0.02", "--delta", "2.0",
                 "--ground-state", "{inputs}/missing.jsonl"], "invalid_config"),

@@ -10,6 +10,7 @@ from dsfsim.emulator import (IMAG, REAL, apply_trotter, build_trotter,
                              sector_apply, sector_expectation)
 from dsfsim.operators import jordan_wigner
 from dsfsim.pauli import PauliSum, pauli_sum_dense
+from dsfsim.spectrum import plan_run
 
 
 def random_pauli_sum(n_qubits, n_terms, seed, with_identity=True):
@@ -118,7 +119,7 @@ def test_dense_step_equals_statevector_path():
 @pytest.mark.parametrize("model", ["toy", "two_orb"])
 def test_sector_step_is_the_restricted_register_step(request, model):
     model = request.getfixturevalue(model)
-    prog = model.program()
+    prog = model.program(plan_run(0.06, model.delta, 1e-2, 600, model.states.moments))
     basis = model.states.basis
     full = program_unitary(prog)[np.ix_(basis, basis)]
     assert np.max(np.abs(program_unitary(prog, basis) - full)) < 1e-13

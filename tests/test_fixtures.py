@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dsfsim import fixtures
+from dsfsim import ci, fixtures
 from dsfsim.fixtures import (CORE_VALENCE_SPEC, DIAGONAL_SPEC, ModelSpec,
                              generate, write_fixture)
 from dsfsim.operators import parse_fcidump_header
@@ -41,6 +41,19 @@ def test_header_records_sector(tmp_path):
     fields = parse_fcidump_header(open(paths["hamiltonian"]).read())
     assert fields["NELEC"] == 2
     assert fields["MS2"] == 0
+
+
+def test_spec_sector_is_the_written_header_sector(tmp_path):
+    """For every bundled size, ``ModelSpec.sector`` has S_z = 0 or 1/2 and is
+    ``ci.electron_sector`` of the NELEC and MS2 that ``write_fixture`` writes."""
+    for n in range(1, fixtures.MAX_BUNDLED_ORBITALS + 1):
+        for n_electrons in range(1, 2 * n + 1):
+            spec = ModelSpec(n_orbitals=n, n_electrons=n_electrons, seed=0)
+            paths = write_fixture(spec, tmp_path / f"{n}_{n_electrons}")
+            fields = parse_fcidump_header(open(paths["hamiltonian"]).read())
+            n_alpha, n_beta = spec.sector
+            assert (n_alpha + n_beta, n_alpha - n_beta) == (n_electrons, n_electrons % 2)
+            assert ci.electron_sector(fields["NELEC"], fields["MS2"]) == spec.sector
 
 
 def test_core_valence_bright_window(toy):

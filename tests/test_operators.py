@@ -34,6 +34,15 @@ def test_two_body_eightfold_fill():
         assert g[idx] == 0.25
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_canonical_quadruples_partition_the_index_space(n):
+    """The 8-fold orbits of the canonical quadruples cover range(n)^4, each
+    index in exactly one orbit."""
+    indices = [idx for quad in operators.canonical_quadruples(n)
+               for idx in operators.eightfold_orbit(quad)]
+    assert len(indices) == len(set(indices)) == n**4
+
+
 def test_round_trip_exact(two_orb):
     text = write_fcidump(two_orb.h, n_electrons=2, ms2=0)
     back = parse_fcidump(text)

@@ -171,7 +171,7 @@ def test_dark_axis_records_positive_zeros(two_orb):
     assert states.norms["z"] == 0.0 and not np.any(states.kets[:, 2])
     assert not np.any(states.moments[2]) and states.vectors["z"] is None
     plan = plan_run(0.06, two_orb.delta, 1e-2, 600, states.moments)
-    series = measure_all(plan, states, two_orb.program(), mode="exact")
+    series = measure_all(plan, states, two_orb.program(plan), mode="exact")
     for pair in ("xz", "yz", "zz"):
         values = np.concatenate([series[pair].x, series[pair].y])
         assert not np.any(values) and not np.any(np.signbit(values)), pair
@@ -194,7 +194,7 @@ def test_exact_series_matches_eigendecomposition(toy, two_orb):
     from dsfsim.pauli import pauli_sum_dense
     for model in (toy, two_orb):
         plan = plan_run(0.06, model.delta, 1e-2, 600, model.states.moments)
-        prog = model.program(k=4)
+        prog = model.program(plan)
         step_err = np.linalg.norm(
             emulator.program_unitary(prog)
             - scipy.linalg.expm(-1j * pauli_sum_dense(model.shifted) * plan.tau), 2)
@@ -208,7 +208,7 @@ def test_exact_series_matches_eigendecomposition(toy, two_orb):
 
 def test_sampled_variance_matches_bernoulli(toy):
     plan = toy.plan(shots=60000)
-    prog = toy.program()
+    prog = toy.program(plan)
     exact = measure_all(plan, toy.states, prog, mode="exact")["zz"]
     n_probe = 2
     shots_re, _ = sp.split_shots(int(exact.shots[n_probe - 1]))
@@ -222,7 +222,7 @@ def test_sampled_variance_matches_bernoulli(toy):
 
 def test_sampled_series_deterministic_per_seed(toy):
     plan = toy.plan(shots=3000)
-    prog = toy.program()
+    prog = toy.program(plan)
     s1 = measure_all(plan, toy.states, prog, mode="sampled", master_seed=9)["xx"]
     s2 = measure_all(plan, toy.states, prog, mode="sampled", master_seed=9)["xx"]
     assert np.array_equal(s1.x, s2.x) and np.array_equal(s1.y, s2.y)
@@ -233,7 +233,7 @@ def test_sampled_series_deterministic_per_seed(toy):
 def test_resample_matches_fresh_measurement(toy):
     """Resampling an exact series equals a fresh sampled measurement, bit for bit."""
     plan = toy.plan(shots=2000)
-    prog = toy.program()
+    prog = toy.program(plan)
     exact = measure_all(plan, toy.states, prog, mode="exact")["yy"]
     direct = measure_all(plan, toy.states, prog, mode="sampled", master_seed=4)["yy"]
     redrawn = resample_series(exact, master_seed=4)
@@ -245,7 +245,7 @@ def test_resample_matches_fresh_measurement(toy):
 def test_measure_series_is_one_pair_of_measure_all(toy, mode):
     """The per-pair entry point returns ``measure_all``'s series bit for bit."""
     plan = toy.plan(shots=2000)
-    prog = toy.program()
+    prog = toy.program(plan)
     every = measure_all(plan, toy.states, prog, mode=mode, master_seed=7)
     for pair in sp.PAIR_KEYS:
         one = measure_series(pair, plan, toy.states, prog, mode=mode, master_seed=7)
@@ -288,7 +288,7 @@ def test_resample_records_zero_without_shots():
 
 def test_series_bound_invariant(toy):
     plan = toy.plan(shots=1200)
-    series = measure_all(plan, toy.states, toy.program(), mode="exact")["xy"]
+    series = measure_all(plan, toy.states, toy.program(plan), mode="exact")["xy"]
     assert np.all(np.abs(series.x) <= series.norm_product + 1e-12)
     assert np.all(np.abs(series.y) <= series.norm_product + 1e-12)
 
@@ -341,7 +341,7 @@ def direct_intensity(series, omega):
 
 def toy_series(toy, epsilon_trunc):
     plan = toy.plan(epsilon_trunc=epsilon_trunc)
-    series = measure_all(plan, toy.states, toy.program(), mode="exact")["xy"]
+    series = measure_all(plan, toy.states, toy.program(plan), mode="exact")["xy"]
     return series, default_omega_grid(plan.tau, toy.eta)
 
 
@@ -389,8 +389,8 @@ def test_reconstruct_workspace_is_linear(toy):
 
 
 def test_reconstruct_matches_oracle_lorentzians(toy):
-    plan = toy.plan(epsilon_trunc=1e-6)
-    prog = toy.program(k=32)
+    plan = toy.plan(epsilon_trunc=1e-6, k=32)
+    prog = toy.program(plan)
     grid = default_omega_grid(plan.tau, toy.eta)
     every = measure_all(plan, toy.states, prog, mode="exact")
     for pair in ("xx", "xy"):
@@ -401,8 +401,8 @@ def test_reconstruct_matches_oracle_lorentzians(toy):
 
 
 def test_diagonal_positivity(toy):
-    plan = toy.plan(epsilon_trunc=1e-8)
-    prog = toy.program(k=8)
+    plan = toy.plan(epsilon_trunc=1e-8, k=8)
+    prog = toy.program(plan)
     grid = default_omega_grid(plan.tau, toy.eta)
     floor = -10 * plan.epsilon_trunc
     every = measure_all(plan, toy.states, prog, mode="exact")
@@ -424,7 +424,7 @@ def contributions_on(grid, toy, plan, prog):
 @pytest.fixture(scope="module")
 def toy_contribs(toy):
     plan = toy.plan(epsilon_trunc=1e-4)
-    prog = toy.program()
+    prog = toy.program(plan)
     grid = default_omega_grid(plan.tau, toy.eta)
     return grid, contributions_on(grid, toy, plan, prog)
 
@@ -521,7 +521,7 @@ def test_sampling_budget_calibrates_error_scale(toy):
     budgets = {p: (budget if p == "zz" else 1) for p in sp.PAIR_KEYS}
     plan = RunPlan(tau=plan0.tau, eta=toy.eta, k=4, budgets=budgets,
                    epsilon_trunc=plan0.epsilon_trunc)
-    prog = toy.program()
+    prog = toy.program(plan)
     exact = measure_all(plan, toy.states, prog, mode="exact")["zz"]
     # every time point must stay measured, else an unmodeled truncation bias
     # enters; the budget formula presumes this regime
@@ -569,7 +569,7 @@ def test_sampling_budget_calibrates_error_scale(toy):
 
 def test_series_json_round_trip(toy):
     plan = toy.plan(shots=900)
-    series = measure_all(plan, toy.states, toy.program(), mode="sampled",
+    series = measure_all(plan, toy.states, toy.program(plan), mode="sampled",
                          master_seed=3)["xz"]
     back = series_from_json(series_to_json(series))
     assert back.pair == series.pair
