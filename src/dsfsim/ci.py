@@ -31,6 +31,10 @@ def check_dense(dim: int) -> None:
         raise SectorTooLarge(f"a dense matrix over {dim} states exceeds the cap {DENSE_CAP}")
 
 
+class NonFiniteValue(ValueError):
+    """A quantity of the chain is not finite: an input value overflowed the float range."""
+
+
 class AnnihilatedError(ValueError):
     """An operator mapped the state to zero.
 
@@ -91,7 +95,7 @@ class CIVector:
             if amp == 0:
                 raise ValueError("zero amplitude stored; prune before constructing")
             if not np.isfinite(amp):
-                raise ValueError("non-finite amplitude")
+                raise NonFiniteValue("non-finite amplitude")
 
     @property
     def n_alpha(self) -> int:
@@ -156,7 +160,12 @@ def apply_one_body(m: np.ndarray, v: CIVector) -> CIVector:
 
 def normalize(v: CIVector) -> tuple[CIVector, float]:
     """Return (unit vector, norm); the norm rescales measured amplitudes."""
-    norm = v.norm()
+    try:
+        norm = v.norm()
+    except OverflowError:  # a squared amplitude beyond the float range
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise NonFiniteValue("the norm overflows the float range")
     if norm == 0.0:
         raise AnnihilatedError("dipole annihilates state")
     unit = CIVector(v.n_orbitals, {d: a / norm for d, a in v.entries.items()})
@@ -288,6 +297,8 @@ def read_civector_jsonl(text: str) -> CIVector:
             n_orbitals = width
         elif width != n_orbitals:
             raise ValueError(f"line {lineno}: inconsistent orbital count")
+        if det in entries:
+            raise ValueError(f"line {lineno}: determinant repeated")
         entries[det] = amp
     if n_orbitals is None:
         raise ValueError("empty CI-vector stream")

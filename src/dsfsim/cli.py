@@ -41,24 +41,90 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
+def _is_number(value, integer: bool = False) -> bool:
+    """A finite int or float, not a bool, within the float range; an int when ``integer``."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max  # False for nan, inf and ints beyond any float
+
+
+def _list_of(kind: type):
+    """The argparse type of a flag holding comma-separated ``kind`` values ('' for none)."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(t) for t in text.split(",")] if text else []
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated list of {kind.__name__}: {text!r}") from None
+    return parse
+
+
+def _string(value) -> bool:
+    return isinstance(value, str)
+
+
+def _at_least(least: int):
+    return lambda value: _is_number(value, integer=True) and value >= least
+
+
+def _unset_or(check):
+    return lambda value: value is None or check(value)
+
+
+SPECTRUM, BOTH = ("spectrum",), ("spectrum", "oracle")
+MODES = ["sampled", "exact"]
+
+
+def _row(default, commands=BOTH, must=None, check=None, option=None, **flag):
+    """A ``RunConfig`` field: its default (a callable makes a fresh one), the commands
+    taking it, its check ("must be ``must``") and its flag, ``option`` (else
+    ``--name``) with the argparse options ``flag``."""
+    return field(**{"default_factory" if callable(default) else "default": default},
+                 metadata={"commands": commands, "must": must, "check": check,
+                           "option": option, "flag": flag})
+
+
 @dataclass
 class RunConfig:
-    hamiltonian: str = ""
-    dipoles: str = ""
-    ground_state: str = "solve"
-    mode: str = "exact"               # sampled | exact
-    eta: str = "0.06"                 # Hartree by default; accepts "1.63eV"
-    delta: float | None = None        # spectral window, Hartree
-    epsilon_trunc: float = math.exp(-5.0)
-    trotter_k: int = 4
-    shots: int = 10000
-    seed: int = 0
-    q: list = field(default_factory=lambda: [[1.0, 1.0, 1.0]])
-    cvs: list = field(default_factory=list)
-    out: str = "out"
-    shift_ev: float = 0.0
-    n_alpha: int | None = None
-    n_beta: int | None = None
+    """The ``spectrum`` and ``oracle`` run fields, one ``_row`` each.
+
+    argparse, the config check, a command's field set and the manifest's
+    ``parameters`` all read the rows.  ``eta`` is checked by ``parse_energy``
+    and the ``n_alpha``/``n_beta`` pair rule by ``_check_config``.
+    """
+    hamiltonian: str = _row("", BOTH, "a string", _string, help="FCIDUMP path")
+    dipoles: str = _row("", BOTH, "a string", _string, help="dipole JSON path")
+    ground_state: str = _row("solve", SPECTRUM, "a string", _string,
+                             help="CI-vector .jsonl, eigensystem .json, or 'solve'")
+    mode: str = _row("exact", SPECTRUM, "sampled or exact", lambda v: v in MODES,
+                     choices=MODES)
+    eta: str = _row("0.06", BOTH, help="broadening, Hartree (or e.g. '1.63eV')")
+    delta: float | None = _row(None, BOTH, "a finite positive energy in Hartree",
+                               _unset_or(lambda v: _is_number(v) and v > 0),
+                               type=float, help="spectral window, Hartree")
+    epsilon_trunc: float = _row(math.exp(-5.0), SPECTRUM, "a number in (0, 1)",
+                                lambda v: _is_number(v) and 0 < v < 1, type=float)
+    trotter_k: int = _row(4, SPECTRUM, "an integer >= 1", _at_least(1), option="--k",
+                          type=int, help="Trotter substeps per tau")
+    shots: int = _row(10000, SPECTRUM, "an integer of at least one shot per Cartesian pair",
+                      _at_least(len(sp.PAIR_KEYS)), type=int)
+    seed: int = _row(0, SPECTRUM, "a non-negative integer", _at_least(0), type=int)
+    q: list = _row(lambda: [[1.0, 1.0, 1.0]], BOTH, "a list of finite three-component momenta",
+                   lambda v: isinstance(v, list) and all(
+                       isinstance(t, list) and len(t) == 3 and all(map(_is_number, t))
+                       for t in v),
+                   type=_list_of(float), action="append",
+                   help="momentum 'qx,qy,qz' (repeatable)")
+    cvs: list = _row(list, BOTH, "a list of non-negative orbital indices",
+                     lambda v: isinstance(v, list) and all(map(_at_least(0), v)),
+                     type=_list_of(int), help="comma-separated core orbitals")
+    out: str = _row("out", BOTH, "a string", _string, help="output directory")
+    shift_ev: float = _row(0.0, BOTH, "a finite number of eV", _is_number, type=float,
+                           help="additive display shift for omega, eV")
+    n_alpha: int | None = _row(None, BOTH, "a non-negative integer",
+                               _unset_or(_at_least(0)), type=int)
+    n_beta: int | None = _row(None, BOTH, "a non-negative integer",
+                              _unset_or(_at_least(0)), type=int)
 
     @property
     def eta_hartree(self) -> float:
@@ -93,69 +159,28 @@ def parse_energy(text) -> float:
     return value
 
 
-def _parse_list(text: str, kind: type) -> list:
-    try:
-        return [kind(t) for t in text.split(",")] if text else []
-    except ValueError:
-        raise CliError("invalid_config",
-                       f"not a comma-separated list of {kind.__name__}: {text!r}") from None
-
-
-def _is_number(value, integer: bool = False) -> bool:
-    """A finite int or float, not a bool, within the float range; an int when ``integer``."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        return False
-    return abs(value) <= sys.float_info.max  # False for nan, inf and ints beyond any float
-
-
 def _check_config(cfg: RunConfig) -> None:
-    """Refuse a field of the wrong type or out of range with ``invalid_config``."""
-    def refuse(name: str, what: str):
-        raise CliError("invalid_config",
-                       f"{name} must be {what}, got {getattr(cfg, name)!r}")
-
-    for name in ("hamiltonian", "dipoles", "ground_state", "out"):
-        if not isinstance(getattr(cfg, name), str):
-            refuse(name, "a string")
-    if cfg.mode not in ("sampled", "exact"):
-        refuse("mode", "sampled or exact")
+    """Refuse a field failing its row's check or the pair rule with ``invalid_config``."""
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(cfg, f.name)
+        if f.metadata["check"] and not f.metadata["check"](value):
+            raise CliError("invalid_config",
+                           f"{f.name} must be {f.metadata['must']}, got {value!r}")
     parse_energy(cfg.eta)
-    if cfg.delta is not None and not (_is_number(cfg.delta) and cfg.delta > 0):
-        refuse("delta", "a finite positive energy in Hartree")
-    if not (_is_number(cfg.epsilon_trunc) and 0 < cfg.epsilon_trunc < 1):
-        refuse("epsilon_trunc", "a number in (0, 1)")
-    if not (_is_number(cfg.trotter_k, integer=True) and cfg.trotter_k >= 1):
-        refuse("trotter_k", "an integer >= 1")
-    if not (_is_number(cfg.shots, integer=True) and cfg.shots >= len(sp.PAIR_KEYS)):
-        refuse("shots", "an integer of at least one shot per Cartesian pair")
-    if not (_is_number(cfg.seed, integer=True) and cfg.seed >= 0):
-        refuse("seed", "a non-negative integer")
-    if not (isinstance(cfg.q, list) and all(
-            isinstance(t, list) and len(t) == 3 and all(map(_is_number, t))
-            for t in cfg.q)):
-        refuse("q", "a list of finite three-component momenta")
-    if not (isinstance(cfg.cvs, list) and all(
-            _is_number(c, integer=True) and c >= 0 for c in cfg.cvs)):
-        refuse("cvs", "a list of non-negative orbital indices")
-    if not _is_number(cfg.shift_ev):
-        refuse("shift_ev", "a finite number of eV")
-    for name in ("n_alpha", "n_beta"):
-        value = getattr(cfg, name)
-        if value is not None and not (_is_number(value, integer=True) and value >= 0):
-            refuse(name, "a non-negative integer")
     if (cfg.n_alpha is None) != (cfg.n_beta is None):
         raise CliError("invalid_config", "give n_alpha and n_beta together, or neither")
 
 
-def _fields(args: argparse.Namespace) -> set[str]:
-    """The ``RunConfig`` fields that ``args``'s command takes as flags."""
-    return {f.name for f in dataclasses.fields(RunConfig)} & set(vars(args))
+def _fields(command: str) -> list[dataclasses.Field]:
+    """The ``RunConfig`` rows that ``command`` takes as flags, in table order."""
+    return [f for f in dataclasses.fields(RunConfig) if command in f.metadata["commands"]]
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
     """``args`` over its ``--config`` document, which may set only the command's flags."""
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    names = [f.name for f in _fields(args.command)]
+    if args.config:
         path = _require_file(args.config, "config")
         try:
             doc = json.loads(path.read_text())
@@ -163,21 +188,15 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise CliError("invalid_config", f"config file {path}: {exc}") from None
         if not isinstance(doc, dict):
             raise CliError("invalid_config", f"config file {path} is not a JSON object")
-        unknown = set(doc) - _fields(args)
+        unknown = set(doc) - set(names)
         if unknown:
             raise CliError("invalid_config", f"config fields that are not "
                                              f"{args.command} flags: {sorted(unknown)}")
         for key, value in doc.items():
             setattr(cfg, key, value)
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is None:
-            continue
-        if f.name == "q":
-            value = [_parse_list(t, float) for t in value]
-        elif f.name == "cvs":
-            value = _parse_list(value, int)
-        setattr(cfg, f.name, value)
+    for name in names:
+        if getattr(args, name) is not None:
+            setattr(cfg, name, getattr(args, name))
     _check_config(cfg)
     return cfg
 
@@ -278,10 +297,9 @@ def _resolve_window(cfg: RunConfig, eig, eta: float) -> float:
     return 1.05 * span + 5.0 * eta
 
 
-def _manifest(cfg: RunConfig, args: argparse.Namespace, extra: dict,
-              inputs: dict[str, Path]) -> dict:
+def _manifest(cfg: RunConfig, command: str, extra: dict, inputs: dict[str, Path]) -> dict:
     return {
-        "parameters": {name: getattr(cfg, name) for name in _fields(args)},
+        "parameters": {f.name: getattr(cfg, f.name) for f in _fields(command)},
         "inputs": {k: {"path": str(p), "sha256": _sha256(p)}
                    for k, p in inputs.items()},
         "versions": {"dsfsim": __version__, "numpy": np.__version__},
@@ -302,16 +320,15 @@ def _write(outdir: Path, name: str, text: str) -> None:
     (outdir / name).write_text(text)
 
 
-def _omega_grids(delta: float, eta: float, shift_ev: float,
+def _omega_grids(tau: float, eta: float, shift_ev: float,
                  plan: sp.RunPlan | None = None):
-    """The omega grid of the window and its copy shifted by ``shift_ev`` for output.
+    """The omega grid of the window pi/tau and its copy shifted by ``shift_ev`` for output.
 
     Refused with ``budget_exceeded`` before anything is built when the grid
-    points, plus ``plan.n_max`` when a plan is given, exceed ``SERIES_BUDGET``;
-    with ``invalid_config`` unless the window holds two grid points and the
-    shifted points stay distinct.
+    points, plus ``plan.n_max`` (read here, where its overflow is caught) when
+    a plan is given, exceed ``SERIES_BUDGET``; with ``invalid_config`` unless
+    the window holds two grid points and the shifted points stay distinct.
     """
-    tau = math.pi / delta
     try:
         size = sp.omega_grid_size(tau, eta) + (plan.n_max if plan else 0)
     except ArithmeticError:  # eta * tau underflows or the count overflows
@@ -323,7 +340,7 @@ def _omega_grids(delta: float, eta: float, shift_ev: float,
     grid = sp.default_omega_grid(tau, eta)
     if len(grid) < 2:
         raise CliError("invalid_config",
-                       f"delta {delta!r} Ha is narrower than the grid step eta/5 "
+                       f"the window (delta) is narrower than the grid step eta/5 "
                        f"({eta / 5.0!r} Ha)")
     shown = grid + shift_ev / HARTREE_TO_EV
     if np.any(np.diff(shown) <= 0):
@@ -346,7 +363,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise CliError("no_dipole_intensity", str(exc)) from None
     except ValueError as exc:
         raise CliError("invalid_config", str(exc)) from None
-    grid, shown = _omega_grids(delta, eta, cfg.shift_ev, plan)
+    grid, shown = _omega_grids(plan.tau, eta, cfg.shift_ev, plan)
     psum = jordan_wigner(h)
     if e0 is None:
         e0 = emulator.sector_expectation(psum, states.basis,
@@ -364,7 +381,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         dsf = sp.assemble_dsf(q, contribs)
         _write(outdir, f"dsf_q{i}.csv",
                sp.spectrum_to_csv(dataclasses.replace(dsf, omega=shown)))
-    manifest = _manifest(cfg, args, {
+    manifest = _manifest(cfg, args.command, {
         "derived": {
             "tau": plan.tau, "n_max": plan.n_max, "delta": delta,
             "ground_energy": e0, "budgets": plan.budgets,
@@ -391,7 +408,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError("invalid_config", str(exc)) from None
     delta = _resolve_window(cfg, eig, eta)
-    grid, shown = _omega_grids(delta, eta, cfg.shift_ev)
+    grid, shown = _omega_grids(sp.window_tau(delta), eta, cfg.shift_ev)
     outdir = _outdir(cfg.out)
     _write(outdir, "eigensystem.json", oracle.eigensystem_to_json(eig) + "\n")
     _write(outdir, "ground_state.jsonl", ci_mod.write_civector_jsonl(psi0))
@@ -403,7 +420,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         spec = oracle.exact_spectrum(eig, trans, q, eta, grid)
         _write(outdir, f"oracle_dsf_q{i}.csv",
                sp.spectrum_to_csv(dataclasses.replace(spec, omega=shown)))
-    manifest = _manifest(cfg, args, {
+    manifest = _manifest(cfg, args.command, {
         "derived": {"ground_energy": e0, "delta": delta,
                     "n_states": eig.n_states},
     }, {"hamiltonian": ham_path, "dipoles": dip_path})
@@ -488,35 +505,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "Green's-function measurements")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON config document")
-        p.add_argument("--hamiltonian", help="FCIDUMP path")
-        p.add_argument("--dipoles", help="dipole JSON path")
-        p.add_argument("--eta", help="broadening, Hartree (or e.g. '1.63eV')")
-        p.add_argument("--delta", type=float, help="spectral window, Hartree")
-        p.add_argument("--q", action="append", help="momentum 'qx,qy,qz' (repeatable)")
-        p.add_argument("--cvs", help="comma-separated core orbitals")
-        p.add_argument("--shift-ev", dest="shift_ev", type=float,
-                       help="additive display shift for omega, eV")
-        p.add_argument("--n-alpha", dest="n_alpha", type=int)
-        p.add_argument("--n-beta", dest="n_beta", type=int)
-        p.add_argument("--out", help="output directory")
-
-    p_spec = sub.add_parser("spectrum", help="measure and reconstruct spectra")
-    add_common(p_spec)
-    p_spec.add_argument("--ground-state", dest="ground_state",
-                        help="CI-vector .jsonl, eigensystem .json, or 'solve'")
-    p_spec.add_argument("--mode", choices=["sampled", "exact"])
-    p_spec.add_argument("--epsilon-trunc", dest="epsilon_trunc", type=float)
-    p_spec.add_argument("--k", dest="trotter_k", type=int,
-                        help="Trotter substeps per tau")
-    p_spec.add_argument("--shots", type=int)
-    p_spec.add_argument("--seed", type=int)
-    p_spec.set_defaults(fn=cmd_spectrum)
-
-    p_oracle = sub.add_parser("oracle", help="exact-diagonalization reference")
-    add_common(p_oracle)
-    p_oracle.set_defaults(fn=cmd_oracle)
+    for command, fn, help_text in (
+            ("spectrum", cmd_spectrum, "measure and reconstruct spectra"),
+            ("oracle", cmd_oracle, "exact-diagonalization reference")):
+        p_run = sub.add_parser(command, help=help_text)
+        p_run.add_argument("--config", help="JSON config document")
+        for f in _fields(command):
+            p_run.add_argument(f.metadata["option"] or "--" + f.name.replace("_", "-"),
+                               dest=f.name, **f.metadata["flag"])
+        p_run.set_defaults(fn=fn)
 
     p_res = sub.add_parser("resources", help="logical resource estimates")
     p_res.add_argument("--table", help="orbital range, e.g. '14..30' or '14,18'")
@@ -548,6 +545,8 @@ def main(argv=None) -> int:
         kind, message, code = exc.kind, str(exc), exc.exit_code
     except ci_mod.SectorTooLarge as exc:  # refused before any large allocation
         kind, message, code = "budget_exceeded", str(exc), 1
+    except ci_mod.NonFiniteValue as exc:  # raised while the states and operators are built
+        kind, message, code = "invalid_config", f"an input value overflows: {exc}", 1
     except FileNotFoundError as exc:
         kind, message, code = "input_not_found", str(exc), EXIT_INPUT_NOT_FOUND
     except Exception as exc:  # pragma: no cover - defensive envelope

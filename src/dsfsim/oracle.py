@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ci import (AnnihilatedError, CIVector, Determinant, amplitudes_on,
+from .ci import (AnnihilatedError, CIVector, Determinant, NonFiniteValue, amplitudes_on,
                  apply_one_body, check_dense, sector_basis, sector_dimension)
 from .operators import DipoleOperator, Hamiltonian, QVector
 
@@ -134,6 +134,8 @@ class EigenSystem:
     def __post_init__(self):
         object.__setattr__(self, "energies", np.asarray(self.energies, dtype=float))
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
+        if not np.all(np.isfinite(self.energies)):
+            raise NonFiniteValue("non-finite energies")
         if np.any(np.diff(self.energies) < -1e-12):
             raise ValueError("energies must be ascending")
         gram = self.coeffs.T @ self.coeffs

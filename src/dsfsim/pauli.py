@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ci import NonFiniteValue
+
 _LETTERS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _MASKS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
@@ -92,7 +94,7 @@ class PauliSum:
         limit = 1 << self.n_qubits
         for coeff, x, z in self.terms:
             if not math.isfinite(coeff):
-                raise ValueError("non-finite Pauli coefficient")
+                raise NonFiniteValue("non-finite Pauli coefficient")
             if x >= limit or z >= limit:
                 raise ValueError("Pauli word exceeds qubit register")
         for (_, x1, z1), (_, x2, z2) in zip(self.terms, self.terms[1:]):

@@ -162,14 +162,20 @@ def pair_weights(moments: np.ndarray, q_set: list[QVector] | None = None,
     return weights
 
 
+def window_tau(delta_window: float) -> float:
+    """The time step tau = pi / delta_window, which ties the sampling rate to the
+    spectral window."""
+    return math.pi / delta_window
+
+
 def plan_run(eta: float, delta_window: float, epsilon_trunc: float,
              total_shots: int, moments: np.ndarray,
              q_set: list[QVector] | None = None, k: int = 4) -> RunPlan:
     """Choose tau and variance-minimizing pair budgets; the depth is ``RunPlan.n_max``.
 
-    tau = pi / delta_window ties the sampling rate to the spectral window.
-    Budgets are proportional to ``pair_weights``, which minimizes the total
-    variance of the assembled structure factor over the target q set.
+    tau is ``window_tau(delta_window)``.  Budgets are proportional to
+    ``pair_weights``, which minimizes the total variance of the assembled
+    structure factor over the target q set.
     """
     if delta_window <= 0 or eta <= 0:
         raise ValueError("eta and the spectral window must be positive")
@@ -179,7 +185,7 @@ def plan_run(eta: float, delta_window: float, epsilon_trunc: float,
     if weights.sum() == 0.0:
         raise NoDipoleIntensity("no dipole intensity")
     budgets = largest_remainder(total_shots, weights)
-    return RunPlan(tau=math.pi / delta_window, eta=eta, k=k,
+    return RunPlan(tau=window_tau(delta_window), eta=eta, k=k,
                    budgets=dict(zip(PAIR_KEYS, (int(b) for b in budgets))),
                    epsilon_trunc=epsilon_trunc)
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -89,14 +90,23 @@ def twelve_orbital_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def bad_ground_state_dir(fixture_dir, tmp_path_factory):
-    """The 2-orbital inputs next to four faulty ``--ground-state`` files and an
-    FCIDUMP whose header (NELEC=3, MS2=0) names no sector."""
+    """The 2-orbital inputs next to faulty files: six ``--ground-state`` files,
+    an FCIDUMP whose header (NELEC=3, MS2=0) names no sector, and an FCIDUMP
+    and a dipole file whose entries overflow the float range in the chain."""
     out = tmp_path_factory.mktemp("bad_ground_state")
     for name in ("hamiltonian.fcidump", "dipoles.json"):
         shutil.copy(fixture_dir / name, out / name)
     text = (fixture_dir / "hamiltonian.fcidump").read_text()
     assert "NELEC=2,MS2=0," in text
     (out / "no_sector.fcidump").write_text(text.replace("NELEC=2,", "NELEC=3,"))
+    (out / "overflowing.fcidump").write_text(text + "1e308 2 2 2 2\n")
+    dipoles = json.loads((fixture_dir / "dipoles.json").read_text())
+    dipoles["x"] = [[1e308, 0], [0, 1e308]]
+    (out / "overflowing_dipoles.json").write_text(json.dumps(dipoles))
+    (out / "overflowing.jsonl").write_text(
+        '{"alpha": "10", "beta": "10", "re": 1e308, "im": 1e308}\n')
+    (out / "repeated.jsonl").write_text('{"alpha": "10", "beta": "10", "re": 1.0}\n'
+                                        '{"alpha": "10", "beta": "10", "re": -1.0}\n')
     (out / "three_orbitals.jsonl").write_text(
         ci.write_civector_jsonl(ci.CIVector(3, {ci.Determinant(1, 1): 1.0})))
     (out / "no_re.jsonl").write_text('{"alpha": "10", "beta": "10", "im": 0.0}\n')
@@ -285,6 +295,24 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
     user_input("ground_state_eigensystem_without_states",
                ["spectrum", "--ground-state", "{inputs}/no_states.json", "--delta", "2.0"],
                "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("ground_state_norm_overflows",
+               ["spectrum", "--ground-state", "{inputs}/overflowing.jsonl", "--delta", "2.0"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("ground_state_determinant_repeated",
+               ["spectrum", "--ground-state", "{inputs}/repeated.jsonl", "--delta", "2.0"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("fcidump_overflows",
+               ["spectrum", "--hamiltonian", "{inputs}/overflowing.fcidump"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("oracle_fcidump_overflows",
+               ["oracle", "--eta", "0.02", "--hamiltonian", "{inputs}/overflowing.fcidump"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("dipoles_overflow",
+               ["spectrum", "--dipoles", "{inputs}/overflowing_dipoles.json"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("oracle_dipoles_overflow",
+               ["oracle", "--eta", "0.02", "--dipoles", "{inputs}/overflowing_dipoles.json"],
+               "invalid_config", inputs="bad_ground_state_dir"),
     user_input("series_over_budget", EXACT + ["--eta", "1e-4", "--epsilon-trunc", "1e-300"],
                "budget_exceeded"),
     user_input("oracle_grid_over_budget", ["oracle", "--eta", "1e-6", "--delta", "2.0"],
@@ -386,6 +414,89 @@ def test_flag_values_never_end_in_internal_error(fixture_dir, tmp_path, monkeypa
     with a typed error, or runs."""
     monkeypatch.chdir(tmp_path)
     argv = spectrum_args(fixture_dir, EXACT, tmp_path / "run") + [f"{flag}={value}"]
+    proc = run_cli(*argv, check=False)
+    if proc.returncode != 0:
+        assert json.loads(proc.stderr)["error"]["kind"] != "internal_error", proc.stderr
+
+
+def option(dest, help=None, type=None, choices=None, action="_StoreAction"):
+    """One argparse option as the contract pins it: (dest, type, choices, action, help)."""
+    return dest, type, choices, action, help
+
+
+# Every option of ``oracle``, and of ``spectrum`` with its measurement flags on
+# top.  A type is pinned by name when it is ``int`` or ``float``; the list flags
+# ``--q`` and ``--cvs`` are pinned by the values they parse to.
+ORACLE_OPTIONS = {
+    "-h": option("help", "show this help message and exit", action="_HelpAction"),
+    "--help": option("help", "show this help message and exit", action="_HelpAction"),
+    "--config": option("config", "JSON config document"),
+    "--hamiltonian": option("hamiltonian", "FCIDUMP path"),
+    "--dipoles": option("dipoles", "dipole JSON path"),
+    "--eta": option("eta", "broadening, Hartree (or e.g. '1.63eV')"),
+    "--delta": option("delta", "spectral window, Hartree", "float"),
+    "--q": option("q", "momentum 'qx,qy,qz' (repeatable)", action="_AppendAction"),
+    "--cvs": option("cvs", "comma-separated core orbitals"),
+    "--shift-ev": option("shift_ev", "additive display shift for omega, eV", "float"),
+    "--n-alpha": option("n_alpha", type="int"),
+    "--n-beta": option("n_beta", type="int"),
+    "--out": option("out", "output directory"),
+}
+SPECTRUM_OPTIONS = {
+    **ORACLE_OPTIONS,
+    "--ground-state": option("ground_state",
+                             "CI-vector .jsonl, eigensystem .json, or 'solve'"),
+    "--mode": option("mode", choices=["sampled", "exact"]),
+    "--epsilon-trunc": option("epsilon_trunc", type="float"),
+    "--k": option("trotter_k", "Trotter substeps per tau", "int"),
+    "--shots": option("shots", type="int"),
+    "--seed": option("seed", type="int"),
+}
+
+
+def test_run_command_flags_are_pinned():
+    """``spectrum`` and ``oracle`` keep their help lines and every option's dest,
+    type, choices, action and help; ``--q`` and ``--cvs`` parse to the same values."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    assert helps["spectrum"] == "measure and reconstruct spectra"
+    assert helps["oracle"] == "exact-diagonalization reference"
+    for command, want in (("spectrum", SPECTRUM_OPTIONS), ("oracle", ORACLE_OPTIONS)):
+        got = {flag: option(a.dest, a.help, {int: "int", float: "float"}.get(a.type),
+                            a.choices, type(a).__name__)
+               for a in sub.choices[command]._actions for flag in a.option_strings}
+        assert got == want, command
+        parsed = {("--q", "1,2,3", "--q", "0,0,-1e3"): ([[1, 2, 3], [0, 0, -1e3]], []),
+                  ("--cvs", "1,0"): ([[1, 1, 1]], [1, 0])}
+        for argv, lists in parsed.items():
+            cfg = cli.load_config(parser.parse_args([command, *argv]))
+            assert (cfg.q, cfg.cvs) == lists, (command, argv)
+        for argv, refusal in ((["--q", "", "--cvs", ""], "q must be"),
+                              (["--cvs", "1,a"], "not a comma-separated list of int")):
+            with pytest.raises(cli.CliError, match=refusal):
+                cli.load_config(parser.parse_args([command, *argv]))
+
+
+ORACLE_FLAGS = [flag for flag in ORACLE_OPTIONS if flag not in ("-h", "--help")]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flag=st.sampled_from(ORACLE_FLAGS), value=WRONG_FLAG_VALUES)
+def test_oracle_flag_values_never_end_in_internal_error(fixture_dir, tmp_path, monkeypatch,
+                                                        flag, value):
+    """An ``oracle`` run with one flag set to a drawn value is refused with a
+    typed error, or runs.
+
+    The series budget is lowered to 2**13 points: a drawn ``--delta=999`` would
+    otherwise build and write a 250,000-point grid (8 s), and a grid over the
+    budget is refused by the same check as one over 2**20.
+    """
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "SERIES_BUDGET", 2**13)
+    argv = spectrum_args(fixture_dir, ["oracle", "--eta", "0.02", "--delta", "2.0"],
+                         tmp_path / "run") + [f"{flag}={value}"]
     proc = run_cli(*argv, check=False)
     if proc.returncode != 0:
         assert json.loads(proc.stderr)["error"]["kind"] != "internal_error", proc.stderr
