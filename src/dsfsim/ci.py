@@ -1,9 +1,11 @@
 """Sparse CI vectors over Slater determinants.
 
-A determinant stores per-spin occupation bitmasks (bit p set = spatial
-orbital p occupied).  Amplitudes follow the convention that creation
-operators are applied in ascending qubit index (qubit = 2p + spin), which
-makes the statevector image of a single determinant a +1 one-hot vector.
+A determinant is its occupation word: bit 2p+s set = spatial orbital p
+occupied with spin s (0 = alpha, 1 = beta).  Amplitudes follow the
+convention that creation operators are applied in ascending qubit index
+(qubit = 2p + s), which makes the statevector image of a single determinant
+a +1 one-hot vector.  Per-spin orbital masks appear only in the two file
+formats: the JSON-lines records here and the eigensystem JSON of ``oracle``.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -43,27 +45,6 @@ class AnnihilatedError(ValueError):
     """
 
 
-class Determinant(NamedTuple):
-    occ_alpha: int
-    occ_beta: int
-
-    @property
-    def n_alpha(self) -> int:
-        return self.occ_alpha.bit_count()
-
-    @property
-    def n_beta(self) -> int:
-        return self.occ_beta.bit_count()
-
-    @property
-    def n_electrons(self) -> int:
-        return self.n_alpha + self.n_beta
-
-    def interleaved(self) -> int:
-        """Spin-orbital occupation word, bit 2p+s for orbital p, spin s."""
-        return _interleave(self.occ_alpha) | (_interleave(self.occ_beta) << 1)
-
-
 def _interleave(mask: int) -> int:
     """Spread the bits of ``mask`` onto even positions (p -> 2p)."""
     out = 0
@@ -74,23 +55,48 @@ def _interleave(mask: int) -> int:
     return out
 
 
+def word(occ_alpha: int, occ_beta: int) -> int:
+    """The occupation word of per-spin orbital masks (bit p set = orbital p occupied)."""
+    if occ_alpha < 0 or occ_beta < 0:
+        raise ValueError("an orbital mask is negative")
+    return _interleave(occ_alpha) | (_interleave(occ_beta) << 1)
+
+
+def spin_masks(word: int) -> tuple[int, int]:
+    """(alpha mask, beta mask) of an occupation word; the inverse of ``word``."""
+    alpha, beta = (sum(1 << p for p in range(word.bit_length()) if word >> (2 * p + s) & 1)
+                   for s in (0, 1))
+    return alpha, beta
+
+
+def spin_counts(word: int, n_orbitals: int) -> tuple[int, int]:
+    """(N_alpha, N_beta) of a word on ``n_orbitals``: popcounts of its even and odd bits."""
+    n_alpha = (word & ((1 << 2 * n_orbitals) - 1) // 3).bit_count()  # 0b0101...01
+    return n_alpha, word.bit_count() - n_alpha
+
+
+def ladder(word: int, so: int) -> tuple[float, int]:
+    """Sign and word of a_so on a word that occupies ``so``, or of a+_so on one
+    that does not: (-1)^(occupied spin orbitals below so), and bit so flipped."""
+    below = (word & ((1 << so) - 1)).bit_count()
+    return (-1.0 if below & 1 else 1.0), word ^ (1 << so)
+
+
 @dataclass(frozen=True)
 class CIVector:
-    """Sparse linear combination of determinants with complex amplitudes."""
+    """Sparse linear combination of determinants, keyed by occupation word."""
 
     n_orbitals: int
-    entries: dict[Determinant, complex]
+    entries: dict[int, complex]
 
     def __post_init__(self):
         if not self.entries:
             raise ValueError("CI vector has no entries")
-        orb_mask = (1 << self.n_orbitals) - 1
-        first = next(iter(self.entries))
-        na, nb = first.n_alpha, first.n_beta
+        sector = spin_counts(next(iter(self.entries)), self.n_orbitals)
         for det, amp in self.entries.items():
-            if det.occ_alpha & ~orb_mask or det.occ_beta & ~orb_mask:
+            if det >> 2 * self.n_orbitals:
                 raise ValueError("determinant occupies orbitals beyond the register")
-            if det.n_alpha != na or det.n_beta != nb:
+            if spin_counts(det, self.n_orbitals) != sector:
                 raise ValueError("determinants mix (N_e, S_z) sectors")
             if amp == 0:
                 raise ValueError("zero amplitude stored; prune before constructing")
@@ -98,64 +104,44 @@ class CIVector:
                 raise NonFiniteValue("non-finite amplitude")
 
     @property
-    def n_alpha(self) -> int:
-        return next(iter(self.entries)).n_alpha
-
-    @property
-    def n_beta(self) -> int:
-        return next(iter(self.entries)).n_beta
-
-    @property
-    def n_electrons(self) -> int:
-        return self.n_alpha + self.n_beta
+    def sector(self) -> tuple[int, int]:
+        """(N_alpha, N_beta) shared by every determinant."""
+        return spin_counts(next(iter(self.entries)), self.n_orbitals)
 
     def norm(self) -> float:
         return float(np.sqrt(sum(abs(a) ** 2 for a in self.entries.values())))
 
 
-def _hop_sign(word: int, src: int, dst: int) -> float:
-    """Fermionic sign of a+_dst a_src on occupation ``word`` (src occupied)."""
-    if src == dst:
-        return 1.0
-    lo, hi = (src, dst) if src < dst else (dst, src)
-    between = word & (((1 << hi) - 1) ^ ((1 << (lo + 1)) - 1))
-    return -1.0 if between.bit_count() & 1 else 1.0
-
-
 def apply_one_body(m: np.ndarray, v: CIVector) -> CIVector:
     """Apply ``sum_{pq,s} m[p,q] a+_{ps} a_{qs}`` to a CI vector.
 
-    Signs follow the ascending-qubit-order amplitude convention: each hop
-    picks up the parity of occupied spin orbitals strictly between source
-    and destination.  Every nonzero amplitude is kept; exact zeros (hops
-    that cancel) are dropped, as ``CIVector`` stores none.
+    Each hop's sign is the product of its two ``ladder`` signs: the parity of
+    occupied spin orbitals strictly between source and destination.  Every
+    nonzero amplitude is kept; exact zeros (hops that cancel) are dropped, as
+    ``CIVector`` stores none.
     """
     m = np.asarray(m, dtype=float)
-    if m.shape != (v.n_orbitals, v.n_orbitals):
+    n = v.n_orbitals
+    if m.shape != (n, n):
         raise ValueError("operator dimension does not match CI vector")
-    cols = [np.nonzero(m[:, q])[0] for q in range(v.n_orbitals)]
-    out: dict[Determinant, complex] = {}
+    cols = [np.nonzero(m[:, q])[0] for q in range(n)]
+    out: dict[int, complex] = {}
     for det, amp in v.entries.items():
-        word = det.interleaved()
-        for spin, occ in ((0, det.occ_alpha), (1, det.occ_beta)):
-            rest = occ
-            while rest:
-                low = rest & -rest
-                q = low.bit_length() - 1
-                rest ^= low
+        for spin in (0, 1):
+            for q in range(n):
+                if not det >> (2 * q + spin) & 1:
+                    continue
+                s1, hole = ladder(det, 2 * q + spin)
                 for p in cols[q]:
-                    p = int(p)
-                    if p != q and (occ >> p) & 1:
+                    dst = 2 * int(p) + spin
+                    if hole >> dst & 1:
                         continue  # destination occupied (same spin)
-                    sign = _hop_sign(word, 2 * q + spin, 2 * p + spin)
-                    new_occ = occ if p == q else (occ ^ (1 << q)) | (1 << p)
-                    new = (Determinant(new_occ, det.occ_beta) if spin == 0
-                           else Determinant(det.occ_alpha, new_occ))
-                    out[new] = out.get(new, 0j) + sign * m[p, q] * amp
+                    s2, new = ladder(hole, dst)
+                    out[new] = out.get(new, 0j) + s1 * s2 * m[p, q] * amp
     kept = {d: a for d, a in out.items() if a != 0}
     if not kept:
         raise AnnihilatedError("operator annihilates the CI vector")
-    return CIVector(v.n_orbitals, kept)
+    return CIVector(n, kept)
 
 
 def normalize(v: CIVector) -> tuple[CIVector, float]:
@@ -184,13 +170,12 @@ def register_state(n_orbitals: int, words, amplitudes) -> np.ndarray:
 
 def ci_to_statevector(v: CIVector) -> np.ndarray:
     """Dense statevector over 2*n_orbitals qubits (index = occupation word)."""
-    return register_state(v.n_orbitals, [det.interleaved() for det in v.entries],
-                          list(v.entries.values()))
+    return register_state(v.n_orbitals, list(v.entries), list(v.entries.values()))
 
 
 def amplitudes_on(v: CIVector, words: np.ndarray) -> np.ndarray:
     """``v``'s amplitudes on sorted occupation ``words``; ValueError if any lies outside."""
-    keys = np.array([det.interleaved() for det in v.entries])
+    keys = np.array(list(v.entries))
     pos = np.minimum(np.searchsorted(words, keys), len(words) - 1)
     if np.any(words[pos] != keys):
         raise ValueError("CI vector has a determinant outside the basis")
@@ -217,18 +202,13 @@ def sector_dimension(n_orbitals: int, n_alpha: int, n_beta: int) -> int:
     return math.comb(n_orbitals, n_alpha) * math.comb(n_orbitals, n_beta)
 
 
-def sector_basis(n_orbitals: int, n_alpha: int, n_beta: int) -> list[Determinant]:
-    """All determinants of a (N_alpha, N_beta) sector, sorted by occupation word."""
-    sector_dimension(n_orbitals, n_alpha, n_beta)
-    masks = lambda count: [sum(1 << p for p in occ) for occ in
-                           itertools.combinations(range(n_orbitals), count)]
-    return sorted((Determinant(a, b) for a in masks(n_alpha) for b in masks(n_beta)),
-                  key=Determinant.interleaved)
-
-
 def sector_words(n_orbitals: int, n_alpha: int, n_beta: int) -> np.ndarray:
-    """Sorted occupation words of a (N_alpha, N_beta) sector."""
-    return np.array([d.interleaved() for d in sector_basis(n_orbitals, n_alpha, n_beta)])
+    """The sorted occupation words of a (N_alpha, N_beta) sector, as int64."""
+    sector_dimension(n_orbitals, n_alpha, n_beta)
+    spins = lambda count, spin: [sum(1 << (2 * p + spin) for p in occ) for occ in
+                                 itertools.combinations(range(n_orbitals), count)]
+    return np.array(sorted(a | b for a in spins(n_alpha, 0) for b in spins(n_beta, 1)),
+                    dtype=np.int64)
 
 
 def cvs_mask(words: np.ndarray, core_orbitals: Iterable[int], n_orbitals: int) -> np.ndarray:
@@ -251,28 +231,28 @@ def cvs_mask(words: np.ndarray, core_orbitals: Iterable[int], n_orbitals: int) -
 # JSON-lines persistence
 # ---------------------------------------------------------------------------
 
-def _bits_to_string(mask: int, n: int) -> str:
-    return "".join("1" if (mask >> p) & 1 else "0" for p in range(n))
+def _bits_to_string(word: int, spin: int, n: int) -> str:
+    return "".join("1" if word >> (2 * p + spin) & 1 else "0" for p in range(n))
 
 
-def _string_to_bits(s: str) -> int:
-    mask = 0
+def _string_to_bits(s: str, spin: int) -> int:
+    word = 0
     for p, ch in enumerate(s):
         if ch == "1":
-            mask |= 1 << p
+            word |= 1 << (2 * p + spin)
         elif ch != "0":
             raise ValueError(f"invalid occupation string {s!r}")
-    return mask
+    return word
 
 
 def write_civector_jsonl(v: CIVector) -> str:
     """One JSON object per determinant; orbital 0 is the leftmost character."""
     lines = []
-    for det in sorted(v.entries, key=lambda d: d.interleaved()):
+    for det in sorted(v.entries):
         amp = v.entries[det]
         lines.append(json.dumps({
-            "alpha": _bits_to_string(det.occ_alpha, v.n_orbitals),
-            "beta": _bits_to_string(det.occ_beta, v.n_orbitals),
+            "alpha": _bits_to_string(det, 0, v.n_orbitals),
+            "beta": _bits_to_string(det, 1, v.n_orbitals),
             "re": amp.real,
             "im": amp.imag,
         }, sort_keys=True))
@@ -280,15 +260,14 @@ def write_civector_jsonl(v: CIVector) -> str:
 
 
 def read_civector_jsonl(text: str) -> CIVector:
-    entries: dict[Determinant, complex] = {}
+    entries: dict[int, complex] = {}
     n_orbitals = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             doc = json.loads(line)
-            det = Determinant(_string_to_bits(doc["alpha"]),
-                              _string_to_bits(doc["beta"]))
+            det = _string_to_bits(doc["alpha"], 0) | _string_to_bits(doc["beta"], 1)
             amp = complex(doc["re"], doc.get("im", 0.0))
             width = len(doc["alpha"])
         except (KeyError, ValueError, TypeError) as exc:

@@ -238,7 +238,7 @@ def _load_inputs(cfg: RunConfig):
 
 
 def _load_ground_state(cfg: RunConfig, h, header):
-    """Returns (psi0, E0_or_None, eigensystem_or_None).
+    """Returns (psi0, eigensystem_or_None).
 
     A solved sector comes from ``n_alpha``/``n_beta``, else from the
     header's NELEC and MS2 (``ci.electron_sector``).  A header that names no
@@ -262,22 +262,21 @@ def _load_ground_state(cfg: RunConfig, h, header):
                            f"sector ({n_alpha}, {n_beta}) does not fit "
                            f"{h.n_orbitals} orbitals")
         eig = oracle.solve_sector(h, n_alpha, n_beta)
-        return eig.eigenvector(0), eig.ground_energy, eig
+        return eig.eigenvector(0), eig
     path = _require_file(cfg.ground_state, "ground state")
     try:
         text = path.read_text()
         if path.suffix == ".jsonl":
-            psi0 = ci_mod.normalize(ci_mod.read_civector_jsonl(text))[0]
-            e0 = eig = None
+            psi0, eig = ci_mod.normalize(ci_mod.read_civector_jsonl(text))[0], None
         else:
             eig = oracle.eigensystem_from_json(text)
-            psi0, e0 = eig.eigenvector(0), eig.ground_energy
-    except (ValueError, LookupError, TypeError) as exc:
+            psi0 = eig.eigenvector(0)
+    except (ValueError, LookupError, TypeError, ArithmeticError) as exc:
         raise CliError("invalid_config",
                        f"ground state file {path}: {type(exc).__name__}: {exc}") from None
     if psi0.n_orbitals != h.n_orbitals:
         raise CliError("invalid_config", "ground state and Hamiltonian orbital counts differ")
-    return psi0, e0, eig
+    return psi0, eig
 
 
 def _resolve_window(cfg: RunConfig, eig, eta: float) -> float:
@@ -353,7 +352,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = load_config(args)
     eta = cfg.eta_hartree
     ham_path, dip_path, h, header, dip = _load_inputs(cfg)
-    psi0, e0, eig = _load_ground_state(cfg, h, header)
+    psi0, eig = _load_ground_state(cfg, h, header)
     delta = _resolve_window(cfg, eig, eta)
     states = sp.prepare_dipole_states(psi0, dip, core_orbitals=cfg.cvs or None)
     try:
@@ -365,7 +364,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise CliError("invalid_config", str(exc)) from None
     grid, shown = _omega_grids(plan.tau, eta, cfg.shift_ev, plan)
     psum = jordan_wigner(h)
-    if e0 is None:
+    if cfg.ground_state == "solve":
+        e0 = eig.ground_energy
+    else:  # a ground-state file's E0 is <psi0|H|psi0> on this FCIDUMP
         e0 = emulator.sector_expectation(psum, states.basis,
                                          ci_mod.amplitudes_on(psi0, states.basis))
     prog = emulator.build_trotter(psum.shifted_identity(-e0), plan.tau, plan.k)
@@ -401,7 +402,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                        "drop --cvs")
     eta = cfg.eta_hartree
     ham_path, dip_path, h, header, dip = _load_inputs(cfg)
-    psi0, e0, eig = _load_ground_state(cfg, h, header)
+    psi0, eig = _load_ground_state(cfg, h, header)
     trans = oracle.transition_table(eig, dip)
     try:
         sp.pair_weights(trans.reference_moments, cfg.q_vectors)
@@ -421,7 +422,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         _write(outdir, f"oracle_dsf_q{i}.csv",
                sp.spectrum_to_csv(dataclasses.replace(spec, omega=shown)))
     manifest = _manifest(cfg, args.command, {
-        "derived": {"ground_energy": e0, "delta": delta,
+        "derived": {"ground_energy": eig.ground_energy, "delta": delta,
                     "n_states": eig.n_states},
     }, {"hamiltonian": ham_path, "dipoles": dip_path})
     _write(outdir, "manifest.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n")
@@ -540,7 +541,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        # An overflowing input is refused by the NonFiniteValue checks; numpy's
+        # own warnings would print ahead of the one error line on stderr.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except CliError as exc:
         kind, message, code = exc.kind, str(exc), exc.exit_code
     except ci_mod.SectorTooLarge as exc:  # refused before any large allocation

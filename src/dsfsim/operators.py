@@ -178,15 +178,16 @@ def parse_fcidump(text: str) -> Hamiltonian:
     One-body values are stored verbatim into ``one_body`` (this package's
     product-of-excitations convention); unlisted integrals default to zero and
     every listed value is symmetrized over the standard index permutations.
+    A line that sets an integral (any of its permutations) or the offset
+    that an earlier line set to a value more than ``SYMMETRY_TOL`` away
+    raises ``FcidumpError``; equal repeats are accepted.
     """
     lines = text.splitlines()
     fields = parse_fcidump_header(text)
     n = fields["NORB"]
     if n < 1:
         raise FcidumpError("line 1: NORB must be positive")
-    offset = 0.0
-    one = np.zeros((n, n))
-    two = np.zeros((n, n, n, n))
+    values: dict[tuple, float] = {}   # 0-based index -> value; () is the offset
     in_header = True
     for lineno, raw in enumerate(lines, start=1):
         if in_header:
@@ -206,21 +207,29 @@ def parse_fcidump(text: str) -> Hamiltonian:
         if not np.isfinite(value):
             raise FcidumpError(f"line {lineno}: non-finite value")
         if (p, q, r, s) == (0, 0, 0, 0):
-            offset = value
-            continue
-        if min(p, q, r, s) < 0 or max(p, q, r, s) > n:
+            keys = [()]
+        elif min(p, q, r, s) < 0 or max(p, q, r, s) > n:
             raise FcidumpError(f"line {lineno}: orbital index out of range 1..{n}")
-        if r == 0 and s == 0:
+        elif r == 0 and s == 0:
             if p == 0 or q == 0:
                 raise FcidumpError(f"line {lineno}: incomplete one-body index pair")
-            one[p - 1, q - 1] = value
-            one[q - 1, p - 1] = value
+            keys = [(p - 1, q - 1), (q - 1, p - 1)]
         else:
             if min(p, q, r, s) == 0:
                 raise FcidumpError(f"line {lineno}: incomplete two-body index quad")
-            for idx in eightfold_orbit((p - 1, q - 1, r - 1, s - 1)):
-                two[idx] = value
-    return Hamiltonian(offset, one, two)
+            keys = eightfold_orbit((p - 1, q - 1, r - 1, s - 1))
+        for key in keys:
+            earlier = values.setdefault(key, value)
+            if abs(earlier - value) > SYMMETRY_TOL:
+                raise FcidumpError(f"line {lineno}: {value!r} conflicts with the value "
+                                   f"{earlier!r} an earlier line set")
+            values[key] = value
+    one = np.zeros((n, n))
+    two = np.zeros((n, n, n, n))
+    for key, value in values.items():
+        if key:
+            (one if len(key) == 2 else two)[key] = value
+    return Hamiltonian(values.get((), 0.0), one, two)
 
 
 # Integrals at most this large in magnitude are left out of a written FCIDUMP.

@@ -2,9 +2,10 @@
 
 Matrix elements are generated per row by enumerating single and double
 excitations of each determinant, with fermionic signs accumulated by
-applying ladder operators in sequence (the same ascending-qubit convention
-as the CI module, which also enumerates the sector).  Everything here is an
-independent route against which the qubit-side machinery is certified.
+applying ``ci.ladder`` in sequence (the ascending-qubit convention of the
+CI module, which also enumerates the sector as sorted occupation words).
+Everything here is an independent route against which the qubit-side
+machinery is certified.
 """
 from __future__ import annotations
 
@@ -14,46 +15,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ci import (AnnihilatedError, CIVector, Determinant, NonFiniteValue, amplitudes_on,
-                 apply_one_body, check_dense, sector_basis, sector_dimension)
+from .ci import (AnnihilatedError, CIVector, NonFiniteValue, amplitudes_on, apply_one_body,
+                 check_dense, ladder, sector_dimension, sector_words, spin_counts, spin_masks,
+                 word)
 from .operators import DipoleOperator, Hamiltonian, QVector
 
 GRAM_TOL = 1e-10
 
 
-def _occupied_spin_orbitals(det: Determinant) -> list[int]:
+def _occupied_spin_orbitals(det: int) -> list[int]:
     out = []
-    word = det.interleaved()
-    while word:
-        low = word & -word
+    while det:
+        low = det & -det
         out.append(low.bit_length() - 1)
-        word ^= low
+        det ^= low
     return out
 
 
-def _ladder(word: int, so: int) -> tuple[float, int]:
-    """Sign and word of a_so on a word that occupies ``so``, or of a+_so on one
-    that does not: (-1)^(occupied spin orbitals below so), and bit so flipped."""
-    below = (word & ((1 << so) - 1)).bit_count()
-    return (-1.0 if below & 1 else 1.0), word ^ (1 << so)
-
-
 class _SlaterCondon:
-    """Row generator for <D'|H|D> in a fixed sector basis."""
+    """Row generator for <D'|H|D> in a fixed sector basis of occupation words."""
 
-    def __init__(self, h: Hamiltonian, basis: list[Determinant]):
-        first = basis[0]
-        for det in basis:
-            if det.n_alpha != first.n_alpha or det.n_beta != first.n_beta:
-                raise ValueError("basis mixes (N_e, S_z) sectors")
+    def __init__(self, h: Hamiltonian, basis: list[int]):
+        self.n = h.n_orbitals
+        if len({spin_counts(det, self.n) for det in basis}) > 1:
+            raise ValueError("basis mixes (N_e, S_z) sectors")
         self.h_eff = h.core_one_body()
         self.g = h.two_body
         self.offset = h.offset
-        self.n = h.n_orbitals
-        self.basis = basis
-        self.index = {det.interleaved(): i for i, det in enumerate(basis)}
+        self.index = {det: i for i, det in enumerate(basis)}
 
-    def diagonal(self, det: Determinant) -> float:
+    def diagonal(self, det: int) -> float:
         occ = _occupied_spin_orbitals(det)
         val = self.offset
         for so_m in occ:
@@ -65,21 +56,20 @@ class _SlaterCondon:
                 val -= self.g[pm, pn, pn, pm]
         return float(val)
 
-    def row(self, det: Determinant):
+    def row(self, det: int):
         """Yield (column index, element) for all connected determinants."""
-        word = det.interleaved()
         occ = _occupied_spin_orbitals(det)
-        virt = [so for so in range(2 * self.n) if not (word >> so) & 1]
-        yield self.index[word], self.diagonal(det)
+        virt = [so for so in range(2 * self.n) if not (det >> so) & 1]
+        yield self.index[det], self.diagonal(det)
         # singles: m -> e, same spin
         for so_m in occ:
-            s1, w1 = _ladder(word, so_m)
+            s1, w1 = ladder(det, so_m)
             pm = so_m >> 1
             for so_e in virt:
                 if (so_e ^ so_m) & 1:
                     continue
                 pe = so_e >> 1
-                s2, w2 = _ladder(w1, so_e)
+                s2, w2 = ladder(w1, so_e)
                 val = self.h_eff[pe, pm]
                 for so_o in occ:
                     if so_o == so_m:
@@ -92,8 +82,8 @@ class _SlaterCondon:
                     yield self.index[w2], s1 * s2 * val
         # doubles: (m < n) -> (e < f), spin content preserved
         for so_m, so_n in itertools.combinations(occ, 2):
-            s1, w1 = _ladder(word, so_m)
-            s2, w2 = _ladder(w1, so_n)
+            s1, w1 = ladder(det, so_m)
+            s2, w2 = ladder(w1, so_n)
             spins_removed = ((so_m & 1) + (so_n & 1))
             pm, pn = so_m >> 1, so_n >> 1
             for so_e, so_f in itertools.combinations(virt, 2):
@@ -107,13 +97,14 @@ class _SlaterCondon:
                     val -= self.g[pe, pn, pf, pm]
                 if val == 0.0:
                     continue
-                s3, w3 = _ladder(w2, so_f)
-                s4, w4 = _ladder(w3, so_e)
+                s3, w3 = ladder(w2, so_f)
+                s4, w4 = ladder(w3, so_e)
                 yield self.index[w4], s1 * s2 * s3 * s4 * val
 
 
-def build_ci_matrix(h: Hamiltonian, basis: list[Determinant]) -> np.ndarray:
-    """Dense symmetric CI Hamiltonian over a one-sector determinant basis."""
+def build_ci_matrix(h: Hamiltonian, basis) -> np.ndarray:
+    """Dense symmetric CI Hamiltonian over one sector's occupation words ``basis``."""
+    basis = [int(det) for det in basis]
     gen = _SlaterCondon(h, basis)
     mat = np.zeros((len(basis), len(basis)))
     for i, det in enumerate(basis):
@@ -127,7 +118,7 @@ class EigenSystem:
     """Eigenpairs of a CI sector; column k of ``coeffs`` is eigenvector k."""
 
     n_orbitals: int
-    basis: tuple[Determinant, ...]
+    basis: np.ndarray    # sorted occupation words of the sector, int64
     energies: np.ndarray
     coeffs: np.ndarray
 
@@ -151,7 +142,7 @@ class EigenSystem:
         return self.coeffs.shape[1]
 
     def eigenvector(self, k: int) -> CIVector:
-        entries = {det: complex(c) for det, c in zip(self.basis, self.coeffs[:, k])
+        entries = {det: complex(c) for det, c in zip(self.basis.tolist(), self.coeffs[:, k])
                    if c != 0}
         return CIVector(self.n_orbitals, entries)
 
@@ -172,7 +163,7 @@ def solve_sector(h: Hamiltonian, n_alpha: int, n_beta: int) -> EigenSystem:
     it is enumerated.
     """
     check_dense(sector_dimension(h.n_orbitals, n_alpha, n_beta))
-    basis = sector_basis(h.n_orbitals, n_alpha, n_beta)
+    basis = sector_words(h.n_orbitals, n_alpha, n_beta)
     mat = build_ci_matrix(h, basis)
     offdiag = mat - np.diag(np.diag(mat))
     if np.max(np.abs(offdiag), initial=0.0) == 0.0:
@@ -183,7 +174,7 @@ def solve_sector(h: Hamiltonian, n_alpha: int, n_beta: int) -> EigenSystem:
         coeffs = np.eye(len(basis))[:, order]
     else:
         energies, coeffs = np.linalg.eigh(mat)
-    return EigenSystem(h.n_orbitals, tuple(basis), energies, _phase_fix(coeffs))
+    return EigenSystem(h.n_orbitals, basis, energies, _phase_fix(coeffs))
 
 
 @dataclass(frozen=True)
@@ -205,14 +196,13 @@ class TransitionTable:
 def transition_table(eig: EigenSystem, dipole: DipoleOperator) -> TransitionTable:
     """Dipole transitions out of the ground state; ``eig.basis`` sorted by word."""
     psi0 = eig.eigenvector(0)
-    words = np.array([det.interleaved() for det in eig.basis])
-    vecs = np.zeros((3, len(words)))   # mu_a |Psi_0> on the basis, one row per axis
+    vecs = np.zeros((3, len(eig.basis)))   # mu_a |Psi_0> on the basis, one row per axis
     for i, axis in enumerate("xyz"):
         try:
             rotated = apply_one_body(dipole.component(axis), psi0)
         except AnnihilatedError:
             continue  # symmetry-forbidden channel: a zero row
-        vecs[i] = amplitudes_on(rotated, words).real
+        vecs[i] = amplitudes_on(rotated, eig.basis).real
     return TransitionTable(vecs @ eig.coeffs, vecs @ vecs.T)
 
 
@@ -281,7 +271,7 @@ def exact_spectrum(eig: EigenSystem, trans: TransitionTable, q: QVector,
 def eigensystem_to_json(eig: EigenSystem) -> str:
     return json.dumps({
         "n_orbitals": eig.n_orbitals,
-        "basis": [[det.occ_alpha, det.occ_beta] for det in eig.basis],
+        "basis": [list(spin_masks(det)) for det in eig.basis.tolist()],
         "energies": eig.energies.tolist(),
         "coeffs": eig.coeffs.tolist(),
     }, sort_keys=True)
@@ -289,6 +279,6 @@ def eigensystem_to_json(eig: EigenSystem) -> str:
 
 def eigensystem_from_json(text: str) -> EigenSystem:
     doc = json.loads(text)
-    basis = tuple(Determinant(int(a), int(b)) for a, b in doc["basis"])
+    basis = np.array([word(int(a), int(b)) for a, b in doc["basis"]], dtype=np.int64)
     return EigenSystem(int(doc["n_orbitals"]), basis,
                        np.array(doc["energies"]), np.array(doc["coeffs"]))

@@ -246,8 +246,8 @@ def prepare_dipole_states(ground: CIVector, dipole: DipoleOperator,
     raises ``ci.SectorTooLarge`` before any is built.
     """
     n = ground.n_orbitals
-    ci_mod.check_dense(ci_mod.sector_dimension(n, ground.n_alpha, ground.n_beta))
-    basis = ci_mod.sector_words(n, ground.n_alpha, ground.n_beta)
+    ci_mod.check_dense(ci_mod.sector_dimension(n, *ground.sector))
+    basis = ci_mod.sector_words(n, *ground.sector)
     psi0 = ci_mod.amplitudes_on(ground, basis)
     raw = np.column_stack([sector_apply(one_body_to_pauli(dipole.component(axis)), basis, psi0)
                            for axis in AXES])

@@ -40,9 +40,8 @@ def check_jw_matches_slater_condon() -> tuple[bool, str]:
     rebuilt = np.zeros_like(dense)
     for n_alpha in range(h.n_orbitals + 1):
         for n_beta in range(h.n_orbitals + 1):
-            basis = oracle.sector_basis(h.n_orbitals, n_alpha, n_beta)
-            idx = [det.interleaved() for det in basis]
-            rebuilt[np.ix_(idx, idx)] = oracle.build_ci_matrix(h, basis)
+            basis = ci_mod.sector_words(h.n_orbitals, n_alpha, n_beta)
+            rebuilt[np.ix_(basis, basis)] = oracle.build_ci_matrix(h, basis)
     err = np.max(np.abs(dense - rebuilt))
     return err <= 1e-10, f"max |H_jw - H_sc| = {err:.2e}"
 
@@ -61,9 +60,9 @@ def check_sign_convention() -> tuple[bool, str]:
     for n in (2, 3):
         for n_alpha in (1, 2):
             m = fixtures._random_symmetric(rng, n, 0.5)
-            basis = oracle.sector_basis(n, n_alpha, 1)
+            basis = ci_mod.sector_words(n, n_alpha, 1)
             amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-            v = ci_mod.CIVector(n, dict(zip(basis, amps)))
+            v = ci_mod.CIVector(n, dict(zip(basis.tolist(), amps)))
             lhs = ci_mod.ci_to_statevector(ci_mod.apply_one_body(m, v))
             rhs = pauli_sum_dense(one_body_to_pauli(m)) @ ci_mod.ci_to_statevector(v)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))

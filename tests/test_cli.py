@@ -8,6 +8,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -70,7 +71,7 @@ def eight_orbital_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("eight")
     run_cli("gen-fixtures", "--n-orbitals", "8", "--n-electrons", "8",
             "--seed", "3", "--out", str(out))
-    det = ci.Determinant(0b1111, 0b1111)
+    det = ci.word(0b1111, 0b1111)
     (out / "ground_state.jsonl").write_text(
         ci.write_civector_jsonl(ci.CIVector(8, {det: 1.0})))
     return out
@@ -90,8 +91,9 @@ def twelve_orbital_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def bad_ground_state_dir(fixture_dir, tmp_path_factory):
-    """The 2-orbital inputs next to faulty files: six ``--ground-state`` files,
-    an FCIDUMP whose header (NELEC=3, MS2=0) names no sector, and an FCIDUMP
+    """The 2-orbital inputs next to faulty files: eight ``--ground-state`` files,
+    an FCIDUMP whose header (NELEC=3, MS2=0) names no sector, one with two
+    lines setting the (2,2,2,2) integral to different values, and an FCIDUMP
     and a dipole file whose entries overflow the float range in the chain."""
     out = tmp_path_factory.mktemp("bad_ground_state")
     for name in ("hamiltonian.fcidump", "dipoles.json"):
@@ -99,7 +101,10 @@ def bad_ground_state_dir(fixture_dir, tmp_path_factory):
     text = (fixture_dir / "hamiltonian.fcidump").read_text()
     assert "NELEC=2,MS2=0," in text
     (out / "no_sector.fcidump").write_text(text.replace("NELEC=2,", "NELEC=3,"))
-    (out / "overflowing.fcidump").write_text(text + "1e308 2 2 2 2\n")
+    own = next(line for line in text.splitlines() if line.endswith(" 2 2 2 2"))
+    (out / "conflicting.fcidump").write_text(text.replace(own, "9.0 2 2 2 2\n" + own))
+    (out / "overflowing.fcidump").write_text(
+        text.replace(own, "1e308" + own[own.index(" "):]))
     dipoles = json.loads((fixture_dir / "dipoles.json").read_text())
     dipoles["x"] = [[1e308, 0], [0, 1e308]]
     (out / "overflowing_dipoles.json").write_text(json.dumps(dipoles))
@@ -108,12 +113,15 @@ def bad_ground_state_dir(fixture_dir, tmp_path_factory):
     (out / "repeated.jsonl").write_text('{"alpha": "10", "beta": "10", "re": 1.0}\n'
                                         '{"alpha": "10", "beta": "10", "re": -1.0}\n')
     (out / "three_orbitals.jsonl").write_text(
-        ci.write_civector_jsonl(ci.CIVector(3, {ci.Determinant(1, 1): 1.0})))
+        ci.write_civector_jsonl(ci.CIVector(3, {ci.word(1, 1): 1.0})))
     (out / "no_re.jsonl").write_text('{"alpha": "10", "beta": "10", "im": 0.0}\n')
     (out / "no_basis.json").write_text(
         json.dumps({"n_orbitals": 2, "energies": [0.0], "coeffs": [[1.0]]}))
     (out / "no_states.json").write_text(
         json.dumps({"n_orbitals": 2, "basis": [[1, 1]], "energies": [], "coeffs": []}))
+    for name, mask in (("negative_mask", -1), ("mask_beyond_int64", 2**70)):
+        (out / f"{name}.json").write_text(json.dumps(
+            {"n_orbitals": 2, "basis": [[mask, 1]], "energies": [0.0], "coeffs": [[1.0]]}))
     return out
 
 
@@ -295,6 +303,12 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
     user_input("ground_state_eigensystem_without_states",
                ["spectrum", "--ground-state", "{inputs}/no_states.json", "--delta", "2.0"],
                "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("ground_state_eigensystem_negative_mask",
+               ["spectrum", "--ground-state", "{inputs}/negative_mask.json", "--delta", "2.0"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("ground_state_eigensystem_mask_beyond_int64",
+               ["spectrum", "--ground-state", "{inputs}/mask_beyond_int64.json",
+                "--delta", "2.0"], "invalid_config", inputs="bad_ground_state_dir"),
     user_input("ground_state_norm_overflows",
                ["spectrum", "--ground-state", "{inputs}/overflowing.jsonl", "--delta", "2.0"],
                "invalid_config", inputs="bad_ground_state_dir"),
@@ -306,6 +320,12 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
                "invalid_config", inputs="bad_ground_state_dir"),
     user_input("oracle_fcidump_overflows",
                ["oracle", "--eta", "0.02", "--hamiltonian", "{inputs}/overflowing.fcidump"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("fcidump_conflicting_integral",
+               EXACT + ["--hamiltonian", "{inputs}/conflicting.fcidump"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("oracle_fcidump_conflicting_integral",
+               ["oracle", "--eta", "0.02", "--hamiltonian", "{inputs}/conflicting.fcidump"],
                "invalid_config", inputs="bad_ground_state_dir"),
     user_input("dipoles_overflow",
                ["spectrum", "--dipoles", "{inputs}/overflowing_dipoles.json"],
@@ -321,7 +341,8 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
                "budget_exceeded"),
 ])
 def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs):
-    """A bad value is refused with a typed error; an ignored one changes nothing."""
+    """A bad value is refused with a typed error, one JSON line on stderr and no
+    warning; an ignored one changes nothing."""
     out = tmp_path / "run"
     directory = request.getfixturevalue(inputs)
     args = [a.replace("{inputs}", str(directory)) for a in args]
@@ -332,13 +353,17 @@ def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs):
         args = args + ["--out", str(out)]
     else:
         args = spectrum_args(directory, args, out)
-    proc = run_cli(*args, check=False, env=env)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        proc = run_cli(*args, check=False, env=env)
+    assert [str(w.message) for w in caught] == []
     if (BASELINES / expected).is_dir():
         assert proc.returncode == 0, proc.stderr
         for name in ("dsf_q0.csv", "greens_xy.json"):
             assert (out / name).read_bytes() == (BASELINES / expected / name).read_bytes()
     else:
         assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
         assert json.loads(proc.stderr)["error"]["kind"] == expected
 
 
@@ -411,8 +436,14 @@ SPECTRUM_FLAGS = ["--config"] + [
 def test_flag_values_never_end_in_internal_error(fixture_dir, tmp_path, monkeypatch,
                                                  flag, value):
     """The exact baseline command with one flag set to a drawn value is refused
-    with a typed error, or runs."""
+    with a typed error, or runs.
+
+    The series budget is lowered to 2**13 points, as in the ``oracle`` probe:
+    the baseline command needs 940 (n_max 440 plus 500 grid points), while a
+    drawn ``--delta=999`` would otherwise measure about 219,000 steps (16 s).
+    """
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "SERIES_BUDGET", 2**13)
     argv = spectrum_args(fixture_dir, EXACT, tmp_path / "run") + [f"{flag}={value}"]
     proc = run_cli(*argv, check=False)
     if proc.returncode != 0:
@@ -589,6 +620,46 @@ def test_oracle_outputs_feed_spectrum(fixture_dir, tmp_path):
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["derived"]["ground_energy"] == pytest.approx(
             eig.ground_energy, abs=1e-9)
+
+
+def test_ground_state_files_take_e0_from_the_fcidump(fixture_dir, tmp_path):
+    """Both ground-state formats record E0 = <psi0|H|psi0> on the FCIDUMP given,
+    not a value stored in the file: a new offset moves both alike."""
+    oracle_out = tmp_path / "oracle"
+    run_cli(*spectrum_args(fixture_dir, ["oracle", "--eta", "0.02", "--delta", "2.0"],
+                           oracle_out))
+    text = (fixture_dir / "hamiltonian.fcidump").read_text()
+    offset = next(line for line in text.splitlines() if line.endswith(" 0 0 0 0"))
+    shifted = tmp_path / "shifted"
+    shifted.mkdir()
+    (shifted / "hamiltonian.fcidump").write_text(text.replace(offset, "5.0 0 0 0 0"))
+    shutil.copy(fixture_dir / "dipoles.json", shifted / "dipoles.json")
+    energies = []
+    for gs in ("eigensystem.json", "ground_state.jsonl"):
+        out = tmp_path / gs
+        run_cli(*spectrum_args(shifted, EXACT, out), "--ground-state", str(oracle_out / gs))
+        manifest = json.loads((out / "manifest.json").read_text())
+        energies.append(manifest["derived"]["ground_energy"])
+    assert energies[0] == pytest.approx(energies[1], abs=1e-12)
+
+
+def test_ground_state_files_pin_the_spin_encoding(fixture_dir, tmp_path):
+    """Alpha is bit 2p and beta bit 2p+1 of a word in both ground-state files:
+    the eigensystem basis lists (alpha mask, beta mask) pairs in word order, and
+    the ``alpha``/``beta`` strings of a record name the same orbitals."""
+    run_cli(*spectrum_args(fixture_dir, ["oracle", "--eta", "0.02", "--delta", "2.0"],
+                           tmp_path))
+    doc = json.loads((tmp_path / "eigensystem.json").read_text())
+    assert doc["basis"] == [[1, 1], [2, 1], [1, 2], [2, 2]]   # words 3, 6, 9, 12
+    strings = {1: "10", 2: "01"}   # orbital 0 is the leftmost character
+    records = [json.loads(line) for line in
+               (tmp_path / "ground_state.jsonl").read_text().splitlines()]
+    ground = np.array(doc["coeffs"])[:, 0]
+    assert [(r["alpha"], r["beta"]) for r in records] == [
+        (strings[a], strings[b]) for (a, b), c in zip(doc["basis"], ground) if c != 0]
+    psi = ci.read_civector_jsonl('{"alpha": "01", "beta": "10", "re": 1.0}\n')
+    # alpha in orbital 1 is bit 2, beta in orbital 0 is bit 1: word 6
+    assert np.flatnonzero(ci.ci_to_statevector(psi)).tolist() == [6]
 
 
 def test_unnormalized_ground_state_file_is_normalized(fixture_dir, tmp_path):

@@ -63,10 +63,35 @@ def test_header_fields():
     ("0.5 9 1 0 0\n", "out of range"),
     ("nan 1 1 0 0\n", "non-finite"),
     ("abc 1 1 0 0\n", "malformed"),
+    ("0.5 1 2 0 0\n0.6 2 1 0 0\n", "line 6: 0.6 conflicts"),
+    ("0.25 1 2 1 1\n0.3 1 1 2 1\n", "line 6: 0.3 conflicts"),
+    ("1.0 0 0 0 0\n2.0 0 0 0 0\n", "line 6: 2.0 conflicts"),
 ])
 def test_parse_errors_name_the_line(body, fragment):
     with pytest.raises(FcidumpError, match=fragment):
         parse_fcidump(HEADER + body)
+
+
+def test_listing_every_permutation_parses_as_the_canonical_file(two_orb):
+    """Equal repeats are accepted: all 8 images of each two-body line and both
+    index orders of each one-body line give the canonical file's Hamiltonian."""
+    text = write_fcidump(two_orb.h, n_electrons=2, ms2=0)
+    lines = []
+    for line in text.splitlines():
+        parts = line.split()
+        if len(parts) == 5 and parts[3] != "0":   # two-body: every image
+            quad = tuple(int(t) - 1 for t in parts[1:])
+            lines += [parts[0] + "".join(f" {i + 1}" for i in image)
+                      for image in sorted(operators.eightfold_orbit(quad))]
+        elif len(parts) == 5 and parts[1] != "0":   # one-body: both orders
+            lines += [line, f"{parts[0]} {parts[2]} {parts[1]} 0 0"]
+        else:
+            lines.append(line)
+    full, canonical = parse_fcidump("\n".join(lines) + "\n"), parse_fcidump(text)
+    assert len(lines) > len(text.splitlines())
+    assert full.offset == canonical.offset
+    assert np.array_equal(full.one_body, canonical.one_body)
+    assert np.array_equal(full.two_body, canonical.two_body)
 
 
 def test_missing_header_rejected():

@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 
 from dsfsim import fixtures, oracle, pauli
-from dsfsim.ci import CIVector, Determinant
+from dsfsim.ci import sector_words, word
 from dsfsim.operators import Hamiltonian, QVector, jordan_wigner
 from dsfsim.oracle import (EigenSystem, build_ci_matrix, eigensystem_from_json,
                            eigensystem_to_json, exact_greens, exact_intensity,
-                           exact_spectrum, sector_basis, solve_sector,
-                           transition_table)
+                           exact_spectrum, solve_sector)
 
 
-def test_sector_basis_counts():
-    assert len(sector_basis(4, 2, 2)) == 36
-    assert len(sector_basis(3, 1, 0)) == 3
+def test_sector_words_counts():
+    assert len(sector_words(4, 2, 2)) == 36
+    assert len(sector_words(3, 1, 0)) == 3
 
 
 def test_single_determinant_matrix(two_orb):
-    basis = [Determinant(0b11, 0b00)]
+    basis = [word(0b11, 0b00)]
     mat = build_ci_matrix(two_orb.h, basis)
     assert mat.shape == (1, 1)
     # independent zero-difference evaluation on spatial orbitals 0 and 1
@@ -32,13 +31,12 @@ def test_single_determinant_matrix(two_orb):
 def test_diagonal_elements_zero_difference_formula():
     """Diagonals match an independently coded occupancy-sum evaluation."""
     h, _ = fixtures.generate(fixtures.THREE_ORBITAL_SPEC)
-    basis = sector_basis(3, 2, 1)
+    basis = sector_words(3, 2, 1)
     mat = build_ci_matrix(h, basis)
     h_eff = h.core_one_body()
     g = h.two_body
     for i, det in enumerate(basis):
-        spin_orbs = [(p, 0) for p in range(3) if (det.occ_alpha >> p) & 1] + \
-                    [(p, 1) for p in range(3) if (det.occ_beta >> p) & 1]
+        spin_orbs = [(p, s) for s in (0, 1) for p in range(3) if det >> (2 * p + s) & 1]
         value = h.offset + sum(h_eff[p, p] for p, _ in spin_orbs)
         for (p, sp), (q, sq) in itertools.combinations(spin_orbs, 2):
             value += g[p, p, q, q]
@@ -49,21 +47,20 @@ def test_diagonal_elements_zero_difference_formula():
 
 def test_sector_matrix_matches_jw_restriction(two_orb):
     dense = pauli.pauli_sum_dense(jordan_wigner(two_orb.h))
-    basis = sector_basis(2, 1, 1)
-    idx = [det.interleaved() for det in basis]
-    restricted = dense[np.ix_(idx, idx)].real
+    basis = sector_words(2, 1, 1)
+    restricted = dense[np.ix_(basis, basis)].real
     mat = build_ci_matrix(two_orb.h, basis)
     assert np.max(np.abs(mat - restricted)) < 1e-10
 
 
 def test_mixed_sector_rejected(two_orb):
-    basis = [Determinant(0b01, 0b01), Determinant(0b11, 0b00)]
+    basis = [word(0b01, 0b01), word(0b11, 0b00)]
     with pytest.raises(ValueError, match="sector"):
         build_ci_matrix(two_orb.h, basis)
 
 
 def test_eigen_residuals(two_orb):
-    mat = build_ci_matrix(two_orb.h, list(two_orb.eig.basis))
+    mat = build_ci_matrix(two_orb.h, two_orb.eig.basis)
     scale = np.linalg.norm(mat, 2)
     for k in range(two_orb.eig.n_states):
         vec = two_orb.eig.coeffs[:, k]
@@ -74,14 +71,14 @@ def test_eigen_residuals(two_orb):
 def test_ground_state_offset_only_tie_break():
     h = Hamiltonian(-0.5, np.zeros((2, 2)), np.zeros((2,) * 4))
     eig = solve_sector(h, 1, 1)
-    basis = sector_basis(2, 1, 1)
+    basis = sector_words(2, 1, 1)
     # degenerate spectrum: documented tie-break keeps the lowest-index determinant
     assert eig.eigenvector(0).entries == {basis[0]: pytest.approx(1.0)}
     assert np.all(eig.energies == -0.5)
 
 
 def test_ground_state_rayleigh_quotient(two_orb):
-    mat = build_ci_matrix(two_orb.h, list(two_orb.eig.basis))
+    mat = build_ci_matrix(two_orb.h, two_orb.eig.basis)
     vec = two_orb.eig.coeffs[:, 0]
     rq = float(vec @ mat @ vec)
     assert rq == pytest.approx(two_orb.eig.ground_energy, abs=1e-10)
@@ -89,9 +86,8 @@ def test_ground_state_rayleigh_quotient(two_orb):
 
 def test_ground_state_matches_jw_diagonalization(two_orb):
     dense = pauli.pauli_sum_dense(jordan_wigner(two_orb.h))
-    basis = sector_basis(2, 1, 1)
-    idx = [det.interleaved() for det in basis]
-    evals = np.linalg.eigvalsh(dense[np.ix_(idx, idx)])
+    basis = sector_words(2, 1, 1)
+    evals = np.linalg.eigvalsh(dense[np.ix_(basis, basis)])
     assert two_orb.eig.ground_energy == pytest.approx(evals[0], abs=1e-10)
 
 
@@ -114,7 +110,7 @@ def test_exact_spectrum_zero_dipole(toy):
 
 def test_exact_spectrum_single_lorentzian():
     """One transition: peak height |q.p|^2/(pi eta) at the line position."""
-    basis = (Determinant(0b01, 0b01), Determinant(0b10, 0b10))
+    basis = np.array([word(0b01, 0b01), word(0b10, 0b10)])
     eig = EigenSystem(2, basis, np.array([0.0, 1.5]), np.eye(2))
     table = np.zeros((3, 2))
     table[0, 1] = 0.8  # x-polarized transition to state 1
@@ -160,11 +156,11 @@ def test_eigensystem_json_round_trip(two_orb):
     back = eigensystem_from_json(eigensystem_to_json(two_orb.eig))
     assert np.array_equal(back.energies, two_orb.eig.energies)
     assert np.array_equal(back.coeffs, two_orb.eig.coeffs)
-    assert back.basis == two_orb.eig.basis
+    assert np.array_equal(back.basis, two_orb.eig.basis)
 
 
 def test_eigensystem_validates_orthonormality():
-    basis = (Determinant(0b01, 0b01), Determinant(0b10, 0b10))
+    basis = np.array([word(0b01, 0b01), word(0b10, 0b10)])
     with pytest.raises(ValueError, match="orthonormal"):
         EigenSystem(2, basis, np.array([0.0, 1.0]), np.array([[1.0, 0.5],
                                                               [0.0, 1.0]]))

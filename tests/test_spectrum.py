@@ -133,9 +133,8 @@ def _sparse_route(model, axis, core=None):
     amps = ci.amplitudes_on(ci.apply_one_body(model.dipole.component(axis), model.psi0),
                             model.states.basis)
     if core is not None:
-        basis = oracle.sector_basis(model.spec.n_orbitals, *model.spec.sector)
-        holes = np.array([2 - (d.occ_alpha >> core & 1) - (d.occ_beta >> core & 1)
-                          for d in basis])
+        basis = ci.sector_words(model.spec.n_orbitals, *model.spec.sector)
+        holes = 2 - (basis >> 2 * core & 1) - (basis >> 2 * core + 1 & 1)
         amps = np.where(holes == 1, amps, 0.0)
     return amps
 
