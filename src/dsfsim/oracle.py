@@ -129,6 +129,10 @@ class EigenSystem:
             raise NonFiniteValue("non-finite energies")
         if np.any(np.diff(self.energies) < -1e-12):
             raise ValueError("energies must be ascending")
+        if self.coeffs.shape != (len(self.basis), len(self.energies)):
+            raise ValueError(f"coeffs have shape {self.coeffs.shape}, not "
+                             f"(len(basis), len(energies)) = "
+                             f"({len(self.basis)}, {len(self.energies)})")
         gram = self.coeffs.T @ self.coeffs
         if np.max(np.abs(gram - np.eye(gram.shape[0]))) > GRAM_TOL:
             raise ValueError("eigenvectors are not orthonormal")

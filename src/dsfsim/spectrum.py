@@ -13,9 +13,11 @@ weights, so new momentum transfers reuse stored series without remeasuring.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +77,8 @@ class GreensSeries:
         object.__setattr__(self, "shots", np.asarray(self.shots, dtype=int))
         if self.pair not in PAIR_KEYS:
             raise ValueError(f"unknown pair {self.pair!r}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be a positive number")
         if self.n_max < 1 or len(self.x) != self.n_max or len(self.y) != self.n_max \
                 or len(self.shots) != self.n_max:
             raise ValueError("series length must equal n_max >= 1")
@@ -369,6 +373,46 @@ def default_omega_grid(tau: float, eta: float) -> np.ndarray:
     return np.arange(omega_grid_size(tau, eta)) * (eta / 5.0)
 
 
+class _ChirpPlan(NamedTuple):
+    """The read-only arrays of a chirp-z reconstruction that do not depend on X, Y."""
+
+    damping: np.ndarray     # exp(-n eta tau), n = 1..n_max
+    pre_chirp: np.ndarray   # exp(i (n tau w_0 + theta n^2 / 2)), n = 0..n_max
+    size: int               # FFT length, a power of two >= n_max + M
+    kernel_fft: np.ndarray  # FFT of exp(-i theta t^2 / 2), t = j - n
+    post_chirp: np.ndarray  # exp(i theta j^2 / 2), j = 0..M-1
+
+
+def _grid_step(omega: np.ndarray) -> float:
+    """Delta = (w_last - w_0)/(M - 1) of a nonempty grid; 0 for one point."""
+    return (omega[-1] - omega[0]) / (len(omega) - 1) if len(omega) > 1 else 0.0
+
+
+@functools.lru_cache(maxsize=1)
+def _chirp_plan(tau: float, eta: float, n_max: int, omega_bytes: bytes) -> _ChirpPlan:
+    """The plan for a series (tau, eta, n_max) on the grid with these float64 bits.
+
+    tau and eta key by float equality.  That is exact: ``GreensSeries`` keeps
+    tau positive and finite, and an eta of 0.0 or -0.0 damps by the same 1.0.
+    """
+    omega = np.frombuffer(omega_bytes)
+    m = len(omega)
+    half_theta = 0.5 * tau * _grid_step(omega)
+    n = np.arange(n_max + 1, dtype=np.int64)
+    j = np.arange(m, dtype=np.int64)
+    size = 1 << (n_max + m - 1).bit_length()
+    t = np.arange(size, dtype=np.int64)
+    t = np.where(t < m, t, t - size)   # j - n runs over -n_max..m-1
+    plan = _ChirpPlan(damping=np.exp(-n[1:] * eta * tau),
+                      pre_chirp=np.exp(1j * (n * tau * omega[0] + half_theta * (n * n))),
+                      size=size,
+                      kernel_fft=np.fft.fft(np.exp(-1j * half_theta * (t * t))),
+                      post_chirp=np.exp(1j * half_theta * (j * j)))
+    for array in (plan.damping, plan.pre_chirp, plan.kernel_fft, plan.post_chirp):
+        array.flags.writeable = False
+    return plan
+
+
 def reconstruct_intensity(series: GreensSeries, omega_grid: np.ndarray) -> Spectrum:
     """Damped Fourier reconstruction of one pair's intensity contribution.
 
@@ -383,29 +427,27 @@ def reconstruct_intensity(series: GreensSeries, omega_grid: np.ndarray) -> Spect
     and Rader 1969): nj = (n^2 + j^2 - (j - n)^2)/2 turns it into one FFT
     convolution of length >= n_max + M, so the workspace is O(n_max + M).
     The values are tau/2pi * (m0 + 2 Re F_j).
+
+    Everything but X and Y (damping, chirps, FFT length and the kernel's
+    FFT) is one read-only ``_chirp_plan``, an ``lru_cache`` of one entry
+    keyed by (tau, eta, n_max, ``omega.tobytes()``): a run that reconstructs
+    every pair on one grid builds it once.
     """
     omega = np.asarray(omega_grid, dtype=float)
     m = len(omega)
     if m == 0:
         raise ValueError("omega grid is empty")
-    delta = (omega[-1] - omega[0]) / (m - 1) if m > 1 else 0.0
     j = np.arange(m, dtype=np.int64)
-    if m > 2 and not np.all(np.abs(omega - (omega[0] + j * delta))
+    if m > 2 and not np.all(np.abs(omega - (omega[0] + j * _grid_step(omega)))
                             <= 1e-12 * np.max(np.abs(omega))):
         raise ValueError("reconstruction needs a uniform omega grid")
-    tau, n_max = series.tau, series.n_max
-    half_theta = 0.5 * tau * delta
-    n = np.arange(n_max + 1, dtype=np.int64)
-    coeffs = np.zeros(n_max + 1, dtype=complex)
-    coeffs[1:] = (series.x + 1j * series.y) * np.exp(-series.n * series.eta * tau)
-    coeffs *= np.exp(1j * (n * tau * omega[0] + half_theta * (n * n)))
-    size = 1 << (n_max + m - 1).bit_length()
-    t = np.arange(size, dtype=np.int64)
-    t = np.where(t < m, t, t - size)   # j - n runs over -n_max..m-1
-    kernel = np.exp(-1j * half_theta * (t * t))
-    conv = np.fft.ifft(np.fft.fft(coeffs, size) * np.fft.fft(kernel))[:m]
-    total = conv * np.exp(1j * half_theta * (j * j))
-    values = tau / (2.0 * math.pi) * (series.moment0 + 2.0 * total.real)
+    plan = _chirp_plan(series.tau, series.eta, series.n_max, omega.tobytes())
+    coeffs = np.zeros(series.n_max + 1, dtype=complex)
+    coeffs[1:] = (series.x + 1j * series.y) * plan.damping
+    coeffs *= plan.pre_chirp
+    conv = np.fft.ifft(np.fft.fft(coeffs, plan.size) * plan.kernel_fft)[:m]
+    total = conv * plan.post_chirp
+    values = series.tau / (2.0 * math.pi) * (series.moment0 + 2.0 * total.real)
     return Spectrum(omega, values, series.eta, kind="intensity", label=series.pair)
 
 
@@ -465,8 +507,8 @@ def cross_section(spectrum: Spectrum, ki_norm: float, kf_norm: float,
 # ---------------------------------------------------------------------------
 
 def series_to_json(series: GreensSeries) -> str:
-    entries = [[int(n), float(x), float(y), int(s)]
-               for n, x, y, s in zip(series.n, series.x, series.y, series.shots)]
+    entries = [list(row) for row in zip(series.n.tolist(), series.x.tolist(),
+                                        series.y.tolist(), series.shots.tolist())]
     return json.dumps({
         "pair": series.pair,
         "tau": series.tau,
@@ -493,11 +535,27 @@ def series_from_json(text: str) -> GreensSeries:
                         exact=bool(doc.get("exact", False)))
 
 
+@functools.lru_cache(maxsize=1)
+def _csv_template(omega_bytes: bytes) -> str:
+    """The CSV of the grid whose float64 bits are given, with ``%r`` for each value.
+
+    A float's repr holds no ``%``, so the grid text needs no escaping.
+    """
+    rows = (f"{w!r},{w * HARTREE_TO_EV!r},%r\n" for w in np.frombuffer(omega_bytes).tolist())
+    return "omega_hartree,omega_ev,value\n" + "".join(rows)
+
+
 def spectrum_to_csv(spectrum: Spectrum) -> str:
-    lines = ["omega_hartree,omega_ev,value"]
-    for w, v in zip(spectrum.omega, spectrum.values):
-        lines.append(f"{float(w)!r},{float(w) * HARTREE_TO_EV!r},{float(v)!r}")
-    return "\n".join(lines) + "\n"
+    """``omega_hartree,omega_ev,value`` rows, each number written as its ``repr``.
+
+    The grid columns come from ``_csv_template``, an ``lru_cache`` of one
+    entry keyed by ``omega.tobytes()``, so the runs that write every spectrum
+    on one grid format it once; grids that compare equal but print
+    differently (a -0.0 point) have different bytes and never share an
+    entry.  One template string, filled by ``%``, holds less memory than a
+    string per row.
+    """
+    return _csv_template(spectrum.omega.tobytes()) % tuple(spectrum.values.tolist())
 
 
 def spectrum_from_csv(text: str, eta: float = 0.0) -> Spectrum:

@@ -91,7 +91,7 @@ def twelve_orbital_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def bad_ground_state_dir(fixture_dir, tmp_path_factory):
-    """The 2-orbital inputs next to faulty files: eight ``--ground-state`` files,
+    """The 2-orbital inputs next to faulty files: nine ``--ground-state`` files,
     an FCIDUMP whose header (NELEC=3, MS2=0) names no sector, one with two
     lines setting the (2,2,2,2) integral to different values, and an FCIDUMP
     and a dipole file whose entries overflow the float range in the chain."""
@@ -119,6 +119,9 @@ def bad_ground_state_dir(fixture_dir, tmp_path_factory):
         json.dumps({"n_orbitals": 2, "energies": [0.0], "coeffs": [[1.0]]}))
     (out / "no_states.json").write_text(
         json.dumps({"n_orbitals": 2, "basis": [[1, 1]], "energies": [], "coeffs": []}))
+    (out / "short.json").write_text(json.dumps(
+        {"n_orbitals": 2, "basis": [[1, 1], [1, 2], [2, 1], [2, 2]], "energies": [-0.2],
+         "coeffs": [[1.0]]}))
     for name, mask in (("negative_mask", -1), ("mask_beyond_int64", 2**70)):
         (out / f"{name}.json").write_text(json.dumps(
             {"n_orbitals": 2, "basis": [[mask, 1]], "energies": [0.0], "coeffs": [[1.0]]}))
@@ -309,6 +312,9 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
     user_input("ground_state_eigensystem_mask_beyond_int64",
                ["spectrum", "--ground-state", "{inputs}/mask_beyond_int64.json",
                 "--delta", "2.0"], "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("ground_state_eigensystem_short_coeffs",
+               ["spectrum", "--ground-state", "{inputs}/short.json", "--delta", "2.0"],
+               "invalid_config", inputs="bad_ground_state_dir"),
     user_input("ground_state_norm_overflows",
                ["spectrum", "--ground-state", "{inputs}/overflowing.jsonl", "--delta", "2.0"],
                "invalid_config", inputs="bad_ground_state_dir"),

@@ -372,6 +372,38 @@ def test_reconstruct_rejects_non_uniform_grid():
         reconstruct_intensity(series, [])
 
 
+def test_reconstruct_plan_matches_a_cold_cache(toy):
+    """Calls alternating over two grids and over series that differ in n_max,
+    tau or eta each equal the same call made right after ``cache_clear()``.
+    Each call differs from the one before it in one key field or none; the
+    two repeats reuse the plan, whose arrays refuse writes."""
+    (coarse, grid), (fine, _) = toy_series(toy, 1e-2), toy_series(toy, 1e-4)
+    assert fine.n_max != coarse.n_max
+    longer = dataclasses.replace(coarse, tau=0.75 * coarse.tau)
+    damped = dataclasses.replace(coarse, eta=2.0 * coarse.eta)
+    sub = grid[100:400]
+    calls = [(coarse, grid), (coarse, grid), (longer, grid), (coarse, grid),
+             (damped, grid), (coarse, grid), (fine, grid), (fine, sub),
+             (coarse, sub), (coarse, sub), (coarse, grid)]
+    sp._chirp_plan.cache_clear()
+    warm = [reconstruct_intensity(series, omega).values for series, omega in calls]
+    assert sp._chirp_plan.cache_info().hits == 2
+    for (series, omega), values in zip(calls, warm):
+        sp._chirp_plan.cache_clear()
+        assert np.array_equal(values, reconstruct_intensity(series, omega).values)
+    plan = sp._chirp_plan(coarse.tau, coarse.eta, coarse.n_max, grid.tobytes())
+    for array in (plan.damping, plan.pre_chirp, plan.kernel_fft, plan.post_chirp):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.0, -0.5, math.inf, math.nan])
+def test_series_rejects_a_step_that_is_not_positive(tau):
+    with pytest.raises(ValueError, match="tau must be a positive number"):
+        GreensSeries(pair="xx", tau=tau, eta=0.05, n_max=1, norm_product=1.0,
+                     moment0=1.0, x=[0.0], y=[0.0], shots=[0])
+
+
 def test_reconstruct_workspace_is_linear(toy):
     """Peak traced memory at n_max 2,227 x 1,899 points stays under 2 MB:
     the workspace is O(n_max + M), not O(n_max * M)."""
@@ -585,6 +617,31 @@ def test_spectrum_csv_round_trip():
     back = spectrum_from_csv(spectrum_to_csv(spec), eta=0.05)
     assert np.array_equal(back.omega, spec.omega)
     assert np.array_equal(back.values, spec.values)
+
+
+def reference_csv(spectrum):
+    """The CSV formatted row by row: each number is the repr of its Python float."""
+    rows = [f"{w!r},{w * sp.HARTREE_TO_EV!r},{v!r}"
+            for w, v in zip(spectrum.omega.tolist(), spectrum.values.tolist())]
+    return "\n".join(["omega_hartree,omega_ev,value", *rows]) + "\n"
+
+
+def test_spectrum_csv_matches_per_row_repr():
+    """The cached grid columns write what formatting every row anew writes: on
+    edge values, on grids written alternately, and on two grids that differ
+    only in the sign of a zero first point (equal as floats, printed apart)."""
+    values = np.array([-0.0, 5e-324, 1e300, -2.5, -1e-300])
+    signed = np.array([-0.0, 5e-324, 0.25, 1.5, 1e300])
+    unsigned = np.array([0.0, 5e-324, 0.25, 1.5, 1e300])
+    plain = np.linspace(-1.0, 2.0, 5)
+    assert np.array_equal(signed, unsigned)
+    for grid in (plain, signed, plain, signed, unsigned, signed):
+        spec = Spectrum(grid, values, 0.05)
+        assert spectrum_to_csv(spec) == reference_csv(spec)
+    assert spectrum_to_csv(Spectrum(signed, values, 0.05)).split("\n")[1] \
+        == "-0.0,-0.0,-0.0"
+    template = sp._csv_template(signed.tobytes())
+    assert isinstance(template, str) and template.split("\n")[1] == "-0.0,-0.0,%r"
 
 
 def test_spectrum_grid_validation():
