@@ -33,9 +33,9 @@ SECTOR_TOL = 1e-12  # largest coupling out of the basis taken as rounding
 class TrotterProgram:
     """Second-order symmetric product formula for exp(-i H tau).
 
-    ``terms`` hold (x_mask, z_mask, coeff) in the fixed sweep order: Z-diagonal
-    words first, then off-diagonal words, each group in the word order of the
-    ``PauliSum`` it was compiled from.
+    ``terms`` hold ``PauliSum`` terms ``(coeff, x, z)`` in the fixed sweep
+    order: Z-diagonal words first, then off-diagonal words, each block in the
+    word order of the ``PauliSum`` it was compiled from.
     One outer application is U2(dt)^k times the identity-term phase, with dt =
     tau / k and U2 applying each X-mask group at half angle forward then back.
     """
@@ -43,7 +43,7 @@ class TrotterProgram:
     n_qubits: int
     tau: float
     k: int
-    terms: tuple[tuple[int, int, float], ...]
+    terms: tuple[tuple[float, int, int], ...]
     identity_coefficient: float
 
     @property
@@ -58,31 +58,24 @@ class TrotterProgram:
 def build_trotter(paulis: PauliSum, tau: float, k: int) -> TrotterProgram:
     """Compile a Pauli sum into a deterministic second-order Trotter program.
 
-    Identity terms become a tracked global phase (the Hadamard test is
+    The identity term becomes a tracked global phase (the Hadamard test is
     phase sensitive).  Negative ``tau`` yields the inverse propagator, used
     by time-reversal checks.  ``paulis.terms`` are already in word order
     (the ``PauliSum`` invariant), so a stable split into diagonal and
-    off-diagonal words keeps each group sorted.
+    off-diagonal words keeps each block sorted.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if tau == 0.0:
         raise ValueError("tau must be nonzero")
-    diagonal, offdiag = [], []
-    identity = 0.0
-    for coeff, x, z in paulis.terms:
-        if x == 0 and z == 0:
-            identity += coeff
-        elif x == 0:
-            diagonal.append((x, z, coeff))
-        else:
-            offdiag.append((x, z, coeff))
-    return TrotterProgram(paulis.n_qubits, float(tau), int(k),
-                          tuple(diagonal + offdiag), identity)
+    identity, rest = paulis.split_identity()
+    diagonal = tuple(term for term in rest if term[1] == 0)
+    offdiag = tuple(term for term in rest if term[1] != 0)
+    return TrotterProgram(paulis.n_qubits, float(tau), int(k), diagonal + offdiag, identity)
 
 
 def _couplings(terms, basis: np.ndarray) -> list:
-    """(rows, partners, g) for each X-mask group of (x, z, coeff) ``terms`` on ``basis``.
+    """(rows, partners, g) for each X-mask group of (coeff, x, z) ``terms`` on ``basis``.
 
     A group A_x maps |b> to f(b) |b ^ x>, so (A_x c)(b) = g c(b ^ x) with
     g = f(b ^ x); the diagonal group has partner b.  Only the rows with
@@ -91,7 +84,7 @@ def _couplings(terms, basis: np.ndarray) -> list:
     ValueError.
     """
     groups: dict[int, list[tuple[int, float]]] = {}
-    for x, z, coeff in terms:
+    for coeff, x, z in terms:
         groups.setdefault(x, []).append((z, coeff))
     out = []
     for x, words in groups.items():
@@ -106,13 +99,15 @@ def _couplings(terms, basis: np.ndarray) -> list:
     return out
 
 
-def _group_factors(prog: TrotterProgram, basis: np.ndarray, theta: float) -> list:
-    """exp(-i theta A_x) for each X-mask group A_x, in program order, on ``basis``.
+def _group_factors(prog: TrotterProgram, basis: np.ndarray) -> list:
+    """exp(-i theta A_x) for each X-mask group A_x, in program order, on
+    ``basis``, at the half angle theta = dt / 2 of the symmetric step.
 
     A_x^2 = |f|^2 is diagonal, so the exponential maps c(b) to
     cos(theta r) c(b) - i sin(theta r) g c(b ^ x) / r with r = |g|; rows
     without a coupling are left unchanged.
     """
+    theta = 0.5 * prog.dt
     factors = []
     for rows, partner, g in _couplings(prog.terms, basis):
         g = g[:, None]
@@ -125,7 +120,7 @@ def sector_apply(paulis: PauliSum, basis: np.ndarray, amplitudes: np.ndarray) ->
     """H c for amplitudes ``c`` on sorted ``basis`` words, summed over the same
     X-mask couplings as the Trotter step; a sum that leaves the basis raises ValueError."""
     out = np.zeros(len(basis), dtype=complex)
-    for rows, partner, g in _couplings(((x, z, coeff) for coeff, x, z in paulis.terms), basis):
+    for rows, partner, g in _couplings(paulis.terms, basis):
         out[rows] += g * amplitudes[partner]
     return out
 
@@ -148,7 +143,7 @@ def apply_trotter(state: np.ndarray, prog: TrotterProgram, reps: int) -> np.ndar
         raise ValueError("statevector dimension does not match the program")
     if reps < 0:
         raise ValueError("reps must be nonnegative")
-    factors = _group_factors(prog, np.arange(state.shape[0]), 0.5 * prog.dt)
+    factors = _group_factors(prog, np.arange(state.shape[0]))
     block = np.array(state, dtype=complex).reshape(state.shape[0], -1)
     for _ in range(reps):
         for _ in range(prog.k):
@@ -165,7 +160,7 @@ def program_unitary(prog: TrotterProgram, basis: np.ndarray | None = None) -> np
     """
     check_dense(1 << prog.n_qubits if basis is None else len(basis))
     basis = np.arange(1 << prog.n_qubits) if basis is None else basis
-    u = _sweep(np.eye(len(basis), dtype=complex), _group_factors(prog, basis, 0.5 * prog.dt))
+    u = _sweep(np.eye(len(basis), dtype=complex), _group_factors(prog, basis))
     return prog.phase_per_rep * np.linalg.matrix_power(u, prog.k)
 
 

@@ -145,10 +145,6 @@ class QVector:
     def component(self, axis: str) -> float:
         return {"x": self.qx, "y": self.qy, "z": self.qz}[axis]
 
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(self.qx**2 + self.qy**2 + self.qz**2))
-
 
 # ---------------------------------------------------------------------------
 # FCIDUMP interchange format
@@ -157,19 +153,25 @@ class QVector:
 _HEADER_FIELD = re.compile(r"([A-Za-z0-9]+)\s*=\s*([-0-9]+)")
 
 
-def parse_fcidump_header(text: str) -> dict[str, int]:
-    """Extract integer namelist fields (NORB, NELEC, MS2, ...) from the header."""
-    header_lines = []
-    for line in text.splitlines():
-        header_lines.append(line)
-        if "&END" in line.upper() or line.strip() == "/":
-            break
+def _split_header(lines: list[str]) -> tuple[dict[str, int], int]:
+    """Integer namelist fields (NORB, NELEC, MS2, ...) of the header, and the
+    index of the first body line.  The header ends at the first line that
+    holds ``&END`` or is a lone ``/``; a text without one raises FcidumpError."""
+    body = next((i + 1 for i, line in enumerate(lines)
+                 if "&END" in line.upper() or line.strip() == "/"), None)
     fields = {}
-    for key, value in _HEADER_FIELD.findall(" ".join(header_lines)):
+    for key, value in _HEADER_FIELD.findall(" ".join(lines[:body])):
         fields[key.upper()] = int(value)
     if "NORB" not in fields:
         raise FcidumpError("line 1: header is missing NORB")
-    return fields
+    if body is None:
+        raise FcidumpError(f"line {len(lines)}: the header never ends (no &END or / line)")
+    return fields, body
+
+
+def parse_fcidump_header(text: str) -> dict[str, int]:
+    """Extract integer namelist fields (NORB, NELEC, MS2, ...) from the header."""
+    return _split_header(text.splitlines())[0]
 
 
 def parse_fcidump(text: str) -> Hamiltonian:
@@ -183,17 +185,12 @@ def parse_fcidump(text: str) -> Hamiltonian:
     raises ``FcidumpError``; equal repeats are accepted.
     """
     lines = text.splitlines()
-    fields = parse_fcidump_header(text)
+    fields, body = _split_header(lines)
     n = fields["NORB"]
     if n < 1:
         raise FcidumpError("line 1: NORB must be positive")
     values: dict[tuple, float] = {}   # 0-based index -> value; () is the offset
-    in_header = True
-    for lineno, raw in enumerate(lines, start=1):
-        if in_header:
-            if "&END" in raw.upper() or raw.strip() == "/":
-                in_header = False
-            continue
+    for lineno, raw in enumerate(lines[body:], start=body + 1):
         parts = raw.split()
         if not parts:
             continue
@@ -294,16 +291,11 @@ def _spin_excitation(p: int, q: int) -> LinearPauli:
 
 
 def one_body_to_pauli(m: np.ndarray) -> PauliSum:
-    """Qubit image of ``sum_{pq,s} m[p,q] a+_{ps} a_{qs}`` for symmetric m."""
+    """Qubit image of ``sum_{pq,s} m[p,q] a+_{ps} a_{qs}`` for symmetric m: the
+    ``jordan_wigner`` image of the Hamiltonian with one-body part m alone."""
     m = np.asarray(m, dtype=float)
     _check_symmetric(m, "one-body matrix")
-    n = m.shape[0]
-    acc = LinearPauli()
-    for p in range(n):
-        for q in range(n):
-            if abs(m[p, q]) > 0.0:
-                acc.add_sum(_spin_excitation(p, q), m[p, q])
-    return acc.collapse(2 * n)
+    return jordan_wigner(Hamiltonian(0.0, m, np.zeros(m.shape * 2)))
 
 
 # i**-k for k = 0..3.  The canonical word i**|x & z| X^x Z^z with coefficient c
@@ -340,7 +332,11 @@ def jordan_wigner(h: Hamiltonian) -> PauliSum:
     """
     n = h.n_orbitals
     shift = 2 * n
-    excitations = [_spin_excitation(p, q) for p in range(n) for q in range(n)]
+    g = h.two_body.reshape(n * n, n * n)
+    # E_pq is built only where an integral uses it (a dipole has no two-body part)
+    used = (h.one_body.ravel() != 0.0) | g.any(axis=0) | g.any(axis=1)
+    excitations = [_spin_excitation(p, q) if used[p * n + q] else LinearPauli()
+                   for p in range(n) for q in range(n)]
     acc = LinearPauli()
     acc.add(complex(h.offset), 0, 0)
     for e, m in zip(excitations, h.one_body.flat):
@@ -351,8 +347,7 @@ def jordan_wigner(h: Hamiltonian) -> PauliSum:
     # (packed key, x, z, a) for each word of each E_pq, in pq = p * n + q order
     words = [[(x << shift | z, x, z, bare(x, z, c)) for (x, z), c in e.terms.items()]
              for e in excitations]
-    g = h.two_body.reshape(n * n, n * n).tolist()
-    for left, g_pq in zip(words, g):
+    for left, g_pq in zip(words, g.tolist()):
         signed: dict[int, list] = {}   # X-mask of a right word -> signed left words
         for right, g_pqrs in zip(words, g_pq):
             if g_pqrs == 0.0:

@@ -81,7 +81,7 @@ class PauliSum:
     ``n_qubits`` bits, and the word-order invariant: the terms are strictly
     increasing in ``masks_to_word`` order (qubit 0 first, I < X < Y < Z), so
     no word repeats and the identity, when present, is the first term.
-    ``shifted_identity`` and ``emulator.build_trotter`` rely on that order and
+    ``split_identity`` and ``emulator.build_trotter`` rely on that order and
     never re-sort.
     """
 
@@ -125,23 +125,23 @@ class PauliSum:
     def as_dict(self) -> dict[tuple[int, int], float]:
         return {(x, z): c for c, x, z in self.terms}
 
+    def split_identity(self) -> tuple[float, tuple[tuple[float, int, int], ...]]:
+        """The identity coefficient (0.0 when absent) and the other terms.
+
+        The identity sorts first, so only the head of ``terms`` is looked at.
+        """
+        if self.terms and self.terms[0][1] == 0 and self.terms[0][2] == 0:
+            return self.terms[0][0], self.terms[1:]
+        return 0.0, self.terms
+
     @property
     def identity_coefficient(self) -> float:
-        if self.terms and self.terms[0][1] == 0 and self.terms[0][2] == 0:
-            return self.terms[0][0]
-        return 0.0
+        return self.split_identity()[0]
 
     def shifted_identity(self, delta: float) -> "PauliSum":
-        """Return a copy with ``delta`` added to the identity coefficient.
-
-        The identity sorts first, so only the head of ``terms`` changes: it is
-        replaced, prepended, or dropped when the sum falls below
-        ``DROP_THRESHOLD``.
-        """
-        rest = self.terms
-        identity = 0.0
-        if rest and rest[0][1] == 0 and rest[0][2] == 0:
-            identity, rest = rest[0][0], rest[1:]
+        """Return a copy with ``delta`` added to the identity coefficient; the
+        identity term is dropped when the sum falls below ``DROP_THRESHOLD``."""
+        identity, rest = self.split_identity()
         identity = identity + delta
         head = () if abs(identity) < DROP_THRESHOLD else ((float(identity), 0, 0),)
         return PauliSum(self.n_qubits, head + rest)

@@ -117,10 +117,6 @@ class RunPlan:
         """Series depth: the nearest integer to ln(1/epsilon_trunc)/(eta*tau), at least 1."""
         return max(1, round(math.log(1.0 / self.epsilon_trunc) / (self.eta * self.tau)))
 
-    @property
-    def total_shots(self) -> int:
-        return sum(self.budgets.values())
-
 
 class NoDipoleIntensity(ValueError):
     """No Cartesian pair carries weight: the dipole states or every q vanish."""

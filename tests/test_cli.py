@@ -92,15 +92,18 @@ def twelve_orbital_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def bad_ground_state_dir(fixture_dir, tmp_path_factory):
     """The 2-orbital inputs next to faulty files: nine ``--ground-state`` files,
-    an FCIDUMP whose header (NELEC=3, MS2=0) names no sector, one with two
-    lines setting the (2,2,2,2) integral to different values, and an FCIDUMP
-    and a dipole file whose entries overflow the float range in the chain."""
+    an FCIDUMP whose header (NELEC=3, MS2=0) names no sector, one whose header
+    never ends, one with two lines setting the (2,2,2,2) integral to different
+    values, and an FCIDUMP and a dipole file whose entries overflow the float
+    range in the chain."""
     out = tmp_path_factory.mktemp("bad_ground_state")
     for name in ("hamiltonian.fcidump", "dipoles.json"):
         shutil.copy(fixture_dir / name, out / name)
     text = (fixture_dir / "hamiltonian.fcidump").read_text()
     assert "NELEC=2,MS2=0," in text
     (out / "no_sector.fcidump").write_text(text.replace("NELEC=2,", "NELEC=3,"))
+    assert " &END\n" in text
+    (out / "noend.fcidump").write_text(text.replace(" &END\n", ""))
     own = next(line for line in text.splitlines() if line.endswith(" 2 2 2 2"))
     (out / "conflicting.fcidump").write_text(text.replace(own, "9.0 2 2 2 2\n" + own))
     (out / "overflowing.fcidump").write_text(
@@ -326,6 +329,12 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
                "invalid_config", inputs="bad_ground_state_dir"),
     user_input("oracle_fcidump_overflows",
                ["oracle", "--eta", "0.02", "--hamiltonian", "{inputs}/overflowing.fcidump"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("fcidump_header_never_ends",
+               EXACT + ["--hamiltonian", "{inputs}/noend.fcidump"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("oracle_fcidump_header_never_ends",
+               ["oracle", "--eta", "0.02", "--hamiltonian", "{inputs}/noend.fcidump"],
                "invalid_config", inputs="bad_ground_state_dir"),
     user_input("fcidump_conflicting_integral",
                EXACT + ["--hamiltonian", "{inputs}/conflicting.fcidump"],

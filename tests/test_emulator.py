@@ -103,7 +103,7 @@ def test_program_term_ordering_deterministic():
                                 (0.4, "YX"), (0.5, "ZZ")], 2)
     prog = build_trotter(psum, 1.0, 1)
     from dsfsim.pauli import masks_to_word
-    words = [masks_to_word(x, z, 2) for x, z, _ in prog.terms]
+    words = [masks_to_word(x, z, 2) for _, x, z in prog.terms]
     assert words == ["IZ", "ZI", "ZZ", "XY", "YX"]  # diagonal block first
 
 

@@ -99,6 +99,16 @@ def test_missing_header_rejected():
         parse_fcidump("1.0 1 1 0 0\n")
 
 
+def test_header_without_end_rejected():
+    """A header with no ``&END`` or ``/`` line is refused, not read as an empty body."""
+    text = HEADER.replace(" &END\n", "") + "0.5 1 1 0 0\n-1.0 0 0 0 0\n"
+    for parse in (parse_fcidump, parse_fcidump_header):
+        with pytest.raises(FcidumpError, match="line 5: the header never ends"):
+            parse(text)
+    slash = HEADER.replace(" &END", " /") + "-1.0 0 0 0 0\n"
+    assert parse_fcidump(slash).offset == -1.0
+
+
 def test_hamiltonian_validation():
     with pytest.raises(ValueError, match="symmetric"):
         Hamiltonian(0.0, np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2,) * 4))
@@ -187,6 +197,28 @@ def test_jw_terms_are_pinned(spec, digest):
     assert hashlib.sha256(repr(terms).encode()).hexdigest() == digest
 
 
+# sha256 of repr(tuple(one_body_to_pauli(d.component(a)).terms for a in "xyz")),
+# recorded while one_body_to_pauli still had its own accumulation loop.
+DIPOLE_DIGESTS = [
+    (fixtures.TWO_ORBITAL_SPEC,
+     "d5c2ba7ce63e0c51a26d80dd1571818098d2628129ac12bbfb60904271339c12"),
+    (fixtures.THREE_ORBITAL_SPEC,
+     "cd0374d7e19b38721d8ae647488f746c07cc70438e339bff37d0f405882d0d24"),
+    (fixtures.CORE_VALENCE_SPEC,
+     "433915161913a5f8936087a3c60cdb3ba168c87caa0a4ff866663cf30b1bfffd"),
+    (fixtures.DIAGONAL_SPEC,
+     "1abfe1004b389308f0e5b38e763b200e56c655d2346bc08ce267e1c7d7c05167"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", DIPOLE_DIGESTS,
+                         ids=[f"{s.kind}-{s.n_orbitals}-{s.seed}" for s, _ in DIPOLE_DIGESTS])
+def test_dipole_terms_are_pinned(spec, digest):
+    _, dipole = fixtures.generate(spec)
+    terms = tuple(one_body_to_pauli(dipole.component(a)).terms for a in "xyz")
+    assert hashlib.sha256(repr(terms).encode()).hexdigest() == digest
+
+
 def _ladder_product_jw(h):
     """Reference: multiply the spin-summed ladder products term by term."""
     n = h.n_orbitals
@@ -214,6 +246,16 @@ def _ladder_product_jw(h):
 def test_jw_equals_ladder_products_exactly(seed):
     h, _ = fixtures.generate(fixtures.ModelSpec(n_orbitals=3, n_electrons=2, seed=seed))
     assert jordan_wigner(h).terms == _ladder_product_jw(h).terms
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=4))
+@settings(max_examples=10, deadline=None)
+def test_one_body_equals_ladder_products_exactly(seed, n):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.7)
+    m = m + m.T
+    reference = _ladder_product_jw(Hamiltonian(0.0, m, np.zeros((n,) * 4)))
+    assert one_body_to_pauli(m).terms == reference.terms
 
 
 def test_one_body_zero_matrix():

@@ -74,7 +74,7 @@ def test_plan_invariant_checked():
             RunPlan(tau=1.0, eta=0.05, k=4, budgets=budgets, epsilon_trunc=1e-4)
     plan = RunPlan(tau=1.0, eta=0.05, k=4, budgets=dict.fromkeys(sp.PAIR_KEYS, 2),
                    epsilon_trunc=1e-4)
-    assert plan.total_shots == 12
+    assert sum(plan.budgets.values()) == 12
     assert plan.n_max == round(math.log(1e4) / 0.05)
 
 
