@@ -1,9 +1,9 @@
-"""Sparse CI vectors over Slater determinants.
+"""CI vectors: amplitudes on the sorted words of one (N_alpha, N_beta) sector.
 
 A determinant is its occupation word: bit 2p+s set = spatial orbital p
 occupied with spin s (0 = alpha, 1 = beta).  Amplitudes follow the
 convention that creation operators are applied in ascending qubit index
-(qubit = 2p + s), which makes the statevector image of a single determinant
+(qubit = 2p + s), which makes the register image of a single determinant
 a +1 one-hot vector.  Per-spin orbital masks appear only in the two file
 formats: the JSON-lines records here and the eigensystem JSON of ``oracle``.
 """
@@ -35,14 +35,6 @@ def check_dense(dim: int) -> None:
 
 class NonFiniteValue(ValueError):
     """A quantity of the chain is not finite: an input value overflowed the float range."""
-
-
-class AnnihilatedError(ValueError):
-    """An operator mapped the state to zero.
-
-    Signals a symmetry-forbidden channel; callers record an identically
-    zero contribution for it.
-    """
 
 
 def _interleave(mask: int) -> int:
@@ -84,49 +76,58 @@ def ladder(word: int, so: int) -> tuple[float, int]:
 
 @dataclass(frozen=True)
 class CIVector:
-    """Sparse linear combination of determinants, keyed by occupation word."""
+    """Complex ``amplitudes[i]`` on word ``basis[i]`` of the sorted int64 words of a
+    whole sector (``sector_words``), as in ``oracle.EigenSystem`` and
+    ``spectrum.DipoleStates``."""
 
     n_orbitals: int
-    entries: dict[int, complex]
+    basis: np.ndarray
+    amplitudes: np.ndarray
 
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("CI vector has no entries")
-        sector = spin_counts(next(iter(self.entries)), self.n_orbitals)
-        for det, amp in self.entries.items():
-            if det >> 2 * self.n_orbitals:
-                raise ValueError("determinant occupies orbitals beyond the register")
-            if spin_counts(det, self.n_orbitals) != sector:
-                raise ValueError("determinants mix (N_e, S_z) sectors")
-            if amp == 0:
-                raise ValueError("zero amplitude stored; prune before constructing")
-            if not np.isfinite(amp):
-                raise NonFiniteValue("non-finite amplitude")
 
-    @property
-    def sector(self) -> tuple[int, int]:
-        """(N_alpha, N_beta) shared by every determinant."""
-        return spin_counts(next(iter(self.entries)), self.n_orbitals)
+def place_on_sector(n_orbitals: int, words, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted words of the sector of ``words``, and ``rows`` (one per word) on them.
 
-    def norm(self) -> float:
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self.entries.values())))
+    Sector words not in ``words`` get zero rows.  Refused before the sector is
+    enumerated: a word beyond the register, a repeated word and words from two
+    sectors (ValueError), and a sector over ``DENSE_CAP`` (``SectorTooLarge``).
+    """
+    words = [int(w) for w in words]
+    if any(w >> 2 * n_orbitals for w in words):
+        raise ValueError("determinant occupies orbitals beyond the register")
+    if len(set(words)) < len(words):
+        raise ValueError("determinant repeated")
+    sectors = {spin_counts(w, n_orbitals) for w in words}
+    if len(sectors) > 1:
+        raise ValueError("determinants mix (N_e, S_z) sectors")
+    (sector,) = sectors
+    check_dense(sector_dimension(n_orbitals, *sector))
+    basis = sector_words(n_orbitals, *sector)
+    rows = np.asarray(rows)
+    placed = np.zeros((len(basis),) + rows.shape[1:], dtype=rows.dtype)
+    placed[np.searchsorted(basis, words)] = rows
+    return basis, placed
 
 
 def apply_one_body(m: np.ndarray, v: CIVector) -> CIVector:
-    """Apply ``sum_{pq,s} m[p,q] a+_{ps} a_{qs}`` to a CI vector.
+    """Apply ``sum_{pq,s} m[p,q] a+_{ps} a_{qs}`` to a CI vector, on its basis.
 
     Each hop's sign is the product of its two ``ladder`` signs: the parity of
-    occupied spin orbitals strictly between source and destination.  Every
-    nonzero amplitude is kept; exact zeros (hops that cancel) are dropped, as
-    ``CIVector`` stores none.
+    occupied spin orbitals strictly between source and destination.  Hops
+    start from the nonzero amplitudes in word order; a word no hop reaches,
+    or whose hops cancel, holds zero.
     """
     m = np.asarray(m, dtype=float)
     n = v.n_orbitals
     if m.shape != (n, n):
         raise ValueError("operator dimension does not match CI vector")
     cols = [np.nonzero(m[:, q])[0] for q in range(n)]
-    out: dict[int, complex] = {}
-    for det, amp in v.entries.items():
+    words = v.basis.tolist()
+    index = {det: i for i, det in enumerate(words)}
+    out = np.zeros(len(words), dtype=complex)
+    for det, amp in zip(words, v.amplitudes.tolist()):
+        if amp == 0:
+            continue
         for spin in (0, 1):
             for q in range(n):
                 if not det >> (2 * q + spin) & 1:
@@ -137,25 +138,23 @@ def apply_one_body(m: np.ndarray, v: CIVector) -> CIVector:
                     if hole >> dst & 1:
                         continue  # destination occupied (same spin)
                     s2, new = ladder(hole, dst)
-                    out[new] = out.get(new, 0j) + s1 * s2 * m[p, q] * amp
-    kept = {d: a for d, a in out.items() if a != 0}
-    if not kept:
-        raise AnnihilatedError("operator annihilates the CI vector")
-    return CIVector(n, kept)
+                    out[index[new]] += s1 * s2 * m[p, q] * amp
+    return CIVector(n, v.basis, out)
 
 
 def normalize(v: CIVector) -> tuple[CIVector, float]:
     """Return (unit vector, norm); the norm rescales measured amplitudes."""
     try:
-        norm = v.norm()
+        norm = float(np.sqrt(sum(abs(a) ** 2 for a in v.amplitudes.tolist())))
     except OverflowError:  # a squared amplitude beyond the float range
         norm = math.inf
     if not math.isfinite(norm):
         raise NonFiniteValue("the norm overflows the float range")
     if norm == 0.0:
-        raise AnnihilatedError("dipole annihilates state")
-    unit = CIVector(v.n_orbitals, {d: a / norm for d, a in v.entries.items()})
-    return unit, norm
+        raise ValueError("the state has zero norm")
+    unit = np.empty_like(v.amplitudes)   # parts divided apart, as complex / float does
+    unit.real, unit.imag = v.amplitudes.real / norm, v.amplitudes.imag / norm
+    return CIVector(v.n_orbitals, v.basis, unit), norm
 
 
 def register_state(n_orbitals: int, words, amplitudes) -> np.ndarray:
@@ -166,22 +165,6 @@ def register_state(n_orbitals: int, words, amplitudes) -> np.ndarray:
     state = np.zeros((4 ** n_orbitals,) + np.shape(amplitudes)[1:], dtype=complex)
     state[words] = amplitudes
     return state
-
-
-def ci_to_statevector(v: CIVector) -> np.ndarray:
-    """Dense statevector over 2*n_orbitals qubits (index = occupation word)."""
-    return register_state(v.n_orbitals, list(v.entries), list(v.entries.values()))
-
-
-def amplitudes_on(v: CIVector, words: np.ndarray) -> np.ndarray:
-    """``v``'s amplitudes on sorted occupation ``words``; ValueError if any lies outside."""
-    keys = np.array(list(v.entries))
-    pos = np.minimum(np.searchsorted(words, keys), len(words) - 1)
-    if np.any(words[pos] != keys):
-        raise ValueError("CI vector has a determinant outside the basis")
-    out = np.zeros(len(words), dtype=complex)
-    out[pos] = list(v.entries.values())
-    return out
 
 
 def electron_sector(n_electrons: int, ms2: int) -> tuple[int, int]:
@@ -246,10 +229,12 @@ def _string_to_bits(s: str, spin: int) -> int:
 
 
 def write_civector_jsonl(v: CIVector) -> str:
-    """One JSON object per determinant; orbital 0 is the leftmost character."""
+    """One JSON object per nonzero amplitude, in word order; orbital 0 is the
+    leftmost character."""
     lines = []
-    for det in sorted(v.entries):
-        amp = v.entries[det]
+    for det, amp in zip(v.basis.tolist(), v.amplitudes.tolist()):
+        if amp == 0:
+            continue
         lines.append(json.dumps({
             "alpha": _bits_to_string(det, 0, v.n_orbitals),
             "beta": _bits_to_string(det, 1, v.n_orbitals),
@@ -260,25 +245,30 @@ def write_civector_jsonl(v: CIVector) -> str:
 
 
 def read_civector_jsonl(text: str) -> CIVector:
-    entries: dict[int, complex] = {}
+    """The state of a JSON-lines file, placed on its sector (``place_on_sector``)."""
+    words, amplitudes = [], []
     n_orbitals = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             doc = json.loads(line)
-            det = _string_to_bits(doc["alpha"], 0) | _string_to_bits(doc["beta"], 1)
-            amp = complex(doc["re"], doc.get("im", 0.0))
-            width = len(doc["alpha"])
+            alpha, beta = doc["alpha"], doc["beta"]
+            if len(alpha) != len(beta):
+                raise ValueError("alpha and beta strings differ in length")
+            det = _string_to_bits(alpha, 0) | _string_to_bits(beta, 1)
+            real, imag = doc["re"], doc.get("im", 0.0)
+            if type(real) is bool or type(imag) is bool:  # complex() refuses other types
+                raise TypeError("an amplitude is a bool")
+            amp = complex(real, imag)
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"line {lineno}: bad CI-vector record ({exc})") from None
         if n_orbitals is None:
-            n_orbitals = width
-        elif width != n_orbitals:
+            n_orbitals = len(alpha)
+        elif len(alpha) != n_orbitals:
             raise ValueError(f"line {lineno}: inconsistent orbital count")
-        if det in entries:
-            raise ValueError(f"line {lineno}: determinant repeated")
-        entries[det] = amp
+        words.append(det)
+        amplitudes.append(amp)
     if n_orbitals is None:
         raise ValueError("empty CI-vector stream")
-    return CIVector(n_orbitals, entries)
+    return CIVector(n_orbitals, *place_on_sector(n_orbitals, words, amplitudes))

@@ -243,7 +243,8 @@ def _load_ground_state(cfg: RunConfig, h, header):
     A solved sector comes from ``n_alpha``/``n_beta``, else from the
     header's NELEC and MS2 (``ci.electron_sector``).  A header that names no
     sector, and a ground-state file that does not parse or whose orbital
-    count differs from the Hamiltonian's, are refused with ``invalid_config``.
+    count differs from the Hamiltonian's, are refused with ``invalid_config``;
+    a file whose sector exceeds ``ci.DENSE_CAP`` raises ``ci.SectorTooLarge``.
     """
     if cfg.ground_state == "solve":
         n_alpha, n_beta = cfg.n_alpha, cfg.n_beta   # both or neither (_check_config)
@@ -271,6 +272,8 @@ def _load_ground_state(cfg: RunConfig, h, header):
         else:
             eig = oracle.eigensystem_from_json(text)
             psi0 = eig.eigenvector(0)
+    except ci_mod.SectorTooLarge:
+        raise  # budget_exceeded, as for a solved sector over the cap
     except (ValueError, LookupError, TypeError, ArithmeticError) as exc:
         raise CliError("invalid_config",
                        f"ground state file {path}: {type(exc).__name__}: {exc}") from None
@@ -367,8 +370,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if cfg.ground_state == "solve":
         e0 = eig.ground_energy
     else:  # a ground-state file's E0 is <psi0|H|psi0> on this FCIDUMP
-        e0 = emulator.sector_expectation(psum, states.basis,
-                                         ci_mod.amplitudes_on(psi0, states.basis))
+        e0 = emulator.sector_expectation(psum, psi0.basis, psi0.amplitudes)
     prog = emulator.build_trotter(psum.shifted_identity(-e0), plan.tau, plan.k)
     series = sp.measure_all(plan, states, prog, cfg.mode, cfg.seed)
     outdir = _outdir(cfg.out)

@@ -164,7 +164,7 @@ class SolvedModel:
     dipole: DipoleOperator
     eig: oracle.EigenSystem
     trans: oracle.TransitionTable
-    psi0: CIVector
+    psi0: CIVector      # on eig.basis, the sorted words of the sector
     states: sp.DipoleStates
     delta: float        # spectral window, Hartree
     shifted: PauliSum   # JW(H) - E0

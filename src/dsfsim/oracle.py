@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ci import (AnnihilatedError, CIVector, NonFiniteValue, amplitudes_on, apply_one_body,
-                 check_dense, ladder, sector_dimension, sector_words, spin_counts, spin_masks,
-                 word)
+from .ci import (CIVector, NonFiniteValue, apply_one_body, check_dense, ladder,
+                 place_on_sector, sector_dimension, sector_words, spin_counts, spin_masks, word)
 from .operators import DipoleOperator, Hamiltonian, QVector
 
 GRAM_TOL = 1e-10
@@ -125,8 +124,8 @@ class EigenSystem:
     def __post_init__(self):
         object.__setattr__(self, "energies", np.asarray(self.energies, dtype=float))
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        if not np.all(np.isfinite(self.energies)):
-            raise NonFiniteValue("non-finite energies")
+        if not (np.all(np.isfinite(self.energies)) and np.all(np.isfinite(self.coeffs))):
+            raise NonFiniteValue("non-finite energies or coefficients")
         if np.any(np.diff(self.energies) < -1e-12):
             raise ValueError("energies must be ascending")
         if self.coeffs.shape != (len(self.basis), len(self.energies)):
@@ -146,9 +145,7 @@ class EigenSystem:
         return self.coeffs.shape[1]
 
     def eigenvector(self, k: int) -> CIVector:
-        entries = {det: complex(c) for det, c in zip(self.basis.tolist(), self.coeffs[:, k])
-                   if c != 0}
-        return CIVector(self.n_orbitals, entries)
+        return CIVector(self.n_orbitals, self.basis, self.coeffs[:, k].astype(complex))
 
 
 def _phase_fix(coeffs: np.ndarray) -> np.ndarray:
@@ -201,12 +198,8 @@ def transition_table(eig: EigenSystem, dipole: DipoleOperator) -> TransitionTabl
     """Dipole transitions out of the ground state; ``eig.basis`` sorted by word."""
     psi0 = eig.eigenvector(0)
     vecs = np.zeros((3, len(eig.basis)))   # mu_a |Psi_0> on the basis, one row per axis
-    for i, axis in enumerate("xyz"):
-        try:
-            rotated = apply_one_body(dipole.component(axis), psi0)
-        except AnnihilatedError:
-            continue  # symmetry-forbidden channel: a zero row
-        vecs[i] = amplitudes_on(rotated, eig.basis).real
+    for i, axis in enumerate("xyz"):   # a symmetry-forbidden channel is a zero row
+        vecs[i] = apply_one_body(dipole.component(axis), psi0).amplitudes.real
     return TransitionTable(vecs @ eig.coeffs, vecs @ vecs.T)
 
 
@@ -282,7 +275,14 @@ def eigensystem_to_json(eig: EigenSystem) -> str:
 
 
 def eigensystem_from_json(text: str) -> EigenSystem:
+    """An eigensystem file, its ``coeffs`` rows placed on the sector of its basis
+    (``ci.place_on_sector``)."""
     doc = json.loads(text)
-    basis = np.array([word(int(a), int(b)) for a, b in doc["basis"]], dtype=np.int64)
-    return EigenSystem(int(doc["n_orbitals"]), basis,
-                       np.array(doc["energies"]), np.array(doc["coeffs"]))
+    n_orbitals = doc["n_orbitals"]   # taken as read: the bit shifts refuse a float or a string
+    words = [word(a, b) for a, b in doc["basis"]]
+    coeffs = np.array(doc["coeffs"], dtype=float)
+    if coeffs.ndim != 2 or len(coeffs) != len(words):
+        raise ValueError(f"coeffs have shape {coeffs.shape}, not one row per basis entry "
+                         f"({len(words)})")
+    basis, coeffs = place_on_sector(n_orbitals, words, coeffs)
+    return EigenSystem(n_orbitals, basis, np.array(doc["energies"]), coeffs)

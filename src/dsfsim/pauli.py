@@ -134,10 +134,6 @@ class PauliSum:
             return self.terms[0][0], self.terms[1:]
         return 0.0, self.terms
 
-    @property
-    def identity_coefficient(self) -> float:
-        return self.split_identity()[0]
-
     def shifted_identity(self, delta: float) -> "PauliSum":
         """Return a copy with ``delta`` added to the identity coefficient; the
         identity term is dropped when the sum falls below ``DROP_THRESHOLD``."""

@@ -242,15 +242,12 @@ def prepare_dipole_states(ground: CIVector, dipole: DipoleOperator,
     separation, ``ci.cvs_mask``); moments are taken on the projected columns
     so the n = 0 limit of the measured series matches.  A column the dipole
     (or the projection) annihilates gets zero norm and contributes an
-    identically zero intensity.  A sector over ``ci.DENSE_CAP`` states
-    raises ``ci.SectorTooLarge`` before any is built.
+    identically zero intensity.  The ground state's basis was held to
+    ``ci.DENSE_CAP`` when it was solved or read.
     """
-    n = ground.n_orbitals
-    ci_mod.check_dense(ci_mod.sector_dimension(n, *ground.sector))
-    basis = ci_mod.sector_words(n, *ground.sector)
-    psi0 = ci_mod.amplitudes_on(ground, basis)
-    raw = np.column_stack([sector_apply(one_body_to_pauli(dipole.component(axis)), basis, psi0)
-                           for axis in AXES])
+    n, basis = ground.n_orbitals, ground.basis
+    raw = np.column_stack([sector_apply(one_body_to_pauli(dipole.component(axis)), basis,
+                                        ground.amplitudes) for axis in AXES])
     if core_orbitals is not None:
         raw[~ci_mod.cvs_mask(basis, core_orbitals, n)] = 0.0
     norms = np.linalg.norm(raw, axis=0)

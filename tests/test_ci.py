@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsfsim import ci, emulator, oracle, pauli
-from dsfsim import spectrum as sp
-from dsfsim.ci import (AnnihilatedError, CIVector, apply_one_body, ci_to_statevector,
-                       cvs_mask, normalize, read_civector_jsonl, word,
-                       write_civector_jsonl)
+from dsfsim.ci import (CIVector, apply_one_body, cvs_mask, normalize, read_civector_jsonl,
+                       register_state, word, write_civector_jsonl)
 from dsfsim.operators import one_body_to_pauli
 
 
@@ -17,13 +15,29 @@ def random_civector(n_orbitals, n_alpha, n_beta, seed, complex_amps=True):
     amps = rng.normal(size=len(basis))
     if complex_amps:
         amps = amps + 1j * rng.normal(size=len(basis))
-    return CIVector(n_orbitals, dict(zip(basis.tolist(), amps)))
+    return CIVector(n_orbitals, basis, amps.astype(complex))
+
+
+def state(n_orbitals, amplitudes):
+    """The CI vector with ``amplitudes`` {word: amplitude} on their sector."""
+    return CIVector(n_orbitals, *ci.place_on_sector(n_orbitals, list(amplitudes),
+                                                    np.array(list(amplitudes.values()),
+                                                             dtype=complex)))
 
 
 def overlap(a, b):
-    """<a|b> of two sparse CI vectors."""
-    return complex(sum(np.conj(amp) * b.entries[d] for d, amp in a.entries.items()
-                       if d in b.entries))
+    """<a|b> of two CI vectors on one sector."""
+    assert np.array_equal(a.basis, b.basis)
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def statevector(v):
+    return register_state(v.n_orbitals, v.basis, v.amplitudes)
+
+
+def nonzero(v):
+    """{word: amplitude} of the nonzero amplitudes of ``v``."""
+    return {d: a for d, a in zip(v.basis.tolist(), v.amplitudes.tolist()) if a != 0}
 
 
 def random_symmetric(n, seed, scale=1.0):
@@ -35,32 +49,31 @@ def random_symmetric(n, seed, scale=1.0):
 def test_identity_counts_electrons():
     v = random_civector(3, 1, 1, seed=0)
     out = apply_one_body(np.eye(3), v)
-    assert set(out.entries) == set(v.entries)
-    for det, amp in out.entries.items():
-        assert amp == pytest.approx(2.0 * v.entries[det], abs=1e-14)
+    assert np.array_equal(out.basis, v.basis)
+    assert np.allclose(out.amplitudes, 2.0 * v.amplitudes, rtol=0, atol=1e-14)
 
 
 def test_single_hop_is_plus_one():
     # orbital 0 (alpha) -> orbital 1 (alpha): no occupied orbitals in between
-    v = CIVector(2, {word(0b01, 0): 1.0})
+    v = state(2, {word(0b01, 0): 1.0})
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
     out = apply_one_body(m, v)
-    assert out.entries == {word(0b10, 0): pytest.approx(1.0)}
+    assert nonzero(out) == {word(0b10, 0): pytest.approx(1.0)}
 
 
 def test_hop_crosses_occupied_spin_orbital():
     # alpha hop 0 -> 1 crosses the occupied beta spin orbital of orbital 0
-    v = CIVector(2, {word(0b01, 0b01): 1.0})
+    v = state(2, {word(0b01, 0b01): 1.0})
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
     out = apply_one_body(m, v)
-    assert out.entries[word(0b10, 0b01)] == pytest.approx(-1.0)
+    assert nonzero(out)[word(0b10, 0b01)] == pytest.approx(-1.0)
 
 
 def test_apply_matches_dense_oracle():
     m = random_symmetric(2, seed=3)
     v = random_civector(2, 1, 1, seed=4)
-    got = ci_to_statevector(apply_one_body(m, v))
-    want = pauli.pauli_sum_dense(one_body_to_pauli(m)) @ ci_to_statevector(v)
+    got = statevector(apply_one_body(m, v))
+    want = pauli.pauli_sum_dense(one_body_to_pauli(m)) @ statevector(v)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -71,9 +84,8 @@ def test_apply_linearity():
     lhs = apply_one_body(a * m1 + b * m2, v)
     r1 = apply_one_body(m1, v)
     r2 = apply_one_body(m2, v)
-    for det in set(lhs.entries) | set(r1.entries) | set(r2.entries):
-        combo = a * r1.entries.get(det, 0) + b * r2.entries.get(det, 0)
-        assert lhs.entries.get(det, 0) == pytest.approx(combo, abs=1e-12)
+    combo = a * r1.amplitudes + b * r2.amplitudes
+    assert np.allclose(lhs.amplitudes, combo, rtol=0, atol=1e-12)
 
 
 def test_apply_hermiticity():
@@ -92,31 +104,31 @@ def test_dimension_mismatch_rejected():
 
 
 def test_normalize_single_amplitude():
-    v = CIVector(2, {word(0b01, 0b01): 2.0})
+    v = state(2, {word(0b01, 0b01): 2.0})
     unit, norm = normalize(v)
     assert norm == pytest.approx(2.0)
-    assert list(unit.entries.values()) == [pytest.approx(1.0)]
+    assert list(nonzero(unit).values()) == [pytest.approx(1.0)]
 
 
 def test_normalize_two_amplitudes():
     dets = [word(0b01, 0b01), word(0b10, 0b10)]
-    unit, norm = normalize(CIVector(2, dict.fromkeys(dets, 1.0)))
+    unit, norm = normalize(state(2, dict.fromkeys(dets, 1.0)))
     assert norm == pytest.approx(np.sqrt(2.0))
-    for amp in unit.entries.values():
+    for amp in nonzero(unit).values():
         assert amp == pytest.approx(1 / np.sqrt(2.0))
 
 
 def test_normalize_unit_norm_tolerance():
     v = random_civector(3, 2, 2, seed=44)
     unit, _ = normalize(v)
-    assert abs(unit.norm() - 1.0) < 1e-14
+    assert abs(np.linalg.norm(unit.amplitudes) - 1.0) < 1e-14
 
 
 @given(st.floats(min_value=0.1, max_value=50.0))
 @settings(max_examples=25)
 def test_normalize_scale_covariance(scale):
-    base = CIVector(2, {word(0b01, 0b10): 1.0, word(0b10, 0b01): -0.5})
-    scaled = CIVector(2, {d: scale * a for d, a in base.entries.items()})
+    base = state(2, {word(0b01, 0b10): 1.0, word(0b10, 0b01): -0.5})
+    scaled = CIVector(2, base.basis, scale * base.amplitudes)
     _, n0 = normalize(base)
     _, n1 = normalize(scaled)
     assert n1 == pytest.approx(scale * n0, rel=1e-12)
@@ -131,41 +143,43 @@ def test_dipole_norm_matches_moment_oracle(two_orb):
 
 
 def test_statevector_one_hot():
-    v = CIVector(2, {word(0b01, 0b10): 1.0})
-    state = ci_to_statevector(v)
+    register = statevector(state(2, {word(0b01, 0b10): 1.0}))
     # alpha on orbital 0 -> qubit 0; beta on orbital 1 -> qubit 3
     expected_index = 0b1001
-    assert state[expected_index] == 1.0
-    assert np.count_nonzero(state) == 1
+    assert register[expected_index] == 1.0
+    assert np.count_nonzero(register) == 1
 
 
 def test_statevector_inner_product_oracle():
     a = random_civector(3, 2, 1, seed=51)
     b = random_civector(3, 2, 1, seed=52)
     sparse = overlap(a, b)
-    dense = np.vdot(ci_to_statevector(a), ci_to_statevector(b))
+    dense = np.vdot(statevector(a), statevector(b))
     assert sparse == pytest.approx(dense, abs=1e-13)
 
 
 def test_statevector_norm_preserved():
     v = random_civector(3, 1, 2, seed=53)
-    assert np.linalg.norm(ci_to_statevector(v)) == pytest.approx(v.norm(), abs=1e-14)
+    assert np.linalg.norm(statevector(v)) == pytest.approx(np.linalg.norm(v.amplitudes),
+                                                           abs=1e-14)
 
 
 def test_statevector_qubit_cap():
-    v = CIVector(12, {word(0b1, 0b1): 1.0})
+    v = state(12, {word(0b1, 0b1): 1.0})
     assert 2 * v.n_orbitals > ci.STATEVECTOR_QUBIT_CAP
     with pytest.raises(ci.SectorTooLarge, match="cap"):
-        ci_to_statevector(v)
+        statevector(v)
 
 
 @pytest.mark.parametrize("cap, refused", [(3, True), (4, False)])
 def test_dense_cap_bounds_every_dense_build(two_orb, monkeypatch, cap, refused):
-    """The CI solve, the dipole states and the sector step obey one cap (here d = 4)."""
+    """The CI solve, both ground-state readers and the sector step obey one cap
+    (here d = 4)."""
     monkeypatch.setattr(ci, "DENSE_CAP", cap)
     prog = two_orb.program(two_orb.plan(0.06))
     builds = (lambda: oracle.solve_sector(two_orb.h, *two_orb.spec.sector),
-              lambda: sp.prepare_dipole_states(two_orb.psi0, two_orb.dipole),
+              lambda: read_civector_jsonl(write_civector_jsonl(two_orb.psi0)),
+              lambda: oracle.eigensystem_from_json(oracle.eigensystem_to_json(two_orb.eig)),
               lambda: emulator.program_unitary(prog, two_orb.states.basis))
     for build in builds:
         if refused:
@@ -192,10 +206,12 @@ def test_moment_trivials():
     """<v|0 0|v> vanishes by annihilation and <v|N N|v> = N_e^2 for a unit v."""
     v = random_civector(3, 2, 1, seed=61)
     unit, _ = normalize(v)
-    with pytest.raises(AnnihilatedError):
-        apply_one_body(np.zeros((3, 3)), unit)
+    annihilated = apply_one_body(np.zeros((3, 3)), unit)
+    assert not np.any(annihilated.amplitudes)
+    with pytest.raises(ValueError, match="zero norm"):
+        normalize(annihilated)
     number = apply_one_body(np.eye(3), unit)
-    n_e = sum(unit.sector)
+    n_e = 3   # the N_alpha + N_beta drawn above
     assert overlap(number, number).real == pytest.approx(n_e**2, rel=1e-12)
 
 
@@ -242,7 +258,8 @@ def test_cvs_oracle_spectrum_agreement(toy):
     worst = 0.0
     for axis in "xyz":
         raw = apply_one_body(toy.dipole.component(axis), toy.psi0)
-        amps = ci.amplitudes_on(raw, toy.states.basis).real
+        assert np.array_equal(raw.basis, toy.states.basis)
+        amps = raw.amplitudes.real
         wr = toy.eig.coeffs.T @ amps
         wp = toy.eig.coeffs.T @ np.where(keep, amps, 0.0)
         diff = np.max(np.abs(wr[window] ** 2 - wp[window] ** 2))
@@ -254,9 +271,8 @@ def test_jsonl_round_trip():
     v = random_civector(3, 2, 1, seed=81)
     back = read_civector_jsonl(write_civector_jsonl(v))
     assert back.n_orbitals == v.n_orbitals
-    assert set(back.entries) == set(v.entries)
-    for det, amp in v.entries.items():
-        assert back.entries[det] == pytest.approx(amp, abs=1e-15)
+    assert np.array_equal(back.basis, v.basis)
+    assert np.allclose(back.amplitudes, v.amplitudes, rtol=0, atol=1e-15)
 
 
 def test_jsonl_rejects_garbage():
@@ -266,4 +282,12 @@ def test_jsonl_rejects_garbage():
 
 def test_mixed_sector_rejected():
     with pytest.raises(ValueError, match="sector"):
-        CIVector(2, {word(0b01, 0b01): 1.0, word(0b11, 0b01): 1.0})
+        ci.place_on_sector(2, [word(0b01, 0b01), word(0b11, 0b01)], [1.0, 1.0])
+
+
+def test_place_on_sector_fills_the_sector():
+    """Words in any order land on the sorted sector; unlisted words hold zero rows."""
+    words = [word(0b10, 0b01), word(0b01, 0b01)]
+    basis, rows = ci.place_on_sector(2, words, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert basis.tolist() == ci.sector_words(2, 1, 1).tolist() == [3, 6, 9, 12]
+    assert rows.tolist() == [[3.0, 4.0], [1.0, 2.0], [0.0, 0.0], [0.0, 0.0]]

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -71,9 +72,8 @@ def eight_orbital_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("eight")
     run_cli("gen-fixtures", "--n-orbitals", "8", "--n-electrons", "8",
             "--seed", "3", "--out", str(out))
-    det = ci.word(0b1111, 0b1111)
     (out / "ground_state.jsonl").write_text(
-        ci.write_civector_jsonl(ci.CIVector(8, {det: 1.0})))
+        '{"alpha": "11110000", "beta": "11110000", "re": 1.0}\n')
     return out
 
 
@@ -91,7 +91,7 @@ def twelve_orbital_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def bad_ground_state_dir(fixture_dir, tmp_path_factory):
-    """The 2-orbital inputs next to faulty files: nine ``--ground-state`` files,
+    """The 2-orbital inputs next to faulty files: seventeen ``--ground-state`` files,
     an FCIDUMP whose header (NELEC=3, MS2=0) names no sector, one whose header
     never ends, one with two lines setting the (2,2,2,2) integral to different
     values, and an FCIDUMP and a dipole file whose entries overflow the float
@@ -115,9 +115,13 @@ def bad_ground_state_dir(fixture_dir, tmp_path_factory):
         '{"alpha": "10", "beta": "10", "re": 1e308, "im": 1e308}\n')
     (out / "repeated.jsonl").write_text('{"alpha": "10", "beta": "10", "re": 1.0}\n'
                                         '{"alpha": "10", "beta": "10", "re": -1.0}\n')
-    (out / "three_orbitals.jsonl").write_text(
-        ci.write_civector_jsonl(ci.CIVector(3, {ci.word(1, 1): 1.0})))
+    (out / "three_orbitals.jsonl").write_text('{"alpha": "100", "beta": "100", "re": 1.0}\n')
     (out / "no_re.jsonl").write_text('{"alpha": "10", "beta": "10", "im": 0.0}\n')
+    for name, record in (("short_beta", '"alpha": "10", "beta": "1", "re": 1.0'),
+                         ("re_bool", '"alpha": "10", "beta": "10", "re": true'),
+                         ("im_bool", '"alpha": "10", "beta": "10", "re": 1.0, "im": true')):
+        (out / f"{name}.jsonl").write_text("{" + record + "}\n")
+    (out / "zero.jsonl").write_text('{"alpha": "10", "beta": "10", "re": 0.0}\n')
     (out / "no_basis.json").write_text(
         json.dumps({"n_orbitals": 2, "energies": [0.0], "coeffs": [[1.0]]}))
     (out / "no_states.json").write_text(
@@ -125,9 +129,17 @@ def bad_ground_state_dir(fixture_dir, tmp_path_factory):
     (out / "short.json").write_text(json.dumps(
         {"n_orbitals": 2, "basis": [[1, 1], [1, 2], [2, 1], [2, 2]], "energies": [-0.2],
          "coeffs": [[1.0]]}))
-    for name, mask in (("negative_mask", -1), ("mask_beyond_int64", 2**70)):
+    (out / "one_coeff.json").write_text(json.dumps(
+        {"n_orbitals": 2, "basis": [[1, 1], [1, 2], [2, 1], [2, 2]], "energies": [-0.2],
+         "coeffs": [[0.5]]}))
+    (out / "nan_coeff.json").write_text(
+        '{"n_orbitals": 2, "basis": [[1, 1]], "energies": [0.0], "coeffs": [[NaN]]}')
+    for name, mask in (("negative_mask", -1), ("mask_beyond_int64", 2**70),
+                       ("float_mask", 1.5)):
         (out / f"{name}.json").write_text(json.dumps(
             {"n_orbitals": 2, "basis": [[mask, 1]], "energies": [0.0], "coeffs": [[1.0]]}))
+    (out / "string_orbitals.json").write_text(json.dumps(
+        {"n_orbitals": "2", "basis": [[1, 1]], "energies": [0.0], "coeffs": [[1.0]]}))
     return out
 
 
@@ -315,6 +327,30 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
     user_input("ground_state_eigensystem_mask_beyond_int64",
                ["spectrum", "--ground-state", "{inputs}/mask_beyond_int64.json",
                 "--delta", "2.0"], "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("ground_state_eigensystem_float_mask",
+               ["spectrum", "--ground-state", "{inputs}/float_mask.json", "--delta", "2.0"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("ground_state_eigensystem_string_orbital_count",
+               ["spectrum", "--ground-state", "{inputs}/string_orbitals.json",
+                "--delta", "2.0"], "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("ground_state_record_beta_shorter_than_alpha",
+               ["spectrum", "--ground-state", "{inputs}/short_beta.jsonl", "--delta", "2.0"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("ground_state_record_re_bool",
+               ["spectrum", "--ground-state", "{inputs}/re_bool.jsonl", "--delta", "2.0"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("ground_state_record_im_bool",
+               ["spectrum", "--ground-state", "{inputs}/im_bool.jsonl", "--delta", "2.0"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("ground_state_eigensystem_one_coeff_for_four_words",
+               ["spectrum", "--ground-state", "{inputs}/one_coeff.json", "--delta", "2.0"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("ground_state_eigensystem_nan_coeff",
+               ["spectrum", "--ground-state", "{inputs}/nan_coeff.json", "--delta", "2.0"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("ground_state_zero_norm",
+               ["spectrum", "--ground-state", "{inputs}/zero.jsonl", "--delta", "2.0"],
+               "invalid_config", inputs="bad_ground_state_dir"),
     user_input("ground_state_eigensystem_short_coeffs",
                ["spectrum", "--ground-state", "{inputs}/short.json", "--delta", "2.0"],
                "invalid_config", inputs="bad_ground_state_dir"),
@@ -627,7 +663,7 @@ def test_oracle_outputs_feed_spectrum(fixture_dir, tmp_path):
             "--out", str(oracle_out))
     eig = oracle.eigensystem_from_json((oracle_out / "eigensystem.json").read_text())
     psi = ci.read_civector_jsonl((oracle_out / "ground_state.jsonl").read_text())
-    assert abs(psi.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
     for gs in ("ground_state.jsonl", "eigensystem.json"):
         out = tmp_path / f"from_{gs.split('.')[0]}"
         run_cli(*spectrum_args(fixture_dir, EXACT, out),
@@ -674,7 +710,8 @@ def test_ground_state_files_pin_the_spin_encoding(fixture_dir, tmp_path):
         (strings[a], strings[b]) for (a, b), c in zip(doc["basis"], ground) if c != 0]
     psi = ci.read_civector_jsonl('{"alpha": "01", "beta": "10", "re": 1.0}\n')
     # alpha in orbital 1 is bit 2, beta in orbital 0 is bit 1: word 6
-    assert np.flatnonzero(ci.ci_to_statevector(psi)).tolist() == [6]
+    register = ci.register_state(psi.n_orbitals, psi.basis, psi.amplitudes)
+    assert np.flatnonzero(register).tolist() == [6]
 
 
 def test_unnormalized_ground_state_file_is_normalized(fixture_dir, tmp_path):
@@ -686,7 +723,7 @@ def test_unnormalized_ground_state_file_is_normalized(fixture_dir, tmp_path):
     psi = ci.read_civector_jsonl((oracle_out / "ground_state.jsonl").read_text())
     doubled = tmp_path / "doubled.jsonl"
     doubled.write_text(ci.write_civector_jsonl(
-        ci.CIVector(psi.n_orbitals, {d: 2.0 * a for d, a in psi.entries.items()})))
+        ci.CIVector(psi.n_orbitals, psi.basis, 2.0 * psi.amplitudes)))
     outs = []
     for gs in (oracle_out / "ground_state.jsonl", doubled):
         outs.append(tmp_path / gs.stem)
@@ -696,6 +733,54 @@ def test_unnormalized_ground_state_file_is_normalized(fixture_dir, tmp_path):
                             for out in outs)
         for name in ("norm_product", "moment0", "x", "y"):
             assert np.max(np.abs(getattr(scaled, name) - getattr(original, name))) < 1e-12
+
+
+def test_eigensystem_file_basis_order_and_missing_words(fixture_dir, tmp_path):
+    """An eigensystem file may list its basis in any order and leave sector words
+    out: a reversed basis writes the bytes of the sorted one, and a file holding 2
+    of the 4 sector words writes the bytes of the same state with zero rows for
+    the other two."""
+    oracle_out = tmp_path / "oracle"
+    run_cli(*spectrum_args(fixture_dir, ["oracle", "--eta", "0.02", "--delta", "2.0"],
+                           oracle_out))
+    doc = json.loads((oracle_out / "eigensystem.json").read_text())
+    partial = {"n_orbitals": 2, "basis": doc["basis"][1:3], "energies": [-1.0, 0.5],
+               "coeffs": [[0.6, 0.8], [0.8, -0.6]]}
+    files = {"sorted": doc,
+             "reversed": dict(doc, basis=doc["basis"][::-1], coeffs=doc["coeffs"][::-1]),
+             "partial": partial,
+             "padded": dict(partial, basis=doc["basis"],
+                            coeffs=[[0.0, 0.0], *partial["coeffs"], [0.0, 0.0]])}
+    for name, content in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+        run_cli(*spectrum_args(fixture_dir, EXACT, tmp_path / name),
+                "--ground-state", str(tmp_path / f"{name}.json"))
+    outputs = sorted(p.name for p in (tmp_path / "sorted").iterdir()
+                     if p.name != "manifest.json")
+    assert len(outputs) == 13   # six greens, six intensities, one dsf
+    for name, twin in (("reversed", "sorted"), ("partial", "padded")):
+        for output in outputs:
+            assert (tmp_path / name / output).read_bytes() \
+                == (tmp_path / twin / output).read_bytes(), (name, output)
+
+
+# sha256 over the six greens_*.json that the EXACT command writes from the oracle's
+# ground_state.jsonl, recorded when the dict CI vector was still in use.
+JSONL_ROUTE_DIGEST = "e2b28d2bfde000b54253b3505d441c8b1168c1e3e10530564736eaaf4ff6605b"
+
+
+def test_jsonl_ground_state_route_is_pinned(fixture_dir, tmp_path):
+    """The .jsonl route's series keep their bits: the state is normalized by
+    dividing its real and imaginary parts apart, as complex / float division does."""
+    oracle_out = tmp_path / "oracle"
+    run_cli(*spectrum_args(fixture_dir, ["oracle", "--eta", "0.02", "--delta", "2.0"],
+                           oracle_out))
+    out = tmp_path / "jsonl"
+    run_cli(*spectrum_args(fixture_dir, EXACT, out),
+            "--ground-state", str(oracle_out / "ground_state.jsonl"))
+    digest = hashlib.sha256(b"".join((out / f"greens_{pair}.json").read_bytes()
+                                     for pair in sp.PAIR_KEYS)).hexdigest()
+    assert digest == JSONL_ROUTE_DIGEST
 
 
 def test_oracle_matches_exact_mode_spectra(fixture_dir, tmp_path):

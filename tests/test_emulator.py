@@ -153,7 +153,8 @@ def test_sector_expectation_matches_dense():
 def test_sector_expectation_of_ground_state_is_ground_energy(spec):
     model = fixtures.solve(spec)
     basis = model.states.basis
-    amplitudes = ci.amplitudes_on(model.psi0, basis)
+    assert np.array_equal(model.psi0.basis, basis)
+    amplitudes = model.psi0.amplitudes
     assert sector_expectation(jordan_wigner(model.h), basis, amplitudes) == pytest.approx(
         model.eig.ground_energy, abs=1e-12)
 

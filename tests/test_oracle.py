@@ -73,7 +73,8 @@ def test_ground_state_offset_only_tie_break():
     eig = solve_sector(h, 1, 1)
     basis = sector_words(2, 1, 1)
     # degenerate spectrum: documented tie-break keeps the lowest-index determinant
-    assert eig.eigenvector(0).entries == {basis[0]: pytest.approx(1.0)}
+    assert np.array_equal(eig.basis, basis)
+    assert eig.eigenvector(0).amplitudes.tolist() == [1.0, 0.0, 0.0, 0.0]
     assert np.all(eig.energies == -0.5)
 
 
@@ -92,7 +93,7 @@ def test_ground_state_matches_jw_diagonalization(two_orb):
 
 
 def test_ground_state_phase_fixed(two_orb):
-    lead = max(two_orb.psi0.entries.values(), key=abs)
+    lead = max(two_orb.psi0.amplitudes.tolist(), key=abs)
     assert lead.real > 0 and lead.imag == 0
 
 

@@ -114,7 +114,7 @@ def test_shifted_identity_matches_resorting(case, identity, delta, residual):
     shifted = psum.shifted_identity(delta)
     assert repr(shifted.terms) == repr(_shift_by_resorting(psum, delta).terms)
     if identity == "cancelled":
-        assert shifted.identity_coefficient == 0.0
+        assert shifted.split_identity()[0] == 0.0
         assert (0, 0) not in shifted.as_dict()
 
 
@@ -126,7 +126,7 @@ def test_terms_out_of_word_order_rejected():
 def test_identity_shift():
     psum = pauli.PauliSum.from_words([(1.0, "ZI")], 2)
     shifted = psum.shifted_identity(-0.25)
-    assert shifted.identity_coefficient == -0.25
+    assert shifted.split_identity()[0] == -0.25
     assert {w: c for c, w in shifted.words()}["ZI"] == 1.0
 
 

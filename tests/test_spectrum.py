@@ -130,8 +130,9 @@ def test_largest_remainder_conserves(weights, total):
 def _sparse_route(model, axis, core=None):
     """mu_a psi0 on the sector by the Slater-Condon route ``oracle.transition_table``
     uses, with core-valence separation counted on the determinants themselves."""
-    amps = ci.amplitudes_on(ci.apply_one_body(model.dipole.component(axis), model.psi0),
-                            model.states.basis)
+    rotated = ci.apply_one_body(model.dipole.component(axis), model.psi0)
+    assert np.array_equal(rotated.basis, model.states.basis)
+    amps = rotated.amplitudes
     if core is not None:
         basis = ci.sector_words(model.spec.n_orbitals, *model.spec.sector)
         holes = 2 - (basis >> 2 * core & 1) - (basis >> 2 * core + 1 & 1)
