@@ -2,8 +2,6 @@
 
     python scripts/resource_table.py
 """
-import numpy as np
-
 from dsfsim.resources import (DEFAULT_MODEL, REFERENCE_COSTS, algorithm_cost,
                               reference_plan, resource_table, table_to_csv)
 

@@ -109,39 +109,6 @@ def place_on_sector(n_orbitals: int, words, rows) -> tuple[np.ndarray, np.ndarra
     return basis, placed
 
 
-def apply_one_body(m: np.ndarray, v: CIVector) -> CIVector:
-    """Apply ``sum_{pq,s} m[p,q] a+_{ps} a_{qs}`` to a CI vector, on its basis.
-
-    Each hop's sign is the product of its two ``ladder`` signs: the parity of
-    occupied spin orbitals strictly between source and destination.  Hops
-    start from the nonzero amplitudes in word order; a word no hop reaches,
-    or whose hops cancel, holds zero.
-    """
-    m = np.asarray(m, dtype=float)
-    n = v.n_orbitals
-    if m.shape != (n, n):
-        raise ValueError("operator dimension does not match CI vector")
-    cols = [np.nonzero(m[:, q])[0] for q in range(n)]
-    words = v.basis.tolist()
-    index = {det: i for i, det in enumerate(words)}
-    out = np.zeros(len(words), dtype=complex)
-    for det, amp in zip(words, v.amplitudes.tolist()):
-        if amp == 0:
-            continue
-        for spin in (0, 1):
-            for q in range(n):
-                if not det >> (2 * q + spin) & 1:
-                    continue
-                s1, hole = ladder(det, 2 * q + spin)
-                for p in cols[q]:
-                    dst = 2 * int(p) + spin
-                    if hole >> dst & 1:
-                        continue  # destination occupied (same spin)
-                    s2, new = ladder(hole, dst)
-                    out[index[new]] += s1 * s2 * m[p, q] * amp
-    return CIVector(n, v.basis, out)
-
-
 def normalize(v: CIVector) -> tuple[CIVector, float]:
     """Return (unit vector, norm); the norm rescales measured amplitudes."""
     try:

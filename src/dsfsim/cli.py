@@ -109,8 +109,9 @@ class RunConfig:
     shots: int = _row(10000, SPECTRUM, "an integer of at least one shot per Cartesian pair",
                       _at_least(len(sp.PAIR_KEYS)), type=int)
     seed: int = _row(0, SPECTRUM, "a non-negative integer", _at_least(0), type=int)
-    q: list = _row(lambda: [[1.0, 1.0, 1.0]], BOTH, "a list of finite three-component momenta",
-                   lambda v: isinstance(v, list) and all(
+    q: list = _row(lambda: [[1.0, 1.0, 1.0]], BOTH,
+                   "a non-empty list of finite three-component momenta",
+                   lambda v: isinstance(v, list) and len(v) > 0 and all(
                        isinstance(t, list) and len(t) == 3 and all(map(_is_number, t))
                        for t in v),
                    type=_list_of(float), action="append",
@@ -201,10 +202,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _require_file(path_str: str, what: str) -> Path:
     if not path_str:
         raise CliError("invalid_config", f"no {what} path configured")
@@ -220,7 +217,7 @@ def _require_file(path_str: str, what: str) -> Path:
 def _load_inputs(cfg: RunConfig):
     """Read the FCIDUMP and dipole files and check that they fit together.
 
-    Returns (hamiltonian path, dipole path, Hamiltonian, header, dipoles).
+    Returns (Hamiltonian, header, dipoles).
     """
     ham_path = _require_file(cfg.hamiltonian, "hamiltonian")
     dip_path = _require_file(cfg.dipoles, "dipole")
@@ -234,7 +231,7 @@ def _load_inputs(cfg: RunConfig):
     if any(c >= h.n_orbitals for c in cfg.cvs):
         raise CliError("invalid_config",
                        f"core orbitals {cfg.cvs} outside the {h.n_orbitals} orbitals")
-    return ham_path, dip_path, h, header, dip
+    return h, header, dip
 
 
 def _load_ground_state(cfg: RunConfig, h, header):
@@ -283,7 +280,8 @@ def _load_ground_state(cfg: RunConfig, h, header):
 
 
 def _resolve_window(cfg: RunConfig, eig, eta: float) -> float:
-    """``cfg.delta``, else 1.05 x the sector's full excitation span + 5 eta.
+    """``cfg.delta``, else 1.05 x the sector's full excitation span + 5 eta: the
+    span of the solved sector, or of a ``.json`` file's energies as stored.
 
     ``fixtures.solve`` takes 1.05 x the brightest excitation instead.  Telling
     bright states from dark ones needs the oracle's dipole transition table,
@@ -293,20 +291,16 @@ def _resolve_window(cfg: RunConfig, eig, eta: float) -> float:
         return float(cfg.delta)
     if eig is None:
         raise CliError("invalid_config",
-                       "delta is required when the ground state is supplied "
-                       "as a file")
+                       "delta is required when the ground state is a .jsonl file")
     span = float(np.max(eig.energies) - eig.ground_energy)
     return 1.05 * span + 5.0 * eta
 
 
-def _manifest(cfg: RunConfig, command: str, extra: dict, inputs: dict[str, Path]) -> dict:
-    return {
-        "parameters": {f.name: getattr(cfg, f.name) for f in _fields(command)},
-        "inputs": {k: {"path": str(p), "sha256": _sha256(p)}
-                   for k, p in inputs.items()},
-        "versions": {"dsfsim": __version__, "numpy": np.__version__},
-        **extra,
-    }
+def _load_run(cfg: RunConfig):
+    """(Hamiltonian, dipoles, psi0, eigensystem or None, delta) of a run command."""
+    h, header, dip = _load_inputs(cfg)
+    psi0, eig = _load_ground_state(cfg, h, header)
+    return h, dip, psi0, eig, _resolve_window(cfg, eig, cfg.eta_hartree)
 
 
 def _outdir(path: str) -> Path:
@@ -320,6 +314,29 @@ def _outdir(path: str) -> Path:
 
 def _write(outdir: Path, name: str, text: str) -> None:
     (outdir / name).write_text(text)
+
+
+def _write_run(cfg: RunConfig, command: str, outdir: Path, shown: np.ndarray,
+               intensity, dsf, derived: dict) -> None:
+    """Write ``intensity(pair)`` for the six pairs and ``dsf(q)`` for each q as CSVs on
+    the ``shown`` grid (prefixed ``oracle_`` for ``oracle``), then the manifest."""
+    prefix = "oracle_" if command == "oracle" else ""
+    for pair in sp.PAIR_KEYS:
+        _write(outdir, f"{prefix}intensity_{pair}.csv",
+               sp.spectrum_to_csv(dataclasses.replace(intensity(pair), omega=shown)))
+    for i, q in enumerate(cfg.q_vectors):
+        _write(outdir, f"{prefix}dsf_q{i}.csv",
+               sp.spectrum_to_csv(dataclasses.replace(dsf(q), omega=shown)))
+    manifest = {
+        "parameters": {f.name: getattr(cfg, f.name) for f in _fields(command)},
+        "inputs": {name: {"path": str(Path(path)),
+                          "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+                   for name, path in (("hamiltonian", cfg.hamiltonian),
+                                      ("dipoles", cfg.dipoles))},
+        "versions": {"dsfsim": __version__, "numpy": np.__version__},
+        "derived": derived,
+    }
+    _write(outdir, "manifest.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
 def _omega_grids(tau: float, eta: float, shift_ev: float,
@@ -354,9 +371,7 @@ def _omega_grids(tau: float, eta: float, shift_ev: float,
 def cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = load_config(args)
     eta = cfg.eta_hartree
-    ham_path, dip_path, h, header, dip = _load_inputs(cfg)
-    psi0, eig = _load_ground_state(cfg, h, header)
-    delta = _resolve_window(cfg, eig, eta)
+    h, dip, psi0, eig, delta = _load_run(cfg)
     states = sp.prepare_dipole_states(psi0, dip, core_orbitals=cfg.cvs or None)
     try:
         plan = sp.plan_run(eta, delta, cfg.epsilon_trunc, cfg.shots,
@@ -378,21 +393,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     for pair, ser in series.items():
         _write(outdir, f"greens_{pair}.json", sp.series_to_json(ser) + "\n")
         contribs[pair] = sp.reconstruct_intensity(ser, grid)
-        _write(outdir, f"intensity_{pair}.csv",
-               sp.spectrum_to_csv(dataclasses.replace(contribs[pair], omega=shown)))
-    for i, q in enumerate(cfg.q_vectors):
-        dsf = sp.assemble_dsf(q, contribs)
-        _write(outdir, f"dsf_q{i}.csv",
-               sp.spectrum_to_csv(dataclasses.replace(dsf, omega=shown)))
-    manifest = _manifest(cfg, args.command, {
-        "derived": {
-            "tau": plan.tau, "n_max": plan.n_max, "delta": delta,
-            "ground_energy": e0, "budgets": plan.budgets,
-            "dipole_norms": states.norms,
-            "q_list": [[q.qx, q.qy, q.qz] for q in cfg.q_vectors],
-        },
-    }, {"hamiltonian": ham_path, "dipoles": dip_path})
-    _write(outdir, "manifest.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    _write_run(cfg, args.command, outdir, shown, contribs.__getitem__,
+               lambda q: sp.assemble_dsf(q, contribs), {
+                   "tau": plan.tau, "n_max": plan.n_max, "delta": delta,
+                   "ground_energy": e0, "budgets": plan.budgets,
+                   "dipole_norms": states.norms,
+                   "q_list": [[q.qx, q.qy, q.qz] for q in cfg.q_vectors]})
     return 0
 
 
@@ -403,31 +409,20 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                        "the oracle does not apply core-valence separation; "
                        "drop --cvs")
     eta = cfg.eta_hartree
-    ham_path, dip_path, h, header, dip = _load_inputs(cfg)
-    psi0, eig = _load_ground_state(cfg, h, header)
+    _, dip, psi0, eig, delta = _load_run(cfg)
     trans = oracle.transition_table(eig, dip)
     try:
         sp.pair_weights(trans.reference_moments, cfg.q_vectors)
     except ValueError as exc:
         raise CliError("invalid_config", str(exc)) from None
-    delta = _resolve_window(cfg, eig, eta)
     grid, shown = _omega_grids(sp.window_tau(delta), eta, cfg.shift_ev)
     outdir = _outdir(cfg.out)
     _write(outdir, "eigensystem.json", oracle.eigensystem_to_json(eig) + "\n")
     _write(outdir, "ground_state.jsonl", ci_mod.write_civector_jsonl(psi0))
-    for pair in sp.PAIR_KEYS:
-        spec = oracle.exact_intensity(eig, trans, pair, eta, grid)
-        _write(outdir, f"oracle_intensity_{pair}.csv",
-               sp.spectrum_to_csv(dataclasses.replace(spec, omega=shown)))
-    for i, q in enumerate(cfg.q_vectors):
-        spec = oracle.exact_spectrum(eig, trans, q, eta, grid)
-        _write(outdir, f"oracle_dsf_q{i}.csv",
-               sp.spectrum_to_csv(dataclasses.replace(spec, omega=shown)))
-    manifest = _manifest(cfg, args.command, {
-        "derived": {"ground_energy": eig.ground_energy, "delta": delta,
-                    "n_states": eig.n_states},
-    }, {"hamiltonian": ham_path, "dipoles": dip_path})
-    _write(outdir, "manifest.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    _write_run(cfg, args.command, outdir, shown,
+               lambda pair: oracle.exact_intensity(eig, trans, pair, eta, grid),
+               lambda q: oracle.exact_spectrum(eig, trans, q, eta, grid),
+               {"ground_energy": eig.ground_energy, "delta": delta, "n_states": eig.n_states})
     return 0
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ci import (CIVector, NonFiniteValue, apply_one_body, check_dense, ladder,
-                 place_on_sector, sector_dimension, sector_words, spin_counts, spin_masks, word)
+from .ci import (CIVector, NonFiniteValue, check_dense, ladder, place_on_sector,
+                 sector_dimension, sector_words, spin_counts, spin_masks, word)
 from .operators import DipoleOperator, Hamiltonian, QVector
 
 GRAM_TOL = 1e-10
@@ -40,6 +40,7 @@ class _SlaterCondon:
             raise ValueError("basis mixes (N_e, S_z) sectors")
         self.h_eff = h.core_one_body()
         self.g = h.two_body
+        self.two_body = bool(np.any(self.g))   # else one-body: no g sums, no doubles
         self.offset = h.offset
         self.index = {det: i for i, det in enumerate(basis)}
 
@@ -48,7 +49,7 @@ class _SlaterCondon:
         val = self.offset
         for so_m in occ:
             val += self.h_eff[so_m >> 1, so_m >> 1]
-        for so_m, so_n in itertools.combinations(occ, 2):
+        for so_m, so_n in itertools.combinations(occ, 2) if self.two_body else ():
             pm, pn = so_m >> 1, so_n >> 1
             val += self.g[pm, pm, pn, pn]
             if (so_m ^ so_n) & 1 == 0:  # same spin also gets exchange
@@ -70,7 +71,7 @@ class _SlaterCondon:
                 pe = so_e >> 1
                 s2, w2 = ladder(w1, so_e)
                 val = self.h_eff[pe, pm]
-                for so_o in occ:
+                for so_o in occ if self.two_body else ():
                     if so_o == so_m:
                         continue
                     po = so_o >> 1
@@ -80,7 +81,7 @@ class _SlaterCondon:
                 if val != 0.0:
                     yield self.index[w2], s1 * s2 * val
         # doubles: (m < n) -> (e < f), spin content preserved
-        for so_m, so_n in itertools.combinations(occ, 2):
+        for so_m, so_n in itertools.combinations(occ, 2) if self.two_body else ():
             s1, w1 = ladder(det, so_m)
             s2, w2 = ladder(w1, so_n)
             spins_removed = ((so_m & 1) + (so_n & 1))
@@ -99,6 +100,20 @@ class _SlaterCondon:
                 s3, w3 = ladder(w2, so_f)
                 s4, w4 = ladder(w3, so_e)
                 yield self.index[w4], s1 * s2 * s3 * s4 * val
+
+
+def apply_one_body(m: np.ndarray, v: CIVector) -> CIVector:
+    """Apply ``sum_{pq,s} m[p,q] a+_{ps} a_{qs}`` (``m`` symmetric) to a CI vector, on
+    its basis: each word's amplitude is its Slater-Condon row summed against ``v``."""
+    m = np.asarray(m, dtype=float)
+    n = v.n_orbitals
+    if m.shape != (n, n):
+        raise ValueError("operator dimension does not match CI vector")
+    words = v.basis.tolist()
+    gen = _SlaterCondon(Hamiltonian(0.0, m, np.zeros((n,) * 4)), words)
+    amps = v.amplitudes.tolist()
+    out = [sum(val * amps[j] for j, val in gen.row(det)) for det in words]
+    return CIVector(n, v.basis, np.array(out, dtype=complex))
 
 
 def build_ci_matrix(h: Hamiltonian, basis) -> np.ndarray:
@@ -278,8 +293,10 @@ def eigensystem_from_json(text: str) -> EigenSystem:
     """An eigensystem file, its ``coeffs`` rows placed on the sector of its basis
     (``ci.place_on_sector``)."""
     doc = json.loads(text)
-    n_orbitals = doc["n_orbitals"]   # taken as read: the bit shifts refuse a float or a string
-    words = [word(a, b) for a, b in doc["basis"]]
+    n_orbitals, masks = doc["n_orbitals"], [(a, b) for a, b in doc["basis"]]
+    if any(type(v) is not int for v in (n_orbitals, *itertools.chain(*masks))):
+        raise TypeError("n_orbitals and every basis mask must be integers (not bools)")
+    words = [word(a, b) for a, b in masks]
     coeffs = np.array(doc["coeffs"], dtype=float)
     if coeffs.ndim != 2 or len(coeffs) != len(words):
         raise ValueError(f"coeffs have shape {coeffs.shape}, not one row per basis entry "

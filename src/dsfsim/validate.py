@@ -62,7 +62,7 @@ def check_sign_convention() -> tuple[bool, str]:
             m = fixtures._random_symmetric(rng, n, 0.5)
             basis = ci_mod.sector_words(n, n_alpha, 1)
             amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-            rotated = ci_mod.apply_one_body(m, ci_mod.CIVector(n, basis, amps)).amplitudes
+            rotated = oracle.apply_one_body(m, ci_mod.CIVector(n, basis, amps)).amplitudes
             lhs = ci_mod.register_state(n, basis, rotated)
             rhs = pauli_sum_dense(one_body_to_pauli(m)) @ ci_mod.register_state(n, basis, amps)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))

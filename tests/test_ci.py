@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsfsim import ci, emulator, oracle, pauli
-from dsfsim.ci import (CIVector, apply_one_body, cvs_mask, normalize, read_civector_jsonl,
-                       register_state, word, write_civector_jsonl)
+from dsfsim.ci import (CIVector, cvs_mask, normalize, read_civector_jsonl, register_state,
+                       word, write_civector_jsonl)
 from dsfsim.operators import one_body_to_pauli
+from dsfsim.oracle import apply_one_body
 
 
 def random_civector(n_orbitals, n_alpha, n_beta, seed, complex_amps=True):

@@ -91,7 +91,7 @@ def twelve_orbital_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def bad_ground_state_dir(fixture_dir, tmp_path_factory):
-    """The 2-orbital inputs next to faulty files: seventeen ``--ground-state`` files,
+    """The 2-orbital inputs next to faulty files: nineteen ``--ground-state`` files,
     an FCIDUMP whose header (NELEC=3, MS2=0) names no sector, one whose header
     never ends, one with two lines setting the (2,2,2,2) integral to different
     values, and an FCIDUMP and a dipole file whose entries overflow the float
@@ -135,11 +135,12 @@ def bad_ground_state_dir(fixture_dir, tmp_path_factory):
     (out / "nan_coeff.json").write_text(
         '{"n_orbitals": 2, "basis": [[1, 1]], "energies": [0.0], "coeffs": [[NaN]]}')
     for name, mask in (("negative_mask", -1), ("mask_beyond_int64", 2**70),
-                       ("float_mask", 1.5)):
+                       ("float_mask", 1.5), ("bool_mask", True)):
         (out / f"{name}.json").write_text(json.dumps(
             {"n_orbitals": 2, "basis": [[mask, 1]], "energies": [0.0], "coeffs": [[1.0]]}))
-    (out / "string_orbitals.json").write_text(json.dumps(
-        {"n_orbitals": "2", "basis": [[1, 1]], "energies": [0.0], "coeffs": [[1.0]]}))
+    for name, count in (("string_orbitals", "2"), ("bool_orbitals", True)):
+        (out / f"{name}.json").write_text(json.dumps(
+            {"n_orbitals": count, "basis": [[1, 1]], "energies": [0.0], "coeffs": [[1.0]]}))
     return out
 
 
@@ -211,6 +212,10 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
                config={"shots": "100"}),
     user_input("config_q_two_components", ["spectrum"], "invalid_config",
                config={"q": [[1, 1]]}),
+    user_input("config_q_empty", ["spectrum", "--mode", "exact", "--delta", "2.0"],
+               "invalid_config", config={"q": []}),
+    user_input("oracle_config_q_empty", ["oracle", "--eta", "0.02", "--delta", "2.0"],
+               "invalid_config", config={"q": []}),
     user_input("config_not_an_object", ["spectrum"], "invalid_config", config=5),
     user_input("config_eta_bool", ["spectrum"], "invalid_config", config={"eta": True}),
     user_input("config_delta_beyond_the_float_range", ["spectrum"], "invalid_config",
@@ -332,6 +337,12 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
                "invalid_config", inputs="bad_ground_state_dir"),
     user_input("ground_state_eigensystem_string_orbital_count",
                ["spectrum", "--ground-state", "{inputs}/string_orbitals.json",
+                "--delta", "2.0"], "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("ground_state_eigensystem_bool_mask",
+               ["spectrum", "--ground-state", "{inputs}/bool_mask.json", "--delta", "2.0"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("ground_state_eigensystem_bool_orbital_count",
+               ["spectrum", "--ground-state", "{inputs}/bool_orbitals.json",
                 "--delta", "2.0"], "invalid_config", inputs="bad_ground_state_dir"),
     user_input("ground_state_record_beta_shorter_than_alpha",
                ["spectrum", "--ground-state", "{inputs}/short_beta.jsonl", "--delta", "2.0"],
@@ -671,6 +682,55 @@ def test_oracle_outputs_feed_spectrum(fixture_dir, tmp_path):
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["derived"]["ground_energy"] == pytest.approx(
             eig.ground_energy, abs=1e-9)
+
+
+def test_shift_ev_moves_only_the_grid_columns(fixture_dir, tmp_path):
+    """``--shift-ev 10`` adds 10 eV to the omega columns of every CSV ``spectrum``
+    and ``oracle`` write, each column written as the ``repr`` of its number, and
+    leaves every value byte-equal."""
+    shift = 10.0 / sp.HARTREE_TO_EV
+    for base in (EXACT, ["oracle", "--eta", "0.02", "--delta", "2.0"]):
+        plain, shifted = tmp_path / f"{base[0]}_plain", tmp_path / f"{base[0]}_shifted"
+        run_cli(*spectrum_args(fixture_dir, base, plain))
+        run_cli(*spectrum_args(fixture_dir, base, shifted), "--shift-ev", "10")
+        names = sorted(p.name for p in plain.glob("*.csv"))
+        assert len(names) == 7 and names == sorted(p.name for p in shifted.glob("*.csv"))
+        for name in names:
+            before, after = ([line.split(",") for line in (out / name).read_text().splitlines()]
+                             for out in (plain, shifted))
+            assert len(before) == len(after) > 2 and before[0] == after[0]
+            for (omega, _, value), (omega_shown, ev_shown, value_shown) in zip(before[1:],
+                                                                              after[1:]):
+                assert value_shown == value, name
+                assert omega_shown == repr(float(omega) + shift), name
+                assert ev_shown == repr(float(omega_shown) * sp.HARTREE_TO_EV), name
+
+
+def test_default_window_of_each_ground_state_route(fixture_dir, tmp_path):
+    """Without ``--delta`` a solved or ``.json`` ground state records delta =
+    1.05 x (max - first of the energies) + 5 eta, a ``.json`` file's energies
+    taken as stored; a ``.jsonl`` ground state needs ``--delta``."""
+    oracle_out = tmp_path / "oracle"
+    run_cli(*spectrum_args(fixture_dir, ["oracle", "--eta", "0.02", "--delta", "2.0"],
+                           oracle_out))
+    doc = json.loads((oracle_out / "eigensystem.json").read_text())
+    stored = tmp_path / "stored.json"
+    stored.write_text(json.dumps(dict(doc, energies=[-1.0, 0.5, 2.0, 3.25])))
+    base = ["spectrum", "--mode", "exact", "--eta", "0.06"]
+    energies = np.array(doc["energies"])
+    for ground_state, span in (("solve", float(np.max(energies) - energies[0])),
+                               (str(oracle_out / "eigensystem.json"),
+                                float(np.max(energies) - energies[0])),
+                               (str(stored), 3.25 - -1.0)):
+        out = tmp_path / Path(ground_state).stem
+        run_cli(*spectrum_args(fixture_dir, base, out), "--ground-state", ground_state)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["derived"]["delta"] == 1.05 * span + 5.0 * 0.06, ground_state
+    proc = run_cli(*spectrum_args(fixture_dir, base, tmp_path / "jsonl"), "--ground-state",
+                   str(oracle_out / "ground_state.jsonl"), check=False)
+    assert proc.returncode == 1
+    error = json.loads(proc.stderr)["error"]
+    assert error["kind"] == "invalid_config" and ".jsonl" in error["message"]
 
 
 def test_ground_state_files_take_e0_from_the_fcidump(fixture_dir, tmp_path):

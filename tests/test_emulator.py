@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dsfsim import ci, fixtures
 from dsfsim.emulator import (IMAG, REAL, apply_trotter, build_trotter,

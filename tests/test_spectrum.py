@@ -130,7 +130,7 @@ def test_largest_remainder_conserves(weights, total):
 def _sparse_route(model, axis, core=None):
     """mu_a psi0 on the sector by the Slater-Condon route ``oracle.transition_table``
     uses, with core-valence separation counted on the determinants themselves."""
-    rotated = ci.apply_one_body(model.dipole.component(axis), model.psi0)
+    rotated = oracle.apply_one_body(model.dipole.component(axis), model.psi0)
     assert np.array_equal(rotated.basis, model.states.basis)
     amps = rotated.amplitudes
     if core is not None:
@@ -144,7 +144,7 @@ def _sparse_route(model, axis, core=None):
                                   fixtures.CORE_VALENCE_SPEC, fixtures.DIAGONAL_SPEC],
                          ids=["two_orbital", "three_orbital", "core_valence", "diagonal"])
 def test_dipole_block_matches_the_sparse_route(spec):
-    """The qubit-operator block equals mu_a psi0 from ``ci.apply_one_body``, and its
+    """The qubit-operator block equals mu_a psi0 from ``oracle.apply_one_body``, and its
     moments equal the oracle's reference moments."""
     model = fixtures.solve(spec)
     states = model.states
