@@ -3,12 +3,13 @@
     python scripts/resource_table.py
 """
 from dsfsim.resources import (DEFAULT_MODEL, REFERENCE_COSTS, algorithm_cost,
-                              reference_plan, resource_table, table_to_csv)
+                              reference_plan, table_to_csv)
 
 
 def main():
-    counts = [row[0] for row in REFERENCE_COSTS]
-    print(table_to_csv(resource_table(counts)), end="")
+    plan = reference_plan(DEFAULT_MODEL)
+    print(table_to_csv([algorithm_cost(plan, DEFAULT_MODEL, row[0])
+                        for row in REFERENCE_COSTS]), end="")
     print()
     a, b, c = DEFAULT_MODEL.rotation_coefficients
     print(f"rotations/step = {a:.3f} N^2 L {b:+.3f} N^2 {c:+.3f} N   (L = N)")
@@ -19,7 +20,7 @@ def main():
     worst = {key: max(abs(r) for r in vals)
              for key, vals in DEFAULT_MODEL.fit_residuals.items()}
     print("worst fit residuals:", {k: f"{v:.2%}" for k, v in worst.items()})
-    report = algorithm_cost(reference_plan(DEFAULT_MODEL), DEFAULT_MODEL, 22)
+    report = algorithm_cost(plan, DEFAULT_MODEL, 22)
     print(f"22-orbital case at 350 logical qubits, 1 MHz: "
           f"{report.runtime_days:.1f} days")
 

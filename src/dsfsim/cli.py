@@ -24,7 +24,7 @@ from . import spectrum as sp
 from .operators import (QVector, jordan_wigner, load_dipole_json,
                         read_fcidump_file)
 from .resources import (DEFAULT_MODEL, algorithm_cost, reference_plan,
-                        report_to_json, resource_table, table_to_csv)
+                        report_to_json, table_to_csv)
 from .spectrum import HARTREE_TO_EV
 
 EXIT_INPUT_NOT_FOUND = 2
@@ -444,22 +444,21 @@ def _parse_orbital_range(text: str) -> list[int]:
 
 
 def cmd_resources(args: argparse.Namespace) -> int:
-    if args.shots is not None and args.shots < 0:
-        raise CliError("invalid_config", f"shots must be non-negative, got {args.shots}")
+    if args.table:
+        counts = _parse_orbital_range(args.table)
+    elif args.n_orbitals is not None:
+        counts = [args.n_orbitals]
+    else:
+        raise CliError("invalid_config", "give --table RANGE or --n-orbitals N")
     try:
-        if args.table:
-            text = table_to_csv(resource_table(_parse_orbital_range(args.table)))
-        elif args.n_orbitals:
-            plan = reference_plan(DEFAULT_MODEL, total_shots=args.shots)
-            text = report_to_json(algorithm_cost(plan, DEFAULT_MODEL, args.n_orbitals)) + "\n"
-        else:
-            raise CliError("invalid_config", "give --table RANGE or --n-orbitals N")
-    except (ValueError, ArithmeticError) as exc:  # outside the calibrated model
+        plan = reference_plan(DEFAULT_MODEL, total_shots=args.shots)
+        reports = [algorithm_cost(plan, DEFAULT_MODEL, n) for n in counts]
+    except (ValueError, ArithmeticError) as exc:  # negative shots, or outside the model
         raise CliError("invalid_config", str(exc)) from None
+    text = table_to_csv(reports) if args.table else report_to_json(reports[0]) + "\n"
     if args.out:
-        outdir = _outdir(args.out)
         name = "resources_table.csv" if args.table else "resources.json"
-        _write(outdir, name, text)
+        _write(_outdir(args.out), name, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -27,6 +27,10 @@ IMAG = "imag"
 
 NORM_TOL = 1e-8
 SECTOR_TOL = 1e-12  # largest coupling out of the basis taken as rounding
+# Identity columns ``program_unitary`` sweeps per chunk (each column sweeps on its
+# own, so the bits are those of one whole sweep): a 225-state sector takes two
+# chunks, as fast as one whole sweep, where 64 and 32 columns were slower.
+STEP_COLUMNS = 128
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,9 @@ def program_unitary(prog: TrotterProgram, basis: np.ndarray | None = None) -> np
     """
     check_dense(1 << prog.n_qubits if basis is None else len(basis))
     basis = np.arange(1 << prog.n_qubits) if basis is None else basis
-    u = _sweep(np.eye(len(basis), dtype=complex), _group_factors(prog, basis))
+    u, factors = np.eye(len(basis), dtype=complex), _group_factors(prog, basis)
+    for start in range(0, len(basis), STEP_COLUMNS):
+        _sweep(u[:, start:start + STEP_COLUMNS], factors)  # in place, on a view of u
     return prog.phase_per_rep * np.linalg.matrix_power(u, prog.k)
 
 

@@ -294,7 +294,6 @@ def one_body_to_pauli(m: np.ndarray) -> PauliSum:
     """Qubit image of ``sum_{pq,s} m[p,q] a+_{ps} a_{qs}`` for symmetric m: the
     ``jordan_wigner`` image of the Hamiltonian with one-body part m alone."""
     m = np.asarray(m, dtype=float)
-    _check_symmetric(m, "one-body matrix")
     return jordan_wigner(Hamiltonian(0.0, m, np.zeros(m.shape * 2)))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import PAIR_KEYS, RunPlan
+from .spectrum import PAIR_KEYS, RunPlan, window_tau
 
 DIAGONAL = "diagonal"
 OFF_DIAGONAL = "off_diagonal"
@@ -43,7 +43,7 @@ REFERENCE_COSTS = (
 # Reference schedule the calibration table assumes: eta = 0.06 Ha, a 3.28 Ha
 # spectral window (tau = pi/3.28), truncation exp(-5), Trotter step tau/4.
 # ``reference_plan`` fills in the budgets.
-REFERENCE_SCHEDULE = RunPlan(tau=math.pi / 3.28, eta=0.06, k=4,
+REFERENCE_SCHEDULE = RunPlan(tau=window_tau(3.28), eta=0.06, k=4,
                              budgets=dict.fromkeys(PAIR_KEYS, 0),
                              epsilon_trunc=math.exp(-5.0))
 
@@ -144,12 +144,13 @@ def algorithm_cost(plan: RunPlan, model: CostModel, n_orbitals: int) -> Resource
     Each shot is priced at its pair's deepest circuit (n = n_max), which is
     how the calibration reference tabulates totals.
     """
-    largest = circuit_cost(n_orbitals, plan.k, plan.n_max, model, OFF_DIAGONAL)
+    costs = {prep: circuit_cost(n_orbitals, plan.k, plan.n_max, model, prep)
+             for prep in (DIAGONAL, OFF_DIAGONAL)}
+    largest = costs[OFF_DIAGONAL]
     total_t = 0.0
     total_v = 0.0
     for pair in PAIR_KEYS:
-        prep = DIAGONAL if pair[0] == pair[1] else OFF_DIAGONAL
-        cost = circuit_cost(n_orbitals, plan.k, plan.n_max, model, prep)
+        cost = costs[DIAGONAL if pair[0] == pair[1] else OFF_DIAGONAL]
         total_t += plan.budgets[pair] * cost.t_gates
         total_v += plan.budgets[pair] * cost.active_volume
     depth = 2.0 * total_v / N_LOGICAL_QUBITS
@@ -167,7 +168,9 @@ def algorithm_cost(plan: RunPlan, model: CostModel, n_orbitals: int) -> Resource
 
 def reference_plan(model: CostModel, total_shots: int | None = None) -> RunPlan:
     """The reference schedule with ``model.samples_per_pair`` shots per pair,
-    or ``total_shots // 6`` when given."""
+    or ``total_shots // 6`` when given; a negative ``total_shots`` raises ValueError."""
+    if total_shots is not None and total_shots < 0:
+        raise ValueError(f"shots must be non-negative, got {total_shots}")
     per_pair = model.samples_per_pair if total_shots is None else total_shots // 6
     return dataclasses.replace(REFERENCE_SCHEDULE,
                                budgets=dict.fromkeys(PAIR_KEYS, per_pair))
@@ -211,11 +214,6 @@ def calibrate() -> CostModel:
 
 
 DEFAULT_MODEL = calibrate()
-
-
-def resource_table(orbital_counts) -> list[ResourceReport]:
-    plan = reference_plan(DEFAULT_MODEL)
-    return [algorithm_cost(plan, DEFAULT_MODEL, int(n)) for n in orbital_counts]
 
 
 def table_to_csv(reports: list[ResourceReport]) -> str:

@@ -82,7 +82,7 @@ class GreensSeries:
         if self.n_max < 1 or len(self.x) != self.n_max or len(self.y) != self.n_max \
                 or len(self.shots) != self.n_max:
             raise ValueError("series length must equal n_max >= 1")
-        bound = abs(self.norm_product) + 1e-9 * max(1.0, abs(self.norm_product))
+        bound = abs(self.norm_product) * (1.0 + 1e-9)  # each |bias| within 1 + 1e-9
         if np.max(np.abs(self.x), initial=0.0) > bound \
                 or np.max(np.abs(self.y), initial=0.0) > bound:
             raise ValueError("|X_n|, |Y_n| must not exceed the norm product")
@@ -272,10 +272,9 @@ def _sample_biases(pair: str, which: str, biases: np.ndarray, shots: np.ndarray,
 
     One generator per (seed, pair, Re/Im) draws every test's binomial at once;
     test n gets its half of ``shots[n - 1]`` (see ``split_shots``) and a test
-    allotted no shots records 0.
+    allotted no shots records 0.  ``GreensSeries`` holds each |bias| within
+    1 + 1e-9; the success probability is clipped to [0, 1].
     """
-    if np.max(np.abs(biases), initial=0.0) > 1 + 1e-9:
-        raise ValueError("bias outside [-1, 1]")
     half = 0 if which == REAL else 1
     counts = split_shots(np.asarray(shots))[half]
     rng = np.random.default_rng([int(master_seed), PAIR_KEYS.index(pair), half])
@@ -300,7 +299,7 @@ def dipole_overlaps(states: DipoleStates, program: TrotterProgram, n_max: int) -
 
 
 def measure_all(plan: RunPlan, states: DipoleStates, program: TrotterProgram,
-                mode: str = "sampled", master_seed: int = 0) -> dict[str, GreensSeries]:
+                mode: str, master_seed: int = 0) -> dict[str, GreensSeries]:
     """Run the Hadamard-test schedule for all six Cartesian pairs.
 
     The evolution runs on the d amplitudes of the ground state's sector
@@ -330,7 +329,7 @@ def measure_all(plan: RunPlan, states: DipoleStates, program: TrotterProgram,
 
 
 def measure_series(pair: str, plan: RunPlan, states: DipoleStates,
-                   program: TrotterProgram, mode: str = "sampled",
+                   program: TrotterProgram, mode: str,
                    master_seed: int = 0) -> GreensSeries:
     """One pair of ``measure_all``; kept for callers that measure pair by pair."""
     if pair not in PAIR_KEYS:
@@ -444,26 +443,31 @@ def reconstruct_intensity(series: GreensSeries, omega_grid: np.ndarray) -> Spect
     return Spectrum(omega, values, series.eta, kind="intensity", label=series.pair)
 
 
+def _pair_sum(weights: dict[str, float], contributions: dict[str, Spectrum]) -> np.ndarray:
+    """sum_key weights[key] * contributions[key].values, in the order of ``weights``;
+    every contribution must be on the grid of the first key."""
+    missing = [key for key in weights if key not in contributions]
+    if missing:
+        raise ValueError(f"missing pair contributions: {missing}")
+    omega = contributions[next(iter(weights))].omega
+    values = np.zeros_like(omega)
+    for key, weight in weights.items():
+        other = contributions[key].omega
+        if other.shape != omega.shape or not np.array_equal(other, omega):
+            raise ValueError("pair contributions use different grids")
+        values = values + weight * contributions[key].values
+    return values
+
+
 def assemble_dsf(q: QVector, contributions: dict[str, Spectrum]) -> Spectrum:
     """S(q, w) = sum_{a >= b} ``pair_factor(q, ab)`` * contribution_ab(w).
 
     Stored pair contributions are reused for every q, so evaluating new
     momentum transfers costs no further measurements.
     """
-    missing = [key for key in PAIR_KEYS if key not in contributions]
-    if missing:
-        raise ValueError(f"missing pair contributions: {missing}")
-    grids = [contributions[key].omega for key in PAIR_KEYS]
-    for other in grids[1:]:
-        if other.shape != grids[0].shape or not np.array_equal(other, grids[0]):
-            raise ValueError("pair contributions use different grids")
-    omega = grids[0]
-    values = np.zeros_like(omega)
-    for key in PAIR_KEYS:
-        values = values + pair_factor(q, key) * contributions[key].values
-    eta = contributions["xx"].eta
-    return Spectrum(omega, values, eta, kind="dsf",
-                    label=f"q=({q.qx},{q.qy},{q.qz})")
+    values = _pair_sum({key: pair_factor(q, key) for key in PAIR_KEYS}, contributions)
+    xx = contributions["xx"]
+    return Spectrum(xx.omega, values, xx.eta, kind="dsf", label=f"q=({q.qx},{q.qy},{q.qz})")
 
 
 def isotropic_dsf(q_norm: float, contributions: dict[str, Spectrum]) -> Spectrum:
@@ -471,18 +475,10 @@ def isotropic_dsf(q_norm: float, contributions: dict[str, Spectrum]) -> Spectrum
 
     The proportionality constant is taken as 1 by convention.
     """
-    missing = [key for key in DIAGONAL_KEYS if key not in contributions]
-    if missing:
-        raise ValueError(f"missing diagonal contributions: {missing}")
-    omega = contributions["xx"].omega
-    values = np.zeros_like(omega)
-    for key in DIAGONAL_KEYS:
-        if not np.array_equal(contributions[key].omega, omega):
-            raise ValueError("diagonal contributions use different grids")
-        values = values + contributions[key].values
+    values = _pair_sum(dict.fromkeys(DIAGONAL_KEYS, 1.0), contributions)
     values *= q_norm**2 / 3.0
-    return Spectrum(omega, values, contributions["xx"].eta, kind="isotropic",
-                    label=f"|q|={q_norm}")
+    xx = contributions["xx"]
+    return Spectrum(xx.omega, values, xx.eta, kind="isotropic", label=f"|q|={q_norm}")
 
 
 def cross_section(spectrum: Spectrum, ki_norm: float, kf_norm: float,
@@ -551,7 +547,7 @@ def spectrum_to_csv(spectrum: Spectrum) -> str:
     return _csv_template(spectrum.omega.tobytes()) % tuple(spectrum.values.tolist())
 
 
-def spectrum_from_csv(text: str, eta: float = 0.0) -> Spectrum:
+def spectrum_from_csv(text: str) -> Spectrum:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "omega_hartree,omega_ev,value":
         raise ValueError("unrecognized spectrum CSV header")
@@ -560,4 +556,4 @@ def spectrum_from_csv(text: str, eta: float = 0.0) -> Spectrum:
         w, _, v = ln.split(",")
         omega.append(float(w))
         values.append(float(v))
-    return Spectrum(np.array(omega), np.array(values), eta)
+    return Spectrum(np.array(omega), np.array(values), 0.0)

@@ -22,6 +22,7 @@ from dsfsim import ci, cli, oracle, validate
 from dsfsim import spectrum as sp
 from dsfsim.operators import (DipoleOperator, Hamiltonian, dump_dipole_json,
                               load_dipole_json, read_fcidump_file, write_fcidump)
+from dsfsim.resources import REFERENCE_COSTS
 
 BASELINES = Path(__file__).parent / "baselines"
 ROOT = Path(__file__).resolve().parent.parent
@@ -314,6 +315,8 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
                "budget_exceeded"),
     user_input("resources_shots_negative",
                ["resources", "--n-orbitals", "22", "--shots", "-60"], "invalid_config"),
+    user_input("resources_table_shots_negative",
+               ["resources", "--table", "18", "--shots", "-60"], "invalid_config"),
     user_input("ground_state_orbitals_mismatched",
                ["spectrum", "--ground-state", "{inputs}/three_orbitals.jsonl",
                 "--delta", "2.0"], "invalid_config", inputs="bad_ground_state_dir"),
@@ -637,7 +640,7 @@ def test_csv_outputs_parse_back(fixture_dir, tmp_path):
     out = tmp_path / "roundtrip"
     run_cli(*spectrum_args(fixture_dir, EXACT, out))
     text = (out / "dsf_q0.csv").read_text()
-    spec = sp.spectrum_from_csv(text, eta=0.02)
+    spec = sp.spectrum_from_csv(text)
     assert sp.spectrum_to_csv(spec) == text
 
 
@@ -855,9 +858,8 @@ def test_oracle_matches_exact_mode_spectra(fixture_dir, tmp_path):
     run_cli(*spectrum_args(fixture_dir, EXACT, emul_out), "--k", "64")
     for pair in ("xx", "xy"):
         ora = sp.spectrum_from_csv(
-            (oracle_out / f"oracle_intensity_{pair}.csv").read_text(), eta=0.02)
-        emu = sp.spectrum_from_csv(
-            (emul_out / f"intensity_{pair}.csv").read_text(), eta=0.02)
+            (oracle_out / f"oracle_intensity_{pair}.csv").read_text())
+        emu = sp.spectrum_from_csv((emul_out / f"intensity_{pair}.csv").read_text())
         scale = np.max(np.abs(ora.values))
         assert np.max(np.abs(ora.values - emu.values)) < 2e-3 * scale
 
@@ -927,6 +929,27 @@ def test_resources_zero_shots():
     proc = run_cli("resources", "--n-orbitals", "18", "--shots", "0")
     report = json.loads(proc.stdout)
     assert report["total_t"] == 0.0
+
+
+@pytest.mark.parametrize("shots", ["0", "600", "60000"])
+def test_resources_table_prices_the_shots_of_the_report(shots):
+    """Each ``--table`` row carries the totals ``--n-orbitals`` reports at the same ``--shots``."""
+    counts = [row[0] for row in REFERENCE_COSTS]
+    table = run_cli("resources", "--table", ",".join(map(str, counts)), "--shots", shots)
+    rows = [line.split(",") for line in table.stdout.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == counts
+    for row in rows:
+        report = json.loads(run_cli("resources", "--n-orbitals", row[0],
+                                    "--shots", shots).stdout)
+        assert (float(row[2]), float(row[3])) == (report["total_t"], report["total_volume"])
+
+
+def test_resources_zero_orbitals_reach_the_model():
+    """``--n-orbitals 0`` is refused by the rotation model, which names the count."""
+    proc = run_cli("resources", "--n-orbitals", "0", check=False)
+    error = json.loads(proc.stderr)["error"]
+    assert proc.returncode == 1 and error["kind"] == "invalid_config"
+    assert "0 orbitals" in error["message"]
 
 
 def test_validate_subcommand_passes():

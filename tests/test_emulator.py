@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dsfsim import ci, fixtures
-from dsfsim.emulator import (IMAG, REAL, apply_trotter, build_trotter,
+from dsfsim import ci, emulator, fixtures
+from dsfsim.emulator import (IMAG, REAL, STEP_COLUMNS, apply_trotter, build_trotter,
                              hadamard_test_via_ancilla, program_unitary,
                              sector_apply, sector_expectation)
 from dsfsim.operators import jordan_wigner
@@ -155,6 +155,20 @@ def test_sector_expectation_of_ground_state_is_ground_energy(spec):
     amplitudes = model.psi0.amplitudes
     assert sector_expectation(jordan_wigner(model.h), basis, amplitudes) == pytest.approx(
         model.eig.ground_energy, abs=1e-12)
+
+
+def test_step_matrix_chunks_keep_the_bits_of_one_sweep():
+    """On the 225-state ``ModelSpec(6, 4, 1)`` sector, wider than ``STEP_COLUMNS``,
+    the chunked build equals one sweep of the whole identity."""
+    spec = fixtures.ModelSpec(6, 4, 1)
+    h, _ = fixtures.generate(spec)
+    basis = ci.sector_words(spec.n_orbitals, *spec.sector)
+    assert len(basis) > STEP_COLUMNS
+    prog = build_trotter(jordan_wigner(h), 0.5, 2)
+    whole = emulator._sweep(np.eye(len(basis), dtype=complex),
+                            emulator._group_factors(prog, basis))
+    want = prog.phase_per_rep * np.linalg.matrix_power(whole, prog.k)
+    assert np.array_equal(program_unitary(prog, basis), want)
 
 
 def test_step_matrix_over_the_cap_is_refused():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from dsfsim.spectrum import (GreensSeries, RunPlan, Spectrum, allocate_shots,
                              measure_series, plan_run, reconstruct_intensity,
                              resample_series, series_from_json, series_to_json,
                              spectrum_from_csv, spectrum_to_csv)
+
+BASELINES = Path(__file__).parent / "baselines"
 
 
 def uniform_moments():
@@ -262,15 +265,41 @@ def test_measure_series_is_one_pair_of_measure_all(toy, mode):
 
 @pytest.mark.parametrize("bias", [1.0, -1.0])
 def test_resample_certain_bias_is_exact(bias):
-    """A bias of +-1 resamples to exactly +-1; one beyond 1 + 1e-9 is refused."""
+    """A bias of +-1 resamples to exactly +-1; a series beyond 1 + 1e-9 is refused."""
     series = GreensSeries(pair="xy", tau=0.1, eta=0.5, n_max=3, norm_product=0.5,
                           moment0=0.0, x=np.full(3, 0.5 * bias), y=np.full(3, -0.5 * bias),
                           shots=[2, 5, 40], exact=True)
     drawn = resample_series(series, master_seed=5)
     assert np.array_equal(drawn.x, series.x) and np.array_equal(drawn.y, series.y)
-    beyond = dataclasses.replace(series, x=series.x * (1.0 + 1.8e-9))
-    with pytest.raises(ValueError, match="bias outside"):
-        resample_series(beyond, master_seed=5)
+    with pytest.raises(ValueError, match="norm product"):
+        dataclasses.replace(series, x=series.x * (1.0 + 1.8e-9))
+
+
+@pytest.mark.parametrize("norm_product", [0.1, 0.5, 1.0, 3.0])
+def test_every_accepted_series_resamples(norm_product):
+    """X_n and Y_n at the largest magnitude ``GreensSeries`` accepts resample."""
+    bound = norm_product * (1.0 + 1e-9)
+    with pytest.raises(ValueError, match="norm product"):
+        GreensSeries(pair="xx", tau=0.1, eta=0.1, n_max=2, norm_product=norm_product,
+                     moment0=0.01, x=[np.nextafter(bound, 2 * bound), 0.0], y=[0.0, 0.0],
+                     shots=[10, 10], exact=True)
+    series = GreensSeries(pair="xx", tau=0.1, eta=0.1, n_max=2, norm_product=norm_product,
+                          moment0=0.01, x=[bound, -bound], y=[-bound, bound],
+                          shots=[10, 10], exact=True)
+    drawn = resample_series(series, master_seed=0)
+    assert np.array_equal(drawn.x, series.norm_product * np.array([1.0, -1.0]))
+    assert np.array_equal(drawn.y, series.norm_product * np.array([-1.0, 1.0]))
+
+
+def test_exact_baseline_series_resample():
+    """The exact-mode series files of the 2-orbital baseline load and resample."""
+    paths = sorted((BASELINES / "exact_2orb").glob("greens_*.json"))
+    assert paths
+    for path in paths:
+        series = series_from_json(path.read_text())
+        assert series.exact
+        drawn = resample_series(series, master_seed=1)
+        assert np.max(np.abs(drawn.x), initial=0.0) <= abs(series.norm_product)
 
 
 def test_resample_records_zero_without_shots():
@@ -615,7 +644,7 @@ def test_series_json_round_trip(toy):
 def test_spectrum_csv_round_trip():
     grid = np.linspace(0.0, 2.0, 9)
     spec = Spectrum(grid, np.sin(grid) + 2.0, 0.05)
-    back = spectrum_from_csv(spectrum_to_csv(spec), eta=0.05)
+    back = spectrum_from_csv(spectrum_to_csv(spec))
     assert np.array_equal(back.omega, spec.omega)
     assert np.array_equal(back.values, spec.values)
 
