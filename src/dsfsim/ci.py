@@ -165,8 +165,8 @@ def cvs_mask(words: np.ndarray, core_orbitals: Iterable[int], n_orbitals: int) -
     """Which occupation ``words`` have exactly one hole (over both spins) in the core.
 
     Core-valence separation keeps these rows of a dipole-rotated state so the
-    propagated state stays in the core-excited window.  A core orbital
-    outside the ``n_orbitals`` register raises ValueError.
+    propagated state stays in the core-excited window; an empty core keeps every
+    word.  A core orbital outside the ``n_orbitals`` register raises ValueError.
     """
     core = {int(c) for c in core_orbitals}
     if any(c < 0 or c >= n_orbitals for c in core):
@@ -174,7 +174,7 @@ def cvs_mask(words: np.ndarray, core_orbitals: Iterable[int], n_orbitals: int) -
     words = np.asarray(words)
     occupied = sum(((words >> s) & 1 for c in core for s in (2 * c, 2 * c + 1)),
                    np.zeros_like(words))
-    return occupied == 2 * len(core) - 1
+    return occupied == 2 * len(core) - 1 if core else np.ones(words.shape, dtype=bool)
 
 
 # ---------------------------------------------------------------------------

@@ -372,7 +372,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = load_config(args)
     eta = cfg.eta_hartree
     h, dip, psi0, eig, delta = _load_run(cfg)
-    states = sp.prepare_dipole_states(psi0, dip, core_orbitals=cfg.cvs or None)
+    states = sp.prepare_dipole_states(psi0, dip, core_orbitals=cfg.cvs)
     try:
         plan = sp.plan_run(eta, delta, cfg.epsilon_trunc, cfg.shots,
                            states.moments, cfg.q_vectors, k=cfg.trotter_k)
@@ -404,13 +404,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = load_config(args)
-    if cfg.cvs:
-        raise CliError("invalid_config",
-                       "the oracle does not apply core-valence separation; "
-                       "drop --cvs")
     eta = cfg.eta_hartree
     _, dip, psi0, eig, delta = _load_run(cfg)
-    trans = oracle.transition_table(eig, dip)
+    trans = oracle.transition_table(eig, dip, cfg.cvs)
     try:
         sp.pair_weights(trans.reference_moments, cfg.q_vectors)
     except ValueError as exc:

@@ -12,6 +12,7 @@ Hamiltonian) for the tests, ``dsfsim validate`` and the study scripts.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -175,9 +176,9 @@ class SolvedModel:
 
     def plan(self, eta: float, epsilon_trunc: float = math.exp(-5.0),
              shots: int = 10000, k: int = 4,
-             q_set: list[QVector] | None = None) -> sp.RunPlan:
+             q_set: list[QVector] = (QVector(1.0, 1.0, 1.0),)) -> sp.RunPlan:
         return sp.plan_run(eta, self.delta, epsilon_trunc, shots,
-                           self.states.moments, q_set, k=k)
+                           self.states.moments, q_set, k)
 
 
 def solve(spec: ModelSpec) -> SolvedModel:
@@ -205,7 +206,6 @@ def write_fixture(spec: ModelSpec, outdir) -> dict[str, str]:
     paths["hamiltonian"].write_text(
         write_fcidump(h, n_electrons=spec.n_electrons, ms2=spec.ms2))
     paths["dipoles"].write_text(dump_dipole_json(dip) + "\n")
-    import json
     paths["modelspec"].write_text(json.dumps({
         "n_orbitals": spec.n_orbitals, "n_electrons": spec.n_electrons,
         "seed": spec.seed, "kind": spec.kind, "core_gap": spec.core_gap,

@@ -233,7 +233,7 @@ def parse_fcidump(text: str) -> Hamiltonian:
 FCIDUMP_WRITE_TOL = 1e-15
 
 
-def write_fcidump(h: Hamiltonian, n_electrons: int = 0, ms2: int = 0) -> str:
+def write_fcidump(h: Hamiltonian, n_electrons: int, ms2: int) -> str:
     """Render a Hamiltonian as FCIDUMP text (canonical 8-fold entries only)."""
     n = h.n_orbitals
     out = [f" &FCI NORB={n},NELEC={n_electrons},MS2={ms2},",

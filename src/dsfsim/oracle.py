@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ci import (CIVector, NonFiniteValue, check_dense, ladder, place_on_sector,
+from .ci import (CIVector, NonFiniteValue, check_dense, cvs_mask, ladder, place_on_sector,
                  sector_dimension, sector_words, spin_counts, spin_masks, word)
 from .operators import DipoleOperator, Hamiltonian, QVector
+from .spectrum import Spectrum
 
 GRAM_TOL = 1e-10
 
@@ -209,12 +210,15 @@ class TransitionTable:
         return self.table["xyz".index(axis)]
 
 
-def transition_table(eig: EigenSystem, dipole: DipoleOperator) -> TransitionTable:
-    """Dipole transitions out of the ground state; ``eig.basis`` sorted by word."""
+def transition_table(eig: EigenSystem, dipole: DipoleOperator,
+                     core_orbitals=()) -> TransitionTable:
+    """Dipole transitions out of the ground state; ``eig.basis`` sorted by word.
+    Each mu_a |Psi_0> keeps the words ``ci.cvs_mask`` keeps for ``core_orbitals``."""
     psi0 = eig.eigenvector(0)
     vecs = np.zeros((3, len(eig.basis)))   # mu_a |Psi_0> on the basis, one row per axis
     for i, axis in enumerate("xyz"):   # a symmetry-forbidden channel is a zero row
         vecs[i] = apply_one_body(dipole.component(axis), psi0).amplitudes.real
+    vecs[:, ~cvs_mask(eig.basis, core_orbitals, eig.n_orbitals)] = 0.0
     return TransitionTable(vecs @ eig.coeffs, vecs @ vecs.T)
 
 
@@ -256,9 +260,8 @@ def _lorentzian_sum(eig: EigenSystem, weights: np.ndarray, eta: float,
 
 
 def exact_intensity(eig: EigenSystem, trans: TransitionTable, pair: str,
-                    eta: float, omega_grid: np.ndarray) -> "Spectrum":
+                    eta: float, omega_grid: np.ndarray) -> Spectrum:
     """Lorentzian-broadened intensity function for one Cartesian pair."""
-    from .spectrum import Spectrum
     omega = np.asarray(omega_grid, dtype=float)
     weights = trans.component(pair[0]) * trans.component(pair[1])
     return Spectrum(omega, _lorentzian_sum(eig, weights, eta, omega), eta,
@@ -266,9 +269,8 @@ def exact_intensity(eig: EigenSystem, trans: TransitionTable, pair: str,
 
 
 def exact_spectrum(eig: EigenSystem, trans: TransitionTable, q: QVector,
-                   eta: float, omega_grid: np.ndarray) -> "Spectrum":
+                   eta: float, omega_grid: np.ndarray) -> Spectrum:
     """Reference S(q, omega): one Lorentzian per eigenstate, weight |q.p_k|^2."""
-    from .spectrum import Spectrum
     omega = np.asarray(omega_grid, dtype=float)
     projected = (q.qx * trans.component("x") + q.qy * trans.component("y")
                  + q.qz * trans.component("z"))

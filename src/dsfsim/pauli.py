@@ -122,9 +122,6 @@ class PauliSum:
     def words(self) -> list[tuple[float, str]]:
         return [(c, masks_to_word(x, z, self.n_qubits)) for c, x, z in self.terms]
 
-    def as_dict(self) -> dict[tuple[int, int], float]:
-        return {(x, z): c for c, x, z in self.terms}
-
     def split_identity(self) -> tuple[float, tuple[tuple[float, int, int], ...]]:
         """The identity coefficient (0.0 when absent) and the other terms.
 
@@ -166,9 +163,6 @@ class LinearPauli:
                 phase, x3, z3 = multiply_words(x1, z1, x2, z2)
                 out.add(c1 * c2 * phase, x3, z3)
         return out
-
-    def collapse(self, n_qubits: int) -> PauliSum:
-        return collapse(self.terms, n_qubits)
 
 
 def collapse(terms: dict, n_qubits: int, unpack=None) -> PauliSum:

@@ -119,7 +119,7 @@ class ResourceReport:
 
 
 def circuit_cost(n_orbitals: int, k: int, n: int,
-                 model: CostModel, prep: str = OFF_DIAGONAL) -> CircuitCost:
+                 model: CostModel, prep: str) -> CircuitCost:
     """Cost of one Hadamard-test circuit evolving to time step n.
 
     ``prep`` selects the state-preparation block: a single uncontrolled

@@ -79,10 +79,12 @@ class GreensSeries:
             raise ValueError(f"unknown pair {self.pair!r}")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be a positive number")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.eta, self.norm_product)):
+            raise ValueError("eta and the norm product must be finite and nonnegative")
         if self.n_max < 1 or len(self.x) != self.n_max or len(self.y) != self.n_max \
                 or len(self.shots) != self.n_max:
             raise ValueError("series length must equal n_max >= 1")
-        bound = abs(self.norm_product) * (1.0 + 1e-9)  # each |bias| within 1 + 1e-9
+        bound = self.norm_product * (1.0 + 1e-9)  # each |bias| within 1 + 1e-9
         if np.max(np.abs(self.x), initial=0.0) > bound \
                 or np.max(np.abs(self.y), initial=0.0) > bound:
             raise ValueError("|X_n|, |Y_n| must not exceed the norm product")
@@ -105,8 +107,8 @@ class RunPlan:
     epsilon_trunc: float
 
     def __post_init__(self):
-        if self.tau <= 0 or self.eta <= 0 or self.k < 1:
-            raise ValueError("tau, eta must be positive and k >= 1")
+        if not all(math.isfinite(v) and v > 0 for v in (self.tau, self.eta)) or self.k < 1:
+            raise ValueError("tau, eta must be finite and positive and k >= 1")
         if not 0 < self.epsilon_trunc < 1:
             raise ValueError("epsilon_trunc must lie in (0, 1)")
         if set(self.budgets) != set(PAIR_KEYS):
@@ -143,18 +145,20 @@ def pair_factor(q: QVector, pair: str) -> float:
     return q.component(pair[0]) * q.component(pair[1]) * (1.0 if pair[0] == pair[1] else 2.0)
 
 
-def pair_weights(moments: np.ndarray, q_set: list[QVector] | None = None,
+def pair_weights(moments: np.ndarray, q_set: list[QVector],
                  scale: float = 1.0) -> np.ndarray:
     """max_q |``pair_factor``| |<mu_a mu_b>| over ``PAIR_KEYS``; raises
-    ValueError if ``scale`` times their sum overflows (q too large)."""
+    ValueError for an empty ``q_set`` or if ``scale`` times their sum
+    overflows (q too large)."""
     moments = np.asarray(moments, dtype=float)
     if moments.shape != (3, 3):
         raise ValueError("moments must be a 3x3 matrix over xyz")
-    qs = list(q_set) if q_set else [QVector(1.0, 1.0, 1.0)]
+    if not q_set:
+        raise ValueError("the q set is empty")
     weights = []
     for key in PAIR_KEYS:
         ia, ib = AXES.index(key[0]), AXES.index(key[1])
-        qq = max(abs(pair_factor(q, key)) for q in qs)
+        qq = max(abs(pair_factor(q, key)) for q in q_set)
         weights.append(qq * abs(moments[ia, ib]))
     weights = np.array(weights)
     if not math.isfinite(scale * float(weights.sum())):
@@ -169,8 +173,8 @@ def window_tau(delta_window: float) -> float:
 
 
 def plan_run(eta: float, delta_window: float, epsilon_trunc: float,
-             total_shots: int, moments: np.ndarray,
-             q_set: list[QVector] | None = None, k: int = 4) -> RunPlan:
+             total_shots: int, moments: np.ndarray, q_set: list[QVector],
+             k: int) -> RunPlan:
     """Choose tau and variance-minimizing pair budgets; the depth is ``RunPlan.n_max``.
 
     tau is ``window_tau(delta_window)``.  Budgets are proportional to
@@ -237,9 +241,9 @@ def prepare_dipole_states(ground: CIVector, dipole: DipoleOperator,
     """Apply each dipole component to the ground state on its sector and normalize.
 
     Column a of the (d, 3) block is the qubit operator of mu_a applied to
-    psi0 by ``emulator.sector_apply``.  With ``core_orbitals`` given, rows
-    off the single-core-hole determinants are zeroed (core-valence
-    separation, ``ci.cvs_mask``); moments are taken on the projected columns
+    psi0 by ``emulator.sector_apply``.  Core-valence separation zeroes the rows
+    ``ci.cvs_mask`` drops for ``core_orbitals`` (None or empty drops none), as
+    ``oracle.transition_table`` does; moments are taken on the projected columns
     so the n = 0 limit of the measured series matches.  A column the dipole
     (or the projection) annihilates gets zero norm and contributes an
     identically zero intensity.  The ground state's basis was held to
@@ -248,8 +252,7 @@ def prepare_dipole_states(ground: CIVector, dipole: DipoleOperator,
     n, basis = ground.n_orbitals, ground.basis
     raw = np.column_stack([sector_apply(one_body_to_pauli(dipole.component(axis)), basis,
                                         ground.amplitudes) for axis in AXES])
-    if core_orbitals is not None:
-        raw[~ci_mod.cvs_mask(basis, core_orbitals, n)] = 0.0
+    raw[~ci_mod.cvs_mask(basis, core_orbitals or (), n)] = 0.0
     norms = np.linalg.norm(raw, axis=0)
     return DipoleStates(norms=dict(zip(AXES, map(float, norms))),
                         kets=raw / np.where(norms > 0.0, norms, 1.0),
@@ -512,7 +515,9 @@ def series_to_json(series: GreensSeries) -> str:
 
 def series_from_json(text: str) -> GreensSeries:
     doc = json.loads(text)
-    entries = doc["entries"]
+    entries, exact = doc["entries"], doc.get("exact", False)
+    if type(exact) is not bool:
+        raise ValueError(f"exact must be a JSON boolean, not {exact!r}")
     if [row[0] for row in entries] != list(range(1, doc["n_max"] + 1)):
         raise ValueError("series entries must cover n = 1..n_max in order")
     return GreensSeries(pair=doc["pair"], tau=doc["tau"], eta=doc["eta"],
@@ -521,7 +526,7 @@ def series_from_json(text: str) -> GreensSeries:
                         x=np.array([row[1] for row in entries]),
                         y=np.array([row[2] for row in entries]),
                         shots=np.array([row[3] for row in entries]),
-                        exact=bool(doc.get("exact", False)))
+                        exact=exact)
 
 
 @functools.lru_cache(maxsize=1)

@@ -160,7 +160,8 @@ def test_criterion_3_shot_budget_resolves_both_bands(toy):
 def test_criterion_4_parameter_reproduction():
     """The reference schedule: eta 0.06 Ha, window 3.28 Ha, truncation e^-5
     gives exactly tau = pi/3.28 and an 87-point series."""
-    plan = sp.plan_run(0.06, 3.28, math.exp(-5.0), 10**4, np.eye(3))
+    plan = sp.plan_run(0.06, 3.28, math.exp(-5.0), 10**4, np.eye(3),
+                       [QVector(1.0, 1.0, 1.0)], k=4)
     assert plan.tau == math.pi / 3.28
     assert plan.n_max == 87
 

@@ -248,21 +248,18 @@ def test_cvs_rejects_bad_orbital():
 
 
 def test_cvs_oracle_spectrum_agreement(toy):
-    """Masked vs raw dipole states give the same core-window spectrum.
+    """The oracle's masked and raw transition tables give the same core-window spectrum.
 
     The toy couples core and valence at 0.01 Ha against a 20 Ha gap, so
     weights inside the core window agree to ~(0.01/20)^2.
     """
     excit = toy.eig.energies - toy.eig.ground_energy
     window = (excit > toy.spec.core_gap - 2.0)
-    keep = cvs_mask(toy.states.basis, [0], toy.spec.n_orbitals)
+    projected = oracle.transition_table(toy.eig, toy.dipole, [0])
     worst = 0.0
     for axis in "xyz":
-        raw = apply_one_body(toy.dipole.component(axis), toy.psi0)
-        assert np.array_equal(raw.basis, toy.states.basis)
-        amps = raw.amplitudes.real
-        wr = toy.eig.coeffs.T @ amps
-        wp = toy.eig.coeffs.T @ np.where(keep, amps, 0.0)
+        wr = toy.trans.component(axis)
+        wp = projected.component(axis)
         diff = np.max(np.abs(wr[window] ** 2 - wp[window] ** 2))
         worst = max(worst, diff / np.max(wr[window] ** 2))
     assert worst < 1e-6

@@ -85,7 +85,7 @@ def twelve_orbital_dir(tmp_path_factory):
     n = 12
     h = Hamiltonian(0.0, np.diag(np.arange(float(n))), np.zeros((n, n, n, n)))
     hop = np.eye(n, k=1) + np.eye(n, k=-1)
-    (out / "hamiltonian.fcidump").write_text(write_fcidump(h, n_electrons=2))
+    (out / "hamiltonian.fcidump").write_text(write_fcidump(h, n_electrons=2, ms2=0))
     (out / "dipoles.json").write_text(dump_dipole_json(DipoleOperator(hop, hop, hop)))
     return out
 
@@ -203,8 +203,8 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
 @pytest.mark.parametrize("args, expected, env, config, inputs", [
     user_input("eta_not_a_number", SAMPLED + ["--eta", "abc"], "invalid_config"),
     user_input("eta_negative", SAMPLED + ["--eta", "-1"], "invalid_config"),
-    user_input("oracle_cvs", ["oracle", "--eta", "0.02", "--delta", "2.0", "--cvs", "0"],
-               "invalid_config"),
+    user_input("oracle_cvs_outside_register",
+               ["oracle", "--eta", "0.02", "--delta", "2.0", "--cvs", "9"], "invalid_config"),
     user_input("mode_oracle_cvs", EXACT + ["--mode", "oracle", "--cvs", "0"],
                "invalid_config"),
     user_input("threads_variable_ignored", SAMPLED, "sampled_2orb",
@@ -846,16 +846,18 @@ def test_jsonl_ground_state_route_is_pinned(fixture_dir, tmp_path):
     assert digest == JSONL_ROUTE_DIGEST
 
 
-def test_oracle_matches_exact_mode_spectra(fixture_dir, tmp_path):
-    """Emulated exact-mode intensities track the oracle reference."""
+@pytest.mark.parametrize("cvs", [[], ["--cvs", "0"]], ids=["no_cvs", "cvs_0"])
+def test_oracle_matches_exact_mode_spectra(fixture_dir, tmp_path, cvs):
+    """Emulated exact-mode intensities track the oracle reference, with and without
+    the core-valence projection on both sides."""
     oracle_out = tmp_path / "oracle_ref"
     run_cli("oracle",
             "--hamiltonian", str(fixture_dir / "hamiltonian.fcidump"),
             "--dipoles", str(fixture_dir / "dipoles.json"),
             "--eta", "0.02", "--delta", "2.0",
-            "--out", str(oracle_out))
+            "--out", str(oracle_out), *cvs)
     emul_out = tmp_path / "emulated"
-    run_cli(*spectrum_args(fixture_dir, EXACT, emul_out), "--k", "64")
+    run_cli(*spectrum_args(fixture_dir, EXACT, emul_out), "--k", "64", *cvs)
     for pair in ("xx", "xy"):
         ora = sp.spectrum_from_csv(
             (oracle_out / f"oracle_intensity_{pair}.csv").read_text())

@@ -6,7 +6,7 @@ from dsfsim import ci, emulator, fixtures
 from dsfsim.emulator import (IMAG, REAL, STEP_COLUMNS, apply_trotter, build_trotter,
                              hadamard_test_via_ancilla, program_unitary,
                              sector_apply, sector_expectation)
-from dsfsim.operators import jordan_wigner
+from dsfsim.operators import QVector, jordan_wigner
 from dsfsim.pauli import PauliSum, pauli_sum_dense
 from dsfsim.spectrum import plan_run
 
@@ -117,7 +117,8 @@ def test_dense_step_equals_statevector_path():
 @pytest.mark.parametrize("model", ["toy", "two_orb"])
 def test_sector_step_is_the_restricted_register_step(request, model):
     model = request.getfixturevalue(model)
-    prog = model.program(plan_run(0.06, model.delta, 1e-2, 600, model.states.moments))
+    prog = model.program(plan_run(0.06, model.delta, 1e-2, 600, model.states.moments,
+                                  [QVector(1.0, 1.0, 1.0)], k=4))
     basis = model.states.basis
     full = program_unitary(prog)[np.ix_(basis, basis)]
     assert np.max(np.abs(program_unitary(prog, basis) - full)) < 1e-13

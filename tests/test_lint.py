@@ -1,4 +1,5 @@
-"""Tier-1 lint without a linter: no module imports a name it never uses."""
+"""Tier-1 lint without a linter: no module imports a name it never uses, no package
+function imports, and the emulator side imports nothing from the oracle."""
 import ast
 from pathlib import Path
 
@@ -34,4 +35,51 @@ def test_no_unused_imports():
              for folder in ("src", "tests", "scripts")
              for path in sorted((ROOT / folder).rglob("*.py")) if path.name != "__init__.py"
              for name, line in unused_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
+PACKAGE = ROOT / "src" / "dsfsim"
+# The oracle is the independent referee, so no emulator-side module is built from
+# its code; the rules both sides share (sector words, ladder signs, the CVS mask)
+# live in ``ci``.
+EMULATOR_SIDE = ("ci", "pauli", "operators", "emulator", "spectrum")
+
+
+def function_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """(function, line) of each import statement inside a function body."""
+    return sorted((fn.name, node.lineno) for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Dotted names of every module and name an import reads; ``.`` prefixes dropped."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            out.update([base] + [f"{base}.{alias.name}".lstrip(".") for alias in node.names])
+    return out
+
+
+def test_import_walkers_find_each_site():
+    tree = ast.parse("import json\nfrom . import oracle\nfrom .ci import word\n"
+                     "def f():\n    import math\n    def g():\n        from .x import y\n")
+    assert function_imports(tree) == [("f", 5), ("f", 7), ("g", 7)]
+    assert imported_modules(tree) == {"json", "math", "", "oracle", "ci", "ci.word",
+                                      "x", "x.y"}
+
+
+def test_no_imports_inside_package_functions():
+    found = [f"{path.name}:{line} {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name, line in function_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_emulator_side_imports_nothing_from_the_oracle():
+    found = [f"{module}: {name}" for module in EMULATOR_SIDE
+             for name in imported_modules(ast.parse((PACKAGE / f"{module}.py").read_text()))
+             if "oracle" in name.split(".")]
     assert found == []

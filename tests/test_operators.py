@@ -161,11 +161,11 @@ def test_jw_linearity():
     combo = Hamiltonian(a * h1.offset + b * h2.offset,
                         a * h1.one_body + b * h2.one_body,
                         a * h1.two_body + b * h2.two_body)
-    lhs = jordan_wigner(combo).as_dict()
+    lhs = {(x, z): c for c, x, z in jordan_wigner(combo).terms}
     rhs = {}
     for scale, h in ((a, h1), (b, h2)):
-        for key, c in jordan_wigner(h).as_dict().items():
-            rhs[key] = rhs.get(key, 0.0) + scale * c
+        for c, x, z in jordan_wigner(h).terms:
+            rhs[x, z] = rhs.get((x, z), 0.0) + scale * c
     keys = set(lhs) | {k for k, v in rhs.items() if abs(v) > 1e-12}
     for key in keys:
         assert lhs.get(key, 0.0) == pytest.approx(rhs.get(key, 0.0), abs=1e-12)
@@ -238,7 +238,7 @@ def _ladder_product_jw(h):
         for (r, s), e_rs in exc.items():
             if abs(h.two_body[p, q, r, s]) > 0.0:
                 acc.add_sum(e_pq * e_rs, 0.5 * h.two_body[p, q, r, s])
-    return acc.collapse(2 * n)
+    return pauli.collapse(acc.terms, 2 * n)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -311,7 +311,7 @@ def test_core_integral_conversion_round_trip():
 def test_fixture_fcidump_round_trips(seed):
     spec = fixtures.ModelSpec(n_orbitals=2, n_electrons=2, seed=seed)
     h, _ = fixtures.generate(spec)
-    back = parse_fcidump(write_fcidump(h))
+    back = parse_fcidump(write_fcidump(h, spec.n_electrons, spec.ms2))
     assert np.array_equal(back.one_body, h.one_body)
     assert np.array_equal(back.two_body, h.two_body)
     assert back.offset == h.offset

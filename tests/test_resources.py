@@ -28,8 +28,8 @@ def test_rot_t_cost_domain():
 
 
 def test_evolution_cost_linear_in_n():
-    base = circuit_cost(18, 4, 10, DEFAULT_MODEL)
-    double = circuit_cost(18, 4, 20, DEFAULT_MODEL)
+    base = circuit_cost(18, 4, 10, DEFAULT_MODEL, OFF_DIAGONAL)
+    double = circuit_cost(18, 4, 20, DEFAULT_MODEL, OFF_DIAGONAL)
     prep = STATE_PREP_T[OFF_DIAGONAL]
     assert double.t_gates - prep == pytest.approx(2 * (base.t_gates - prep),
                                                   rel=1e-12)
@@ -39,7 +39,7 @@ def test_evolution_cost_linear_in_n():
 def test_largest_circuit_reproduces_reference_within_quarter():
     plan = reference_plan(DEFAULT_MODEL)
     for n_a, _, _, _, big_t, big_v in REFERENCE_COSTS:
-        cost = circuit_cost(int(n_a), plan.k, plan.n_max, DEFAULT_MODEL)
+        cost = circuit_cost(int(n_a), plan.k, plan.n_max, DEFAULT_MODEL, OFF_DIAGONAL)
         assert cost.t_gates == pytest.approx(big_t, rel=0.25)
         assert cost.active_volume == pytest.approx(big_v, rel=0.25)
 
@@ -69,7 +69,7 @@ def test_reference_ratio_constant_to_two_percent():
 def test_scaling_exponent_in_cubic_range():
     plan = reference_plan(DEFAULT_MODEL)
     n_as = np.array([row[0] for row in REFERENCE_COSTS], dtype=float)
-    t_values = [circuit_cost(int(n), plan.k, plan.n_max, DEFAULT_MODEL).t_gates
+    t_values = [circuit_cost(int(n), plan.k, plan.n_max, DEFAULT_MODEL, OFF_DIAGONAL).t_gates
                 for n in n_as]
     slope = np.polyfit(np.log(n_as), np.log(t_values), 1)[0]
     assert 2.7 <= slope <= 3.3
@@ -112,9 +112,9 @@ def test_totals_monotone_in_arguments():
                                  DEFAULT_MODEL, 18).total_t
                   for s in (600, 6000, 60000)]
     assert np.all(np.diff(t_by_shots) > 0)
-    base = circuit_cost(18, 4, 87, DEFAULT_MODEL)
-    assert circuit_cost(18, 8, 87, DEFAULT_MODEL).t_gates > base.t_gates
-    assert circuit_cost(18, 4, 90, DEFAULT_MODEL).t_gates > base.t_gates
+    base = circuit_cost(18, 4, 87, DEFAULT_MODEL, OFF_DIAGONAL)
+    assert circuit_cost(18, 8, 87, DEFAULT_MODEL, OFF_DIAGONAL).t_gates > base.t_gates
+    assert circuit_cost(18, 4, 90, DEFAULT_MODEL, OFF_DIAGONAL).t_gates > base.t_gates
 
 
 def test_diagonal_prep_cheaper_than_off_diagonal():

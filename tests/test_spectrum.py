@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -30,7 +31,8 @@ def uniform_moments():
 # ---------------------------------------------------------------------------
 
 def test_plan_reproduces_reference_parameters():
-    plan = plan_run(0.06, 3.28, math.exp(-5.0), 10000, uniform_moments())
+    plan = plan_run(0.06, 3.28, math.exp(-5.0), 10000, uniform_moments(),
+                    [QVector(1.0, 1.0, 1.0)], k=4)
     assert plan.tau == math.pi / 3.28
     assert plan.n_max == 87
 
@@ -38,7 +40,7 @@ def test_plan_reproduces_reference_parameters():
 def test_plan_single_bright_pair_takes_everything():
     moments = np.zeros((3, 3))
     moments[0, 0] = 1.0
-    plan = plan_run(0.05, 2.0, 1e-4, 100, moments)
+    plan = plan_run(0.05, 2.0, 1e-4, 100, moments, [QVector(1.0, 1.0, 1.0)], k=4)
     assert plan.budgets["xx"] == 100
     assert sum(plan.budgets.values()) == 100
 
@@ -48,25 +50,48 @@ def test_plan_three_to_one_weight_ratio():
     moments[0, 0] = 3.0
     moments[1, 1] = 1.0
     plan = plan_run(0.05, 2.0, 1e-4, 100, moments,
-                    q_set=[QVector(1.0, 1.0, 0.0)])
+                    q_set=[QVector(1.0, 1.0, 0.0)], k=4)
     assert plan.budgets["xx"] == 75
     assert plan.budgets["yy"] == 25
 
 
 def test_plan_zero_moments_rejected():
     with pytest.raises(ValueError, match="no dipole intensity"):
-        plan_run(0.05, 2.0, 1e-4, 100, np.zeros((3, 3)))
+        plan_run(0.05, 2.0, 1e-4, 100, np.zeros((3, 3)), [QVector(1.0, 1.0, 1.0)], k=4)
 
 
 def test_plan_small_budget_rejected():
     with pytest.raises(ValueError):
-        plan_run(0.05, 2.0, 1e-4, 5, uniform_moments())
+        plan_run(0.05, 2.0, 1e-4, 5, uniform_moments(), [QVector(1.0, 1.0, 1.0)], k=4)
 
 
 def test_plan_epsilon_trunc_range_checked():
     for eps in (0.0, 1.0):
         with pytest.raises(ValueError, match="epsilon_trunc"):
-            plan_run(0.05, 2.0, eps, 100, uniform_moments())
+            plan_run(0.05, 2.0, eps, 100, uniform_moments(), [QVector(1.0, 1.0, 1.0)], k=4)
+
+
+def test_empty_q_set_rejected():
+    """An empty momentum list is refused, as the CLI refuses ``"q": []``."""
+    with pytest.raises(ValueError, match="q set is empty"):
+        sp.pair_weights(uniform_moments(), [])
+    with pytest.raises(ValueError, match="q set is empty"):
+        plan_run(0.05, 2.0, 1e-4, 100, uniform_moments(), [], 4)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau", math.nan), ("tau", math.inf), ("tau", 0.0),
+    ("eta", math.nan), ("eta", math.inf), ("eta", 0.0)])
+def test_plan_refuses_a_time_step_or_broadening_not_finite_and_positive(field, value):
+    with pytest.raises(ValueError, match="finite and positive"):
+        RunPlan(**{"tau": 1.0, "eta": 0.05, field: value}, k=4,
+                budgets=dict.fromkeys(sp.PAIR_KEYS, 2), epsilon_trunc=1e-4)
+
+
+def test_plan_run_refuses_a_window_that_is_not_a_number():
+    """A NaN window gives a NaN tau, refused by ``RunPlan`` before ``n_max`` is read."""
+    with pytest.raises(ValueError, match="finite and positive"):
+        plan_run(0.06, math.nan, 1e-4, 100, uniform_moments(), [QVector(1.0, 1.0, 1.0)], 4)
 
 
 def test_plan_invariant_checked():
@@ -166,6 +191,18 @@ def test_cvs_dipole_block_matches_the_sparse_route(toy):
     assert np.max(np.abs(states.moments - (raw.conj().T @ raw).real)) <= 1e-12
 
 
+def test_empty_core_set_is_no_projection(toy):
+    """An empty core list keeps every row on both sides, as ``--cvs ""`` does."""
+    unprojected = sp.prepare_dipole_states(toy.psi0, toy.dipole)
+    empty = sp.prepare_dipole_states(toy.psi0, toy.dipole, core_orbitals=[])
+    assert empty.norms == unprojected.norms
+    assert np.array_equal(empty.kets, unprojected.kets)
+    assert np.array_equal(empty.moments, unprojected.moments)
+    table, raw = oracle.transition_table(toy.eig, toy.dipole, []), toy.trans
+    assert np.array_equal(table.table, raw.table)
+    assert np.array_equal(table.reference_moments, raw.reference_moments)
+
+
 def test_dark_axis_records_positive_zeros(two_orb):
     """A dipole component that vanishes gives a zero column, no register vector,
     and +0.0 in every series it opens."""
@@ -173,7 +210,8 @@ def test_dark_axis_records_positive_zeros(two_orb):
     states = sp.prepare_dipole_states(two_orb.psi0, dipole)
     assert states.norms["z"] == 0.0 and not np.any(states.kets[:, 2])
     assert not np.any(states.moments[2]) and states.vectors["z"] is None
-    plan = plan_run(0.06, two_orb.delta, 1e-2, 600, states.moments)
+    plan = plan_run(0.06, two_orb.delta, 1e-2, 600, states.moments,
+                    [QVector(1.0, 1.0, 1.0)], k=4)
     series = measure_all(plan, states, two_orb.program(plan), mode="exact")
     for pair in ("xz", "yz", "zz"):
         values = np.concatenate([series[pair].x, series[pair].y])
@@ -196,7 +234,8 @@ def test_exact_series_matches_eigendecomposition(toy, two_orb):
     import scipy.linalg
     from dsfsim.pauli import pauli_sum_dense
     for model in (toy, two_orb):
-        plan = plan_run(0.06, model.delta, 1e-2, 600, model.states.moments)
+        plan = plan_run(0.06, model.delta, 1e-2, 600, model.states.moments,
+                        [QVector(1.0, 1.0, 1.0)], k=4)
         prog = model.program(plan)
         step_err = np.linalg.norm(
             emulator.program_unitary(prog)
@@ -289,6 +328,25 @@ def test_every_accepted_series_resamples(norm_product):
     drawn = resample_series(series, master_seed=0)
     assert np.array_equal(drawn.x, series.norm_product * np.array([1.0, -1.0]))
     assert np.array_equal(drawn.y, series.norm_product * np.array([-1.0, 1.0]))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eta", math.nan), ("eta", math.inf), ("eta", -0.1),
+    ("norm_product", math.nan), ("norm_product", math.inf), ("norm_product", -0.5)])
+def test_series_refuses_a_broadening_or_norm_product_not_finite_and_nonnegative(
+        field, value):
+    kwargs = dict(pair="xx", tau=0.1, eta=0.1, n_max=1, norm_product=0.5, moment0=0.01,
+                  x=[0.1], y=[0.0], shots=[10], exact=True)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        GreensSeries(**{**kwargs, field: value})
+
+
+@pytest.mark.parametrize("exact", ["false", 0, 1, None])
+def test_series_file_refuses_an_exact_flag_that_is_not_a_boolean(exact):
+    doc = json.loads((BASELINES / "exact_2orb" / "greens_xy.json").read_text())
+    doc["exact"] = exact
+    with pytest.raises(ValueError, match="JSON boolean"):
+        series_from_json(json.dumps(doc))
 
 
 def test_exact_baseline_series_resample():
