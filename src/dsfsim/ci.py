@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -35,6 +36,28 @@ def check_dense(dim: int) -> None:
 
 class NonFiniteValue(ValueError):
     """A quantity of the chain is not finite: an input value overflowed the float range."""
+
+
+def is_number(value, integer: bool = False) -> bool:
+    """A finite int or float, not a bool, within the float range; an int when ``integer``."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max  # False for nan, inf and ints beyond any float
+
+
+def number_array(value, integer: bool = False) -> np.ndarray:
+    """A JSON number or rectangular nested list of them as a float (``integer``: int64)
+    array; TypeError unless every entry ``is_number``, which is asked of one entry
+    per type, then of the largest magnitude (NaN if an entry is NaN)."""
+    kinds = {type(v): v for v in np.array(value, dtype=object).flat}  # ragged: list entries
+    types_ok = all(is_number(v, integer) for v in kinds.values())
+    try:
+        numbers = np.array(value, dtype=np.int64 if integer else float) if types_ok else None
+    except OverflowError:  # an int beyond int64 or the float range
+        numbers = None
+    if numbers is None or numbers.size and not is_number(np.max(np.abs(numbers)).item()):
+        raise TypeError(f"an entry is not a finite JSON {'integer' if integer else 'number'}")
+    return numbers
 
 
 def _interleave(mask: int) -> int:
@@ -109,8 +132,8 @@ def place_on_sector(n_orbitals: int, words, rows) -> tuple[np.ndarray, np.ndarra
     return basis, placed
 
 
-def normalize(v: CIVector) -> tuple[CIVector, float]:
-    """Return (unit vector, norm); the norm rescales measured amplitudes."""
+def normalize(v: CIVector) -> CIVector:
+    """The unit vector along ``v``."""
     try:
         norm = float(np.sqrt(sum(abs(a) ** 2 for a in v.amplitudes.tolist())))
     except OverflowError:  # a squared amplitude beyond the float range
@@ -121,7 +144,7 @@ def normalize(v: CIVector) -> tuple[CIVector, float]:
         raise ValueError("the state has zero norm")
     unit = np.empty_like(v.amplitudes)   # parts divided apart, as complex / float does
     unit.real, unit.imag = v.amplitudes.real / norm, v.amplitudes.imag / norm
-    return CIVector(v.n_orbitals, v.basis, unit), norm
+    return CIVector(v.n_orbitals, v.basis, unit)
 
 
 def register_state(n_orbitals: int, words, amplitudes) -> np.ndarray:
@@ -224,10 +247,7 @@ def read_civector_jsonl(text: str) -> CIVector:
             if len(alpha) != len(beta):
                 raise ValueError("alpha and beta strings differ in length")
             det = _string_to_bits(alpha, 0) | _string_to_bits(beta, 1)
-            real, imag = doc["re"], doc.get("im", 0.0)
-            if type(real) is bool or type(imag) is bool:  # complex() refuses other types
-                raise TypeError("an amplitude is a bool")
-            amp = complex(real, imag)
+            amp = complex(*number_array([doc["re"], doc.get("im", 0.0)]))
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"line {lineno}: bad CI-vector record ({exc})") from None
         if n_orbitals is None:

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import __version__, ci as ci_mod, emulator, fixtures, oracle, validate
 from . import spectrum as sp
-from .operators import (QVector, jordan_wigner, load_dipole_json,
-                        read_fcidump_file)
+from .operators import QVector, jordan_wigner, load_dipole_json, read_fcidump_file
 from .resources import (DEFAULT_MODEL, algorithm_cost, reference_plan,
                         report_to_json, table_to_csv)
 from .spectrum import HARTREE_TO_EV
@@ -41,13 +40,6 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def _is_number(value, integer: bool = False) -> bool:
-    """A finite int or float, not a bool, within the float range; an int when ``integer``."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        return False
-    return abs(value) <= sys.float_info.max  # False for nan, inf and ints beyond any float
-
-
 def _list_of(kind: type):
     """The argparse type of a flag holding comma-separated ``kind`` values ('' for none)."""
     def parse(text: str) -> list:
@@ -64,7 +56,7 @@ def _string(value) -> bool:
 
 
 def _at_least(least: int):
-    return lambda value: _is_number(value, integer=True) and value >= least
+    return lambda value: ci_mod.is_number(value, integer=True) and value >= least
 
 
 def _unset_or(check):
@@ -100,10 +92,10 @@ class RunConfig:
                      choices=MODES)
     eta: str = _row("0.06", BOTH, help="broadening, Hartree (or e.g. '1.63eV')")
     delta: float | None = _row(None, BOTH, "a finite positive energy in Hartree",
-                               _unset_or(lambda v: _is_number(v) and v > 0),
+                               _unset_or(lambda v: ci_mod.is_number(v) and v > 0),
                                type=float, help="spectral window, Hartree")
     epsilon_trunc: float = _row(math.exp(-5.0), SPECTRUM, "a number in (0, 1)",
-                                lambda v: _is_number(v) and 0 < v < 1, type=float)
+                                lambda v: ci_mod.is_number(v) and 0 < v < 1, type=float)
     trotter_k: int = _row(4, SPECTRUM, "an integer >= 1", _at_least(1), option="--k",
                           type=int, help="Trotter substeps per tau")
     shots: int = _row(10000, SPECTRUM, "an integer of at least one shot per Cartesian pair",
@@ -112,7 +104,7 @@ class RunConfig:
     q: list = _row(lambda: [[1.0, 1.0, 1.0]], BOTH,
                    "a non-empty list of finite three-component momenta",
                    lambda v: isinstance(v, list) and len(v) > 0 and all(
-                       isinstance(t, list) and len(t) == 3 and all(map(_is_number, t))
+                       isinstance(t, list) and len(t) == 3 and all(map(ci_mod.is_number, t))
                        for t in v),
                    type=_list_of(float), action="append",
                    help="momentum 'qx,qy,qz' (repeatable)")
@@ -120,7 +112,7 @@ class RunConfig:
                      lambda v: isinstance(v, list) and all(map(_at_least(0), v)),
                      type=_list_of(int), help="comma-separated core orbitals")
     out: str = _row("out", BOTH, "a string", _string, help="output directory")
-    shift_ev: float = _row(0.0, BOTH, "a finite number of eV", _is_number, type=float,
+    shift_ev: float = _row(0.0, BOTH, "a finite number of eV", ci_mod.is_number, type=float,
                            help="additive display shift for omega, eV")
     n_alpha: int | None = _row(None, BOTH, "a non-negative integer",
                                _unset_or(_at_least(0)), type=int)
@@ -145,7 +137,7 @@ def parse_energy(text) -> float:
     raw = str(text).strip()
     lowered = raw.lower()
     try:
-        if _is_number(text):
+        if ci_mod.is_number(text):
             value = float(text)
         elif lowered.endswith("ev"):
             value = float(raw[:-2]) / HARTREE_TO_EV
@@ -265,7 +257,7 @@ def _load_ground_state(cfg: RunConfig, h, header):
     try:
         text = path.read_text()
         if path.suffix == ".jsonl":
-            psi0, eig = ci_mod.normalize(ci_mod.read_civector_jsonl(text))[0], None
+            psi0, eig = ci_mod.normalize(ci_mod.read_civector_jsonl(text)), None
         else:
             eig = oracle.eigensystem_from_json(text)
             psi0 = eig.eigenvector(0)
@@ -312,21 +304,17 @@ def _outdir(path: str) -> Path:
     return Path(path)
 
 
-def _write(outdir: Path, name: str, text: str) -> None:
-    (outdir / name).write_text(text)
-
-
 def _write_run(cfg: RunConfig, command: str, outdir: Path, shown: np.ndarray,
                intensity, dsf, derived: dict) -> None:
     """Write ``intensity(pair)`` for the six pairs and ``dsf(q)`` for each q as CSVs on
     the ``shown`` grid (prefixed ``oracle_`` for ``oracle``), then the manifest."""
     prefix = "oracle_" if command == "oracle" else ""
     for pair in sp.PAIR_KEYS:
-        _write(outdir, f"{prefix}intensity_{pair}.csv",
-               sp.spectrum_to_csv(dataclasses.replace(intensity(pair), omega=shown)))
+        (outdir / f"{prefix}intensity_{pair}.csv").write_text(
+            sp.spectrum_to_csv(dataclasses.replace(intensity(pair), omega=shown)))
     for i, q in enumerate(cfg.q_vectors):
-        _write(outdir, f"{prefix}dsf_q{i}.csv",
-               sp.spectrum_to_csv(dataclasses.replace(dsf(q), omega=shown)))
+        (outdir / f"{prefix}dsf_q{i}.csv").write_text(
+            sp.spectrum_to_csv(dataclasses.replace(dsf(q), omega=shown)))
     manifest = {
         "parameters": {f.name: getattr(cfg, f.name) for f in _fields(command)},
         "inputs": {name: {"path": str(Path(path)),
@@ -336,7 +324,7 @@ def _write_run(cfg: RunConfig, command: str, outdir: Path, shown: np.ndarray,
         "versions": {"dsfsim": __version__, "numpy": np.__version__},
         "derived": derived,
     }
-    _write(outdir, "manifest.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    (outdir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
 def _omega_grids(tau: float, eta: float, shift_ev: float,
@@ -391,7 +379,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     outdir = _outdir(cfg.out)
     contribs = {}
     for pair, ser in series.items():
-        _write(outdir, f"greens_{pair}.json", sp.series_to_json(ser) + "\n")
+        (outdir / f"greens_{pair}.json").write_text(sp.series_to_json(ser) + "\n")
         contribs[pair] = sp.reconstruct_intensity(ser, grid)
     _write_run(cfg, args.command, outdir, shown, contribs.__getitem__,
                lambda q: sp.assemble_dsf(q, contribs), {
@@ -409,12 +397,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     trans = oracle.transition_table(eig, dip, cfg.cvs)
     try:
         sp.pair_weights(trans.reference_moments, cfg.q_vectors)
+    except sp.NoDipoleIntensity as exc:
+        raise CliError("no_dipole_intensity", str(exc)) from None
     except ValueError as exc:
         raise CliError("invalid_config", str(exc)) from None
     grid, shown = _omega_grids(sp.window_tau(delta), eta, cfg.shift_ev)
     outdir = _outdir(cfg.out)
-    _write(outdir, "eigensystem.json", oracle.eigensystem_to_json(eig) + "\n")
-    _write(outdir, "ground_state.jsonl", ci_mod.write_civector_jsonl(psi0))
+    (outdir / "eigensystem.json").write_text(oracle.eigensystem_to_json(eig) + "\n")
+    (outdir / "ground_state.jsonl").write_text(ci_mod.write_civector_jsonl(psi0))
     _write_run(cfg, args.command, outdir, shown,
                lambda pair: oracle.exact_intensity(eig, trans, pair, eta, grid),
                lambda q: oracle.exact_spectrum(eig, trans, q, eta, grid),
@@ -454,7 +444,7 @@ def cmd_resources(args: argparse.Namespace) -> int:
     text = table_to_csv(reports) if args.table else report_to_json(reports[0]) + "\n"
     if args.out:
         name = "resources_table.csv" if args.table else "resources.json"
-        _write(_outdir(args.out), name, text)
+        (_outdir(args.out) / name).write_text(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -519,12 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(fn=cmd_validate)
 
     p_gen = sub.add_parser("gen-fixtures", help="write a deterministic model system")
-    p_gen.add_argument("--kind", choices=list(fixtures.KINDS),
-                       default=fixtures.RANDOM_TWO_BODY)
-    p_gen.add_argument("--n-orbitals", dest="n_orbitals", type=int, default=2)
-    p_gen.add_argument("--n-electrons", dest="n_electrons", type=int, default=2)
+    p_gen.add_argument("--kind", choices=list(fixtures.KINDS), default=fixtures.ModelSpec.kind)
+    p_gen.add_argument("--n-orbitals", type=int, default=2)
+    p_gen.add_argument("--n-electrons", type=int, default=2)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--core-gap", dest="core_gap", type=float, default=20.0)
+    p_gen.add_argument("--core-gap", type=float, default=fixtures.ModelSpec.core_gap)
     p_gen.add_argument("--out", default="fixtures_out")
     p_gen.set_defaults(fn=cmd_gen_fixtures)
     return parser

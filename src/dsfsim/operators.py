@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ci import number_array
 from .pauli import LinearPauli, PauliSum, collapse, ladder
 
 SYMMETRY_TOL = 1e-12
@@ -264,11 +265,10 @@ def read_fcidump_file(path) -> tuple[Hamiltonian, dict[str, int]]:
 # ---------------------------------------------------------------------------
 
 def load_dipole_json(text: str) -> DipoleOperator:
+    """The matrices ``x``, ``y`` and ``z`` of a dipole document (``ci.number_array``)."""
     doc = json.loads(text)
     try:
-        return DipoleOperator(np.array(doc["x"], dtype=float),
-                              np.array(doc["y"], dtype=float),
-                              np.array(doc["z"], dtype=float))
+        return DipoleOperator(*(number_array(doc[axis]) for axis in "xyz"))
     except KeyError as exc:
         raise ValueError(f"dipole JSON is missing component {exc}") from None
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ci import (CIVector, NonFiniteValue, check_dense, cvs_mask, ladder, place_on_sector,
-                 sector_dimension, sector_words, spin_counts, spin_masks, word)
+from .ci import (CIVector, NonFiniteValue, check_dense, cvs_mask, is_number, ladder, number_array,
+                 place_on_sector, sector_dimension, sector_words, spin_counts, spin_masks, word)
 from .operators import DipoleOperator, Hamiltonian, QVector
 from .spectrum import Spectrum
 
@@ -296,12 +296,12 @@ def eigensystem_from_json(text: str) -> EigenSystem:
     (``ci.place_on_sector``)."""
     doc = json.loads(text)
     n_orbitals, masks = doc["n_orbitals"], [(a, b) for a, b in doc["basis"]]
-    if any(type(v) is not int for v in (n_orbitals, *itertools.chain(*masks))):
-        raise TypeError("n_orbitals and every basis mask must be integers (not bools)")
-    words = [word(a, b) for a, b in masks]
-    coeffs = np.array(doc["coeffs"], dtype=float)
+    if not is_number(n_orbitals, integer=True):
+        raise TypeError(f"n_orbitals must be a JSON integer, not {n_orbitals!r}")
+    words = [word(a, b) for a, b in number_array(masks, integer=True).tolist()]
+    coeffs = number_array(doc["coeffs"])
     if coeffs.ndim != 2 or len(coeffs) != len(words):
         raise ValueError(f"coeffs have shape {coeffs.shape}, not one row per basis entry "
                          f"({len(words)})")
     basis, coeffs = place_on_sector(n_orbitals, words, coeffs)
-    return EigenSystem(n_orbitals, basis, np.array(doc["energies"]), coeffs)
+    return EigenSystem(n_orbitals, basis, number_array(doc["energies"]), coeffs)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ci as ci_mod
-from .ci import CIVector
+from .ci import CIVector, is_number, number_array
 from .emulator import IMAG, REAL, TrotterProgram, program_unitary, sector_apply
 from .operators import DipoleOperator, QVector, one_body_to_pauli
 
@@ -85,9 +85,10 @@ class GreensSeries:
                 or len(self.shots) != self.n_max:
             raise ValueError("series length must equal n_max >= 1")
         bound = self.norm_product * (1.0 + 1e-9)  # each |bias| within 1 + 1e-9
-        if np.max(np.abs(self.x), initial=0.0) > bound \
-                or np.max(np.abs(self.y), initial=0.0) > bound:
-            raise ValueError("|X_n|, |Y_n| must not exceed the norm product")
+        if not (np.all(np.abs(self.x) <= bound) and np.all(np.abs(self.y) <= bound)):
+            raise ValueError("|X_n|, |Y_n| must not exceed the norm product")  # nor be NaN
+        if not math.isfinite(self.moment0):
+            raise ValueError("moment0 must be finite")
         if np.any(self.shots < 0):
             raise ValueError("negative shot counts")
 
@@ -149,7 +150,7 @@ def pair_weights(moments: np.ndarray, q_set: list[QVector],
                  scale: float = 1.0) -> np.ndarray:
     """max_q |``pair_factor``| |<mu_a mu_b>| over ``PAIR_KEYS``; raises
     ValueError for an empty ``q_set`` or if ``scale`` times their sum
-    overflows (q too large)."""
+    overflows (q too large), and ``NoDipoleIntensity`` if every weight is zero."""
     moments = np.asarray(moments, dtype=float)
     if moments.shape != (3, 3):
         raise ValueError("moments must be a 3x3 matrix over xyz")
@@ -163,6 +164,8 @@ def pair_weights(moments: np.ndarray, q_set: list[QVector],
     weights = np.array(weights)
     if not math.isfinite(scale * float(weights.sum())):
         raise ValueError("pair weights overflow: the momentum transfers are too large")
+    if weights.sum() == 0.0:
+        raise NoDipoleIntensity("no dipole intensity")
     return weights
 
 
@@ -185,10 +188,7 @@ def plan_run(eta: float, delta_window: float, epsilon_trunc: float,
         raise ValueError("eta and the spectral window must be positive")
     if total_shots < 6:
         raise ValueError("need at least one shot per Cartesian pair")
-    weights = pair_weights(moments, q_set, scale=total_shots)
-    if weights.sum() == 0.0:
-        raise NoDipoleIntensity("no dipole intensity")
-    budgets = largest_remainder(total_shots, weights)
+    budgets = largest_remainder(total_shots, pair_weights(moments, q_set, scale=total_shots))
     return RunPlan(tau=window_tau(delta_window), eta=eta, k=k,
                    budgets=dict(zip(PAIR_KEYS, (int(b) for b in budgets))),
                    epsilon_trunc=epsilon_trunc)
@@ -514,19 +514,20 @@ def series_to_json(series: GreensSeries) -> str:
 
 
 def series_from_json(text: str) -> GreensSeries:
+    """A series file; TypeError unless its numbers are JSON numbers (n_max, n, shots: ints)."""
     doc = json.loads(text)
-    entries, exact = doc["entries"], doc.get("exact", False)
+    entries, exact, n_max = doc["entries"], doc.get("exact", False), doc["n_max"]
     if type(exact) is not bool:
         raise ValueError(f"exact must be a JSON boolean, not {exact!r}")
-    if [row[0] for row in entries] != list(range(1, doc["n_max"] + 1)):
+    if not is_number(n_max, integer=True):
+        raise TypeError(f"n_max must be a JSON integer, not {n_max!r}")
+    tau, eta, norm_product, moment0 = number_array(
+        [doc["tau"], doc["eta"], doc["norm_product"], doc["moment0"]]).tolist()
+    column = lambda i, integer: number_array([row[i] for row in entries], integer)
+    if len(entries) != n_max or not np.array_equal(column(0, True), np.arange(1, n_max + 1)):
         raise ValueError("series entries must cover n = 1..n_max in order")
-    return GreensSeries(pair=doc["pair"], tau=doc["tau"], eta=doc["eta"],
-                        n_max=doc["n_max"], norm_product=doc["norm_product"],
-                        moment0=doc["moment0"],
-                        x=np.array([row[1] for row in entries]),
-                        y=np.array([row[2] for row in entries]),
-                        shots=np.array([row[3] for row in entries]),
-                        exact=exact)
+    return GreensSeries(doc["pair"], tau, eta, n_max, norm_product, moment0, column(1, False),
+                        column(2, False), column(3, True), exact)
 
 
 @functools.lru_cache(maxsize=1)

@@ -106,39 +106,36 @@ def test_dimension_mismatch_rejected():
 
 def test_normalize_single_amplitude():
     v = state(2, {word(0b01, 0b01): 2.0})
-    unit, norm = normalize(v)
-    assert norm == pytest.approx(2.0)
-    assert list(nonzero(unit).values()) == [pytest.approx(1.0)]
+    assert list(nonzero(normalize(v)).values()) == [pytest.approx(1.0)]
 
 
 def test_normalize_two_amplitudes():
     dets = [word(0b01, 0b01), word(0b10, 0b10)]
-    unit, norm = normalize(state(2, dict.fromkeys(dets, 1.0)))
-    assert norm == pytest.approx(np.sqrt(2.0))
+    unit = normalize(state(2, dict.fromkeys(dets, 1.0)))
     for amp in nonzero(unit).values():
         assert amp == pytest.approx(1 / np.sqrt(2.0))
 
 
 def test_normalize_unit_norm_tolerance():
     v = random_civector(3, 2, 2, seed=44)
-    unit, _ = normalize(v)
+    unit = normalize(v)
     assert abs(np.linalg.norm(unit.amplitudes) - 1.0) < 1e-14
 
 
 @given(st.floats(min_value=0.1, max_value=50.0))
 @settings(max_examples=25)
 def test_normalize_scale_covariance(scale):
+    """The unit vector does not depend on the scale of the state."""
     base = state(2, {word(0b01, 0b10): 1.0, word(0b10, 0b01): -0.5})
     scaled = CIVector(2, base.basis, scale * base.amplitudes)
-    _, n0 = normalize(base)
-    _, n1 = normalize(scaled)
-    assert n1 == pytest.approx(scale * n0, rel=1e-12)
+    assert np.allclose(normalize(scaled).amplitudes, normalize(base).amplitudes,
+                       rtol=1e-12, atol=0)
 
 
 def test_dipole_norm_matches_moment_oracle(two_orb):
     """||mu_x psi0|| equals sqrt(<psi0|mu_x (mu_x psi0)>), mu_x applied twice."""
     w = apply_one_body(two_orb.dipole.x, two_orb.psi0)
-    _, norm = normalize(w)
+    norm = overlap(w, normalize(w)).real   # <w|w/||w||> = ||w||
     m_xx = overlap(two_orb.psi0, apply_one_body(two_orb.dipole.x, w)).real
     assert norm == pytest.approx(np.sqrt(m_xx), rel=1e-12)
 
@@ -206,7 +203,7 @@ def test_electron_sector_refuses_a_header_with_no_sector(n_electrons, ms2):
 def test_moment_trivials():
     """<v|0 0|v> vanishes by annihilation and <v|N N|v> = N_e^2 for a unit v."""
     v = random_civector(3, 2, 1, seed=61)
-    unit, _ = normalize(v)
+    unit = normalize(v)
     annihilated = apply_one_body(np.zeros((3, 3)), unit)
     assert not np.any(annihilated.amplitudes)
     with pytest.raises(ValueError, match="zero norm"):
@@ -271,6 +268,41 @@ def test_jsonl_round_trip():
     assert back.n_orbitals == v.n_orbitals
     assert np.array_equal(back.basis, v.basis)
     assert np.allclose(back.amplitudes, v.amplitudes, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("value, integer", [
+    pytest.param([[1.0, 2.0], [3.0]], False, id="ragged_rows"),
+    pytest.param([[1.0, 2.0], [3.0, [4.0]]], False, id="ragged_entry"),
+    pytest.param([1.0, None], False, id="null_entry"),
+    pytest.param(None, False, id="null"),
+    pytest.param([True, 1], True, id="bool"),
+    pytest.param(["1"], False, id="string"),
+    pytest.param([1.5], True, id="float_for_integer"),
+    pytest.param([2**63], True, id="int_beyond_int64"),
+    pytest.param([float("nan"), 1.0], False, id="nan"),
+    pytest.param([[float("-inf")], [1.0]], False, id="infinity"),
+    pytest.param([10**400], False, id="int_beyond_float")])
+def test_number_array_refuses_an_entry_that_is_not_a_number(value, integer):
+    """Ragged lists, null, bools, strings, NaN, infinities, ints beyond the float range,
+    and floats or ints beyond int64 where integers are asked for."""
+    with pytest.raises(TypeError, match="not a finite JSON"):
+        ci.number_array(value, integer=integer)
+
+
+def test_number_array_keeps_shape_and_bits():
+    values = [[0.1, -0.0, 2], [1e308, 5e-324, -7]]
+    out = ci.number_array(values)
+    assert out.dtype == np.float64 and out.shape == (2, 3)
+    assert out.tobytes() == np.array(values, dtype=float).tobytes()
+    assert ci.number_array([[2**63 - 1, -3]], integer=True).tolist() == [[2**63 - 1, -3]]
+    assert ci.number_array(4.5).shape == () and ci.number_array([]).shape == (0,)
+
+
+def test_is_number():
+    """A finite int or float, not a bool, within the float range; an int when asked."""
+    cases = [(1, True, True), (1.0, True, False), (True, False, False), (2**1100, False, False),
+             (float("nan"), False, False), (-1.5e308, False, True), ("1", False, False)]
+    assert [ci.is_number(v, integer=i) for v, i, _ in cases] == [e for _, _, e in cases]
 
 
 def test_jsonl_rejects_garbage():

@@ -92,11 +92,12 @@ def twelve_orbital_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def bad_ground_state_dir(fixture_dir, tmp_path_factory):
-    """The 2-orbital inputs next to faulty files: nineteen ``--ground-state`` files,
+    """The 2-orbital inputs next to faulty files: twenty-one ``--ground-state`` files,
     an FCIDUMP whose header (NELEC=3, MS2=0) names no sector, one whose header
     never ends, one with two lines setting the (2,2,2,2) integral to different
-    values, and an FCIDUMP and a dipole file whose entries overflow the float
-    range in the chain."""
+    values, an FCIDUMP and a dipole file whose entries overflow the float range
+    in the chain, and dipole files whose x[0][0] is a string, a bool or an int
+    beyond the float range."""
     out = tmp_path_factory.mktemp("bad_ground_state")
     for name in ("hamiltonian.fcidump", "dipoles.json"):
         shutil.copy(fixture_dir / name, out / name)
@@ -112,6 +113,9 @@ def bad_ground_state_dir(fixture_dir, tmp_path_factory):
     dipoles = json.loads((fixture_dir / "dipoles.json").read_text())
     dipoles["x"] = [[1e308, 0], [0, 1e308]]
     (out / "overflowing_dipoles.json").write_text(json.dumps(dipoles))
+    for name, entry in (("string", "0.123"), ("bool", True), ("int_beyond_float", 10**400)):
+        dipoles["x"] = [[entry, 0], [0, 1.0]]
+        (out / f"dipoles_{name}_entry.json").write_text(json.dumps(dipoles))
     (out / "overflowing.jsonl").write_text(
         '{"alpha": "10", "beta": "10", "re": 1e308, "im": 1e308}\n')
     (out / "repeated.jsonl").write_text('{"alpha": "10", "beta": "10", "re": 1.0}\n'
@@ -139,6 +143,10 @@ def bad_ground_state_dir(fixture_dir, tmp_path_factory):
                        ("float_mask", 1.5), ("bool_mask", True)):
         (out / f"{name}.json").write_text(json.dumps(
             {"n_orbitals": 2, "basis": [[mask, 1]], "energies": [0.0], "coeffs": [[1.0]]}))
+    for name, energies, coeffs in (("string_energy", ["0.0"], [[1.0]]),
+                                   ("bool_coeff", [0.0], [[True]])):
+        (out / f"{name}.json").write_text(json.dumps(
+            {"n_orbitals": 2, "basis": [[1, 1]], "energies": energies, "coeffs": coeffs}))
     for name, count in (("string_orbitals", "2"), ("bool_orbitals", True)):
         (out / f"{name}.json").write_text(json.dumps(
             {"n_orbitals": count, "basis": [[1, 1]], "energies": [0.0], "coeffs": [[1.0]]}))
@@ -398,6 +406,22 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
     user_input("oracle_dipoles_overflow",
                ["oracle", "--eta", "0.02", "--dipoles", "{inputs}/overflowing_dipoles.json"],
                "invalid_config", inputs="bad_ground_state_dir"),
+    *(user_input(f"{prefix}dipoles_{name}_entry",
+                 [*command, "--dipoles", f"{{inputs}}/dipoles_{name}_entry.json"],
+                 "invalid_config", inputs="bad_ground_state_dir")
+      for prefix, command in (("", EXACT), ("oracle_", ["oracle", "--eta", "0.02"]))
+      for name in ("string", "bool", "int_beyond_float")),
+    user_input("ground_state_eigensystem_string_energy",
+               ["spectrum", "--ground-state", "{inputs}/string_energy.json", "--delta", "2.0"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("ground_state_eigensystem_bool_coeff",
+               ["spectrum", "--ground-state", "{inputs}/bool_coeff.json", "--delta", "2.0"],
+               "invalid_config", inputs="bad_ground_state_dir"),
+    *(user_input(f"{prefix}{name}", [*command, "--eta", "0.02", "--delta", "2.0", *flags],
+                 "no_dipole_intensity")
+      for prefix, command in (("", ["spectrum", "--mode", "exact"]), ("oracle_", ["oracle"]))
+      for name, flags in (("cvs_keeps_no_determinant", ["--cvs", "0,1"]),
+                          ("q_zero", ["--q", "0,0,0"]))),
     user_input("series_over_budget", EXACT + ["--eta", "1e-4", "--epsilon-trunc", "1e-300"],
                "budget_exceeded"),
     user_input("oracle_grid_over_budget", ["oracle", "--eta", "1e-6", "--delta", "2.0"],

@@ -1,5 +1,6 @@
 """Tier-1 lint without a linter: no module imports a name it never uses, no package
-function imports, and the emulator side imports nothing from the oracle."""
+function imports, the emulator side imports nothing from the oracle, and every
+package reader of a JSON input checks its numbers with ``ci.number_array``."""
 import ast
 from pathlib import Path
 
@@ -82,4 +83,36 @@ def test_emulator_side_imports_nothing_from_the_oracle():
     found = [f"{module}: {name}" for module in EMULATOR_SIDE
              for name in imported_modules(ast.parse((PACKAGE / f"{module}.py").read_text()))
              if "oracle" in name.split(".")]
+    assert found == []
+
+
+# ``load_config``'s values go through the ``RunConfig`` rows, which use ``ci.is_number``.
+JSON_READERS_EXEMPT = {"cli.load_config"}
+
+
+def called_names(fn: ast.AST) -> set[str]:
+    """Names of the functions ``fn`` calls, as ``f`` for ``f(...)`` and ``a.f(...)``."""
+    return {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Attribute, ast.Name))}
+
+
+def readers_without_number_check(tree: ast.Module, module: str) -> list[str]:
+    """``module.function`` of each function that calls ``loads`` but not ``number_array``."""
+    return sorted(f"{module}.{fn.name}" for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and "loads" in called_names(fn) and "number_array" not in called_names(fn))
+
+
+def test_reader_walker_finds_each_site():
+    tree = ast.parse("def a(t):\n    return json.loads(t)\n"
+                     "def b(t):\n    return ci.number_array(json.loads(t))\n"
+                     "def c(t):\n    return loads(t)['x']\n")
+    assert readers_without_number_check(tree, "m") == ["m.a", "m.c"]
+
+
+def test_every_json_reader_checks_its_numbers():
+    found = [name for path in sorted(PACKAGE.glob("*.py"))
+             for name in readers_without_number_check(ast.parse(path.read_text()), path.stem)
+             if name not in JSON_READERS_EXEMPT]
     assert found == []

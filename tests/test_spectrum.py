@@ -341,6 +341,41 @@ def test_series_refuses_a_broadening_or_norm_product_not_finite_and_nonnegative(
         GreensSeries(**{**kwargs, field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("x", math.nan), ("x", math.inf), ("y", -math.nan), ("y", -math.inf),
+    ("moment0", math.nan), ("moment0", math.inf)])
+def test_series_refuses_a_bias_or_moment_that_is_not_finite(field, value):
+    """A NaN passes no ``>`` bound, so the bound is written as ``<=``."""
+    kwargs = dict(pair="xx", tau=0.1, eta=0.1, n_max=2, norm_product=0.5, moment0=0.01,
+                  x=[0.1, 0.2], y=[0.0, 0.1], shots=[10, 10], exact=True)
+    value = value if field == "moment0" else [0.1, value]
+    with pytest.raises(ValueError, match="norm product|moment0 must be finite"):
+        GreensSeries(**{**kwargs, field: value})
+
+
+def _series_doc_with(key, value):
+    """The exact baseline's xy series file with one field, or the first entry's value in
+    one column, replaced (a bool n there is ``True == 1``)."""
+    doc = json.loads((BASELINES / "exact_2orb" / "greens_xy.json").read_text())
+    if key in doc:
+        doc[key] = value
+    else:
+        column = ["n", "x", "y", "shots"].index(key)
+        doc["entries"][0][column] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("key, value", [
+    *((key, value) for key in ("tau", "eta", "n_max", "norm_product", "moment0")
+      for value in (True, "0.5", math.nan)),
+    ("shots", 1.7), ("n", True), ("x", "0.1"), ("y", None)])
+def test_series_file_refuses_a_value_that_is_not_a_json_number(key, value):
+    """Each number goes through ``ci.number_array``: no bool, string, null or NaN, and
+    n_max, n and the shot counts are integers."""
+    with pytest.raises(TypeError, match="JSON (number|integer)"):
+        series_from_json(_series_doc_with(key, value))
+
+
 @pytest.mark.parametrize("exact", ["false", 0, 1, None])
 def test_series_file_refuses_an_exact_flag_that_is_not_a_boolean(exact):
     doc = json.loads((BASELINES / "exact_2orb" / "greens_xy.json").read_text())
