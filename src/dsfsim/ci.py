@@ -234,10 +234,13 @@ def write_civector_jsonl(v: CIVector) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_civector_jsonl(text: str) -> CIVector:
-    """The state of a JSON-lines file, placed on its sector (``place_on_sector``)."""
+def read_civector_jsonl(text: str, n_orbitals: int | None = None) -> CIVector:
+    """The state of a JSON-lines file, placed on its sector (``place_on_sector``).
+
+    Every record must have ``n_orbitals`` orbitals when it is given, else as
+    many as the first one (ValueError naming the line).
+    """
     words, amplitudes = [], []
-    n_orbitals = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -246,14 +249,14 @@ def read_civector_jsonl(text: str) -> CIVector:
             alpha, beta = doc["alpha"], doc["beta"]
             if len(alpha) != len(beta):
                 raise ValueError("alpha and beta strings differ in length")
+            if n_orbitals is None:
+                n_orbitals = len(alpha)
+            elif len(alpha) != n_orbitals:
+                raise ValueError(f"{len(alpha)} orbitals, not {n_orbitals}")
             det = _string_to_bits(alpha, 0) | _string_to_bits(beta, 1)
             amp = complex(*number_array([doc["re"], doc.get("im", 0.0)]))
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"line {lineno}: bad CI-vector record ({exc})") from None
-        if n_orbitals is None:
-            n_orbitals = len(alpha)
-        elif len(alpha) != n_orbitals:
-            raise ValueError(f"line {lineno}: inconsistent orbital count")
         words.append(det)
         amplitudes.append(amp)
     if n_orbitals is None:

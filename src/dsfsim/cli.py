@@ -206,6 +206,18 @@ def _require_file(path_str: str, what: str) -> Path:
     return path
 
 
+def _read(path: Path, what: str, reader):
+    """``reader(path)``; a file it refuses is ``invalid_config`` naming the file,
+    and one whose sector exceeds ``ci.DENSE_CAP`` raises ``ci.SectorTooLarge``."""
+    try:
+        return reader(path)
+    except ci_mod.SectorTooLarge:
+        raise  # budget_exceeded, as for a solved sector over the cap
+    except (ValueError, LookupError, TypeError, ArithmeticError) as exc:
+        raise CliError("invalid_config",
+                       f"{what} file {path}: {type(exc).__name__}: {exc}") from None
+
+
 def _load_inputs(cfg: RunConfig):
     """Read the FCIDUMP and dipole files and check that they fit together.
 
@@ -213,11 +225,8 @@ def _load_inputs(cfg: RunConfig):
     """
     ham_path = _require_file(cfg.hamiltonian, "hamiltonian")
     dip_path = _require_file(cfg.dipoles, "dipole")
-    try:
-        h, header = read_fcidump_file(ham_path)
-        dip = load_dipole_json(dip_path.read_text())
-    except (ValueError, LookupError, TypeError) as exc:
-        raise CliError("invalid_config", f"{type(exc).__name__}: {exc}") from None
+    h, header = _read(ham_path, "hamiltonian", read_fcidump_file)
+    dip = _read(dip_path, "dipole", lambda path: load_dipole_json(path.read_text()))
     if dip.n_orbitals != h.n_orbitals:
         raise CliError("invalid_config", "dipole and Hamiltonian orbital counts differ")
     if any(c >= h.n_orbitals for c in cfg.cvs):
@@ -232,8 +241,9 @@ def _load_ground_state(cfg: RunConfig, h, header):
     A solved sector comes from ``n_alpha``/``n_beta``, else from the
     header's NELEC and MS2 (``ci.electron_sector``).  A header that names no
     sector, and a ground-state file that does not parse or whose orbital
-    count differs from the Hamiltonian's, are refused with ``invalid_config``;
-    a file whose sector exceeds ``ci.DENSE_CAP`` raises ``ci.SectorTooLarge``.
+    count differs from the Hamiltonian's (checked before any word is built),
+    are refused with ``invalid_config``; a file whose sector exceeds
+    ``ci.DENSE_CAP`` raises ``ci.SectorTooLarge``.
     """
     if cfg.ground_state == "solve":
         n_alpha, n_beta = cfg.n_alpha, cfg.n_beta   # both or neither (_check_config)
@@ -253,22 +263,13 @@ def _load_ground_state(cfg: RunConfig, h, header):
                            f"{h.n_orbitals} orbitals")
         eig = oracle.solve_sector(h, n_alpha, n_beta)
         return eig.eigenvector(0), eig
-    path = _require_file(cfg.ground_state, "ground state")
-    try:
-        text = path.read_text()
+    def read(path: Path):
+        text, n = path.read_text(), h.n_orbitals
         if path.suffix == ".jsonl":
-            psi0, eig = ci_mod.normalize(ci_mod.read_civector_jsonl(text)), None
-        else:
-            eig = oracle.eigensystem_from_json(text)
-            psi0 = eig.eigenvector(0)
-    except ci_mod.SectorTooLarge:
-        raise  # budget_exceeded, as for a solved sector over the cap
-    except (ValueError, LookupError, TypeError, ArithmeticError) as exc:
-        raise CliError("invalid_config",
-                       f"ground state file {path}: {type(exc).__name__}: {exc}") from None
-    if psi0.n_orbitals != h.n_orbitals:
-        raise CliError("invalid_config", "ground state and Hamiltonian orbital counts differ")
-    return psi0, eig
+            return ci_mod.normalize(ci_mod.read_civector_jsonl(text, n)), None
+        eig = oracle.eigensystem_from_json(text, n)
+        return eig.eigenvector(0), eig
+    return _read(_require_file(cfg.ground_state, "ground state"), "ground state", read)
 
 
 def _resolve_window(cfg: RunConfig, eig, eta: float) -> float:

@@ -151,18 +151,25 @@ class QVector:
 # FCIDUMP interchange format
 # ---------------------------------------------------------------------------
 
-_HEADER_FIELD = re.compile(r"([A-Za-z0-9]+)\s*=\s*([-0-9]+)")
+_HEADER_FIELD = re.compile(r"([A-Za-z0-9]+)\s*=\s*([^,\s=&/]*)")
+_WHOLE = re.compile(r"[-+]?[0-9]+")
+_READ_FIELDS = ("NORB", "NELEC", "MS2")   # the header fields this package uses
 
 
 def _split_header(lines: list[str]) -> tuple[dict[str, int], int]:
     """Integer namelist fields (NORB, NELEC, MS2, ...) of the header, and the
     index of the first body line.  The header ends at the first line that
-    holds ``&END`` or is a lone ``/``; a text without one raises FcidumpError."""
+    holds ``&END`` or is a lone ``/``; a text without one, and a NORB, NELEC
+    or MS2 that is not a whole integer, raise FcidumpError.  Other fields
+    whose value is not one (``UHF=.FALSE.``, ``ORBSYM=4*1``) are skipped."""
     body = next((i + 1 for i, line in enumerate(lines)
                  if "&END" in line.upper() or line.strip() == "/"), None)
     fields = {}
     for key, value in _HEADER_FIELD.findall(" ".join(lines[:body])):
-        fields[key.upper()] = int(value)
+        if _WHOLE.fullmatch(value):
+            fields[key.upper()] = int(value)
+        elif key.upper() in _READ_FIELDS:
+            raise FcidumpError(f"header field {key} must be a whole integer, not '{value}'")
     if "NORB" not in fields:
         raise FcidumpError("line 1: header is missing NORB")
     if body is None:
@@ -197,6 +204,8 @@ def parse_fcidump(text: str) -> Hamiltonian:
             continue
         if len(parts) != 5:
             raise FcidumpError(f"line {lineno}: expected 'value p q r s'")
+        if "_" in raw:  # float and int read "1_0" as 10
+            raise FcidumpError(f"line {lineno}: malformed number")
         try:
             value = float(parts[0])
             p, q, r, s = (int(t) for t in parts[1:])

@@ -291,17 +291,20 @@ def eigensystem_to_json(eig: EigenSystem) -> str:
     }, sort_keys=True)
 
 
-def eigensystem_from_json(text: str) -> EigenSystem:
+def eigensystem_from_json(text: str, n_orbitals: int | None = None) -> EigenSystem:
     """An eigensystem file, its ``coeffs`` rows placed on the sector of its basis
-    (``ci.place_on_sector``)."""
+    (``ci.place_on_sector``); ValueError unless its orbital count is
+    ``n_orbitals`` when that is given."""
     doc = json.loads(text)
-    n_orbitals, masks = doc["n_orbitals"], [(a, b) for a, b in doc["basis"]]
-    if not is_number(n_orbitals, integer=True):
-        raise TypeError(f"n_orbitals must be a JSON integer, not {n_orbitals!r}")
+    count, masks = doc["n_orbitals"], [(a, b) for a, b in doc["basis"]]
+    if not is_number(count, integer=True):
+        raise TypeError(f"n_orbitals must be a JSON integer, not {count!r}")
+    if n_orbitals is not None and count != n_orbitals:
+        raise ValueError(f"n_orbitals is {count}, not {n_orbitals}")
     words = [word(a, b) for a, b in number_array(masks, integer=True).tolist()]
     coeffs = number_array(doc["coeffs"])
     if coeffs.ndim != 2 or len(coeffs) != len(words):
         raise ValueError(f"coeffs have shape {coeffs.shape}, not one row per basis entry "
                          f"({len(words)})")
-    basis, coeffs = place_on_sector(n_orbitals, words, coeffs)
-    return EigenSystem(n_orbitals, basis, number_array(doc["energies"]), coeffs)
+    basis, coeffs = place_on_sector(count, words, coeffs)
+    return EigenSystem(count, basis, number_array(doc["energies"]), coeffs)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import ci as ci_mod
+from . import ci as ci_mod, floatrepr
 from .ci import CIVector, is_number, number_array
 from .emulator import IMAG, REAL, TrotterProgram, program_unitary, sector_apply
 from .operators import DipoleOperator, QVector, one_body_to_pauli
@@ -76,7 +76,7 @@ class GreensSeries:
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         object.__setattr__(self, "shots", np.asarray(self.shots, dtype=int))
         if self.pair not in PAIR_KEYS:
-            raise ValueError(f"unknown pair {self.pair!r}")
+            raise ValueError(f"unknown pair '{self.pair}'")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be a positive number")
         if not all(math.isfinite(v) and v >= 0 for v in (self.eta, self.norm_product)):
@@ -313,7 +313,7 @@ def measure_all(plan: RunPlan, states: DipoleStates, program: TrotterProgram,
     them with ``resample_series``.
     """
     if mode not in ("sampled", "exact"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ValueError(f"unknown mode '{mode}'")
     overlaps = dipole_overlaps(states, program, plan.n_max)
     series = {}
     for pair in PAIR_KEYS:
@@ -336,7 +336,7 @@ def measure_series(pair: str, plan: RunPlan, states: DipoleStates,
                    master_seed: int = 0) -> GreensSeries:
     """One pair of ``measure_all``; kept for callers that measure pair by pair."""
     if pair not in PAIR_KEYS:
-        raise ValueError(f"unknown pair {pair!r}")
+        raise ValueError(f"unknown pair '{pair}'")
     return measure_all(plan, states, program, mode, master_seed)[pair]
 
 
@@ -499,9 +499,12 @@ def cross_section(spectrum: Spectrum, ki_norm: float, kf_norm: float,
 # ---------------------------------------------------------------------------
 
 def series_to_json(series: GreensSeries) -> str:
-    entries = [list(row) for row in zip(series.n.tolist(), series.x.tolist(),
-                                        series.y.tolist(), series.shots.tolist())]
-    return json.dumps({
+    """The series as JSON with sorted keys, ``entries`` (first) holding one
+    ``[n, X_n, Y_n, shots_n]`` row per step; ``json.dumps`` writes the rest."""
+    rows = zip(series.n.tolist(), floatrepr.reprs(series.x), floatrepr.reprs(series.y),
+               series.shots.tolist())
+    entries = b", ".join(b"[%d, %s, %s, %d]" % row for row in rows).decode("ascii")
+    rest = json.dumps({
         "pair": series.pair,
         "tau": series.tau,
         "eta": series.eta,
@@ -509,8 +512,8 @@ def series_to_json(series: GreensSeries) -> str:
         "norm_product": series.norm_product,
         "moment0": series.moment0,
         "exact": series.exact,
-        "entries": entries,
     }, sort_keys=True)
+    return '{"entries": [' + entries + "], " + rest[1:]
 
 
 def series_from_json(text: str) -> GreensSeries:
@@ -518,9 +521,9 @@ def series_from_json(text: str) -> GreensSeries:
     doc = json.loads(text)
     entries, exact, n_max = doc["entries"], doc.get("exact", False), doc["n_max"]
     if type(exact) is not bool:
-        raise ValueError(f"exact must be a JSON boolean, not {exact!r}")
+        raise ValueError(f"exact must be a JSON boolean, not {json.dumps(exact)}")
     if not is_number(n_max, integer=True):
-        raise TypeError(f"n_max must be a JSON integer, not {n_max!r}")
+        raise TypeError(f"n_max must be a JSON integer, not {json.dumps(n_max)}")
     tau, eta, norm_product, moment0 = number_array(
         [doc["tau"], doc["eta"], doc["norm_product"], doc["moment0"]]).tolist()
     column = lambda i, integer: number_array([row[i] for row in entries], integer)
@@ -531,13 +534,20 @@ def series_from_json(text: str) -> GreensSeries:
 
 
 @functools.lru_cache(maxsize=1)
-def _csv_template(omega_bytes: bytes) -> str:
-    """The CSV of the grid whose float64 bits are given, with ``%r`` for each value.
+def _csv_template(omega_bytes: bytes) -> bytes:
+    """The CSV of the grid whose float64 bits are given, with ``%s`` for each value.
 
-    A float's repr holds no ``%``, so the grid text needs no escaping.
+    A float's repr holds no ``%``, so the grid text needs no escaping.  The
+    rows are formatted ``floatrepr.BLOCK_ROWS`` at a time: the row objects of
+    a whole 3,731-point grid at once raised a run's peak resident memory by
+    0.5 MB.
     """
-    rows = (f"{w!r},{w * HARTREE_TO_EV!r},%r\n" for w in np.frombuffer(omega_bytes).tolist())
-    return "omega_hartree,omega_ev,value\n" + "".join(rows)
+    omega, pieces = np.frombuffer(omega_bytes), [b"omega_hartree,omega_ev,value\n"]
+    for start in range(0, len(omega), floatrepr.BLOCK_ROWS):
+        block = omega[start:start + floatrepr.BLOCK_ROWS]
+        rows = zip(floatrepr.reprs(block), floatrepr.reprs(block * HARTREE_TO_EV))
+        pieces.append(b"".join(b"%s,%s,%%s\n" % row for row in rows))
+    return b"".join(pieces)
 
 
 def spectrum_to_csv(spectrum: Spectrum) -> str:
@@ -547,10 +557,11 @@ def spectrum_to_csv(spectrum: Spectrum) -> str:
     entry keyed by ``omega.tobytes()``, so the runs that write every spectrum
     on one grid format it once; grids that compare equal but print
     differently (a -0.0 point) have different bytes and never share an
-    entry.  One template string, filled by ``%``, holds less memory than a
-    string per row.
+    entry.  One template, filled by ``%``, holds less memory than a bytes
+    object per row.
     """
-    return _csv_template(spectrum.omega.tobytes()) % tuple(spectrum.values.tolist())
+    template = _csv_template(spectrum.omega.tobytes())
+    return (template % tuple(floatrepr.reprs(spectrum.values))).decode("ascii")
 
 
 def spectrum_from_csv(text: str) -> Spectrum:

@@ -96,20 +96,29 @@ def bad_ground_state_dir(fixture_dir, tmp_path_factory):
     an FCIDUMP whose header (NELEC=3, MS2=0) names no sector, one whose header
     never ends, one with two lines setting the (2,2,2,2) integral to different
     values, an FCIDUMP and a dipole file whose entries overflow the float range
-    in the chain, and dipole files whose x[0][0] is a string, a bool or an int
-    beyond the float range."""
+    in the chain, dipole files whose x[0][0] is a string, a bool or an int
+    beyond the float range, FCIDUMPs with a header field that is not a whole
+    integer or a body value with an underscore, and ground-state files with
+    more orbitals than the FCIDUMP."""
     out = tmp_path_factory.mktemp("bad_ground_state")
     for name in ("hamiltonian.fcidump", "dipoles.json"):
         shutil.copy(fixture_dir / name, out / name)
     text = (fixture_dir / "hamiltonian.fcidump").read_text()
     assert "NELEC=2,MS2=0," in text
     (out / "no_sector.fcidump").write_text(text.replace("NELEC=2,", "NELEC=3,"))
+    logical = text.replace("MS2=0,", "MS2=0,UHF=.FALSE.,").replace("ORBSYM=1,1,", "ORBSYM=2*1,")
+    assert "UHF=.FALSE.," in logical and "ORBSYM=2*1," in logical
+    (out / "logical.fcidump").write_text(logical)
     assert " &END\n" in text
     (out / "noend.fcidump").write_text(text.replace(" &END\n", ""))
     own = next(line for line in text.splitlines() if line.endswith(" 2 2 2 2"))
     (out / "conflicting.fcidump").write_text(text.replace(own, "9.0 2 2 2 2\n" + own))
     (out / "overflowing.fcidump").write_text(
         text.replace(own, "1e308" + own[own.index(" "):]))
+    for name, header in (("nelec_fraction", "NELEC=2.5,MS2=0,"), ("ms2_word", "NELEC=2,MS2=abc,"),
+                         ("ms2_empty", "NELEC=2,MS2=,")):
+        (out / f"{name}.fcidump").write_text(text.replace("NELEC=2,MS2=0,", header))
+    (out / "underscore.fcidump").write_text(text.replace(own, "1_0" + own[own.index(" "):]))
     dipoles = json.loads((fixture_dir / "dipoles.json").read_text())
     dipoles["x"] = [[1e308, 0], [0, 1e308]]
     (out / "overflowing_dipoles.json").write_text(json.dumps(dipoles))
@@ -121,6 +130,12 @@ def bad_ground_state_dir(fixture_dir, tmp_path_factory):
     (out / "repeated.jsonl").write_text('{"alpha": "10", "beta": "10", "re": 1.0}\n'
                                         '{"alpha": "10", "beta": "10", "re": -1.0}\n')
     (out / "three_orbitals.jsonl").write_text('{"alpha": "100", "beta": "100", "re": 1.0}\n')
+    # 64 orbitals whose last character is no occupation: only a count check
+    # made before the word is built names the orbital count.
+    wide = "1" + "0" * 62 + "2"
+    (out / "wide.jsonl").write_text(json.dumps({"alpha": wide, "beta": wide, "re": 1.0}) + "\n")
+    (out / "huge_orbitals.json").write_text(json.dumps(
+        {"n_orbitals": 2**40, "basis": [[1, 1]], "energies": [0.0], "coeffs": [[1.0]]}))
     (out / "no_re.jsonl").write_text('{"alpha": "10", "beta": "10", "im": 0.0}\n')
     for name, record in (("short_beta", '"alpha": "10", "beta": "1", "re": 1.0'),
                          ("re_bool", '"alpha": "10", "beta": "10", "re": true'),
@@ -203,12 +218,13 @@ def test_missing_dipole_file_error(fixture_dir, tmp_path):
     assert error["error"]["kind"] == "input_not_found"
 
 
-def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"):
-    """One CLI case: flags, an optional config document, and the input fixture."""
-    return pytest.param(args, expected, env, config, inputs, id=name)
+def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir", says=()):
+    """One CLI case: flags, an optional config document, the input fixture, and
+    the pieces of text the error message must hold."""
+    return pytest.param(args, expected, env, config, inputs, says, id=name)
 
 
-@pytest.mark.parametrize("args, expected, env, config, inputs", [
+@pytest.mark.parametrize("args, expected, env, config, inputs, says", [
     user_input("eta_not_a_number", SAMPLED + ["--eta", "abc"], "invalid_config"),
     user_input("eta_negative", SAMPLED + ["--eta", "-1"], "invalid_config"),
     user_input("oracle_cvs_outside_register",
@@ -257,6 +273,9 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
     user_input("oracle_header_names_no_sector",
                ["oracle", "--eta", "0.02", "--hamiltonian", "{inputs}/no_sector.fcidump"],
                "invalid_config", inputs="bad_ground_state_dir"),
+    user_input("header_fields_not_read_may_be_any_word",
+               EXACT + ["--hamiltonian", "{inputs}/logical.fcidump"], "exact_2orb",
+               inputs="bad_ground_state_dir"),
     user_input("sector_flags_override_the_header",
                EXACT + ["--hamiltonian", "{inputs}/no_sector.fcidump",
                         "--n-alpha", "1", "--n-beta", "1"], "exact_2orb",
@@ -408,9 +427,24 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
                "invalid_config", inputs="bad_ground_state_dir"),
     *(user_input(f"{prefix}dipoles_{name}_entry",
                  [*command, "--dipoles", f"{{inputs}}/dipoles_{name}_entry.json"],
-                 "invalid_config", inputs="bad_ground_state_dir")
+                 "invalid_config", inputs="bad_ground_state_dir",
+                 says=[f"dipole file {{inputs}}/dipoles_{name}_entry.json: TypeError"])
       for prefix, command in (("", EXACT), ("oracle_", ["oracle", "--eta", "0.02"]))
       for name in ("string", "bool", "int_beyond_float")),
+    *(user_input(f"{prefix}fcidump_{name}",
+                 [*command, "--hamiltonian", f"{{inputs}}/{name}.fcidump"],
+                 "invalid_config", inputs="bad_ground_state_dir",
+                 says=[f"hamiltonian file {{inputs}}/{name}.fcidump: FcidumpError", detail])
+      for prefix, command in (("", EXACT), ("oracle_", ["oracle", "--eta", "0.02"]))
+      for name, detail in (("nelec_fraction", "header field NELEC"),
+                           ("ms2_word", "header field MS2"), ("ms2_empty", "header field MS2"),
+                           ("underscore", "malformed number"))),
+    *(user_input(f"ground_state_{name}",
+                 ["spectrum", "--ground-state", f"{{inputs}}/{name}", "--delta", "2.0"],
+                 "invalid_config", inputs="bad_ground_state_dir",
+                 says=[f"ground state file {{inputs}}/{name}: ValueError", detail])
+      for name, detail in (("huge_orbitals.json", f"n_orbitals is {2**40}, not 2"),
+                           ("wide.jsonl", "64 orbitals, not 2"))),
     user_input("ground_state_eigensystem_string_energy",
                ["spectrum", "--ground-state", "{inputs}/string_energy.json", "--delta", "2.0"],
                "invalid_config", inputs="bad_ground_state_dir"),
@@ -429,9 +463,9 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
     user_input("series_size_overflows", EXACT + ["--delta", "1e300", "--eta", "1e-10"],
                "budget_exceeded"),
 ])
-def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs):
-    """A bad value is refused with a typed error, one JSON line on stderr and no
-    warning; an ignored one changes nothing."""
+def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs, says):
+    """A bad value is refused with a typed error, one JSON line on stderr (whose
+    message holds each of ``says``) and no warning; an ignored one changes nothing."""
     out = tmp_path / "run"
     directory = request.getfixturevalue(inputs)
     args = [a.replace("{inputs}", str(directory)) for a in args]
@@ -454,6 +488,8 @@ def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs):
         assert proc.returncode == 1
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
         assert json.loads(proc.stderr)["error"]["kind"] == expected
+        message = json.loads(proc.stderr)["error"]["message"]
+        assert all(part.replace("{inputs}", str(directory)) in message for part in says)
 
 
 def test_unusable_paths_are_refused(fixture_dir, tmp_path):

@@ -1,6 +1,7 @@
 """Tier-1 lint without a linter: no module imports a name it never uses, no package
-function imports, the emulator side imports nothing from the oracle, and every
-package reader of a JSON input checks its numbers with ``ci.number_array``."""
+function imports, the emulator side imports nothing from the oracle, every
+package reader of a JSON input checks its numbers with ``ci.number_array``, and
+``spectrum`` writes no number with ``repr`` (``floatrepr`` does)."""
 import ast
 from pathlib import Path
 
@@ -116,3 +117,25 @@ def test_every_json_reader_checks_its_numbers():
              for name in readers_without_number_check(ast.parse(path.read_text()), path.stem)
              if name not in JSON_READERS_EXEMPT]
     assert found == []
+
+
+def repr_sites(tree: ast.Module) -> list[int]:
+    """Lines that write a value as its ``repr``: a ``repr(...)`` call, an ``!r``
+    conversion or a string constant holding ``%r``."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "repr"
+                   or isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+                   or isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and "%r" in node.value})
+
+
+def test_repr_walker_finds_each_site():
+    tree = ast.parse('a = repr(x)\nb = f"{x!r} {y}"\nc = "%r," % x\nd = f"{x!s}" + str(x)\n')
+    assert repr_sites(tree) == [1, 2, 3]
+
+
+def test_spectrum_writes_numbers_through_floatrepr():
+    """``floatrepr`` is the one float-to-text path of the spectrum CSV and series
+    JSON writers; its per-entry fallback is the only ``repr`` they reach."""
+    assert repr_sites(ast.parse((PACKAGE / "spectrum.py").read_text())) == []

@@ -764,7 +764,7 @@ def test_spectrum_csv_matches_per_row_repr():
     assert spectrum_to_csv(Spectrum(signed, values, 0.05)).split("\n")[1] \
         == "-0.0,-0.0,-0.0"
     template = sp._csv_template(signed.tobytes())
-    assert isinstance(template, str) and template.split("\n")[1] == "-0.0,-0.0,%r"
+    assert isinstance(template, bytes) and template.split(b"\n")[1] == b"-0.0,-0.0,%s"
 
 
 def test_spectrum_grid_validation():
