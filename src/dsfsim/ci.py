@@ -90,13 +90,6 @@ def spin_counts(word: int, n_orbitals: int) -> tuple[int, int]:
     return n_alpha, word.bit_count() - n_alpha
 
 
-def ladder(word: int, so: int) -> tuple[float, int]:
-    """Sign and word of a_so on a word that occupies ``so``, or of a+_so on one
-    that does not: (-1)^(occupied spin orbitals below so), and bit so flipped."""
-    below = (word & ((1 << so) - 1)).bit_count()
-    return (-1.0 if below & 1 else 1.0), word ^ (1 << so)
-
-
 @dataclass(frozen=True)
 class CIVector:
     """Complex ``amplitudes[i]`` on word ``basis[i]`` of the sorted int64 words of a

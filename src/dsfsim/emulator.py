@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ci import check_dense
-from .pauli import PauliSum, word_phases
+from .pauli import PauliSum, z_signs
 
 REAL = "real"
 IMAG = "imag"
@@ -85,22 +85,30 @@ def _couplings(terms, basis: np.ndarray) -> list:
     g = f(b ^ x); the diagonal group has partner b.  Only the rows with
     g != 0 are kept, and their partners are positions in the sorted
     ``basis``.  A coupling out of the basis above ``SECTOR_TOL`` raises
-    ValueError.
+    ValueError.  Each g is summed from +0 in word order, a pass of groups at once.
     """
-    groups: dict[int, list[tuple[int, float]]] = {}
+    groups: dict[int, list[tuple[int, complex]]] = {}
     for coeff, x, z in terms:
-        groups.setdefault(x, []).append((z, coeff))
-    out = []
-    for x, words in groups.items():
-        src = basis ^ x
+        groups.setdefault(x, []).append((z, coeff * 1j ** (x & z).bit_count()))
+    by_size = sorted(groups, key=lambda x: -len(groups[x]))
+    out = {}
+    step = max(1, (1 << 14) // len(basis))   # groups per pass: ~1 MB of arrays at any d
+    for start in range(0, len(by_size), step):
+        xs = by_size[start:start + step]
+        src = basis ^ np.array(xs, dtype=basis.dtype)[:, None]
         partner = np.minimum(np.searchsorted(basis, src), len(basis) - 1)
         inside = basis[partner] == src
-        g = sum(coeff * word_phases(src, x, z) for z, coeff in words)
-        if np.max(np.abs(g[~inside]), initial=0.0) > SECTOR_TOL:
-            raise ValueError(f"X-mask {x:#x} couples the basis to words outside it")
-        rows = np.flatnonzero(inside & (g != 0))
-        out.append((rows, partner[rows], g[rows]))
-    return out
+        g = np.zeros(src.shape, dtype=complex)
+        for k in range(len(groups[xs[0]])):   # groups with a k-th word come first
+            z, phase = (np.array(v)[:, None] for v in
+                        zip(*(groups[x][k] for x in xs if len(groups[x]) > k)))
+            g[:len(z)] += phase * z_signs(src[:len(z)], z)
+        for x, inside_x, g_x, partner_x in zip(xs, inside, g, partner):
+            if np.max(np.abs(g_x[~inside_x]), initial=0.0) > SECTOR_TOL:
+                raise ValueError(f"X-mask {x:#x} couples the basis to words outside it")
+            rows = np.flatnonzero(inside_x & (g_x != 0))
+            out[x] = (rows, partner_x[rows], g_x[rows])
+    return [out[x] for x in groups]
 
 
 def _group_factors(prog: TrotterProgram, basis: np.ndarray) -> list:

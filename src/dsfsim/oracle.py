@@ -1,9 +1,10 @@
 """Exact-diagonalization reference built from Slater-Condon rules.
 
-Matrix elements are generated per row by enumerating single and double
-excitations of each determinant, with fermionic signs accumulated by
-applying ``ci.ladder`` in sequence (the ascending-qubit convention of the
-CI module, which also enumerates the sector as sorted occupation words).
+Matrix elements are built for a block of determinants at once, as numpy
+arrays over each determinant's single and double excitations.  A ladder
+operator on spin orbital so carries (-1)^(occupied spin orbitals below so),
+applied in sequence (the ascending-qubit convention of the CI module, which
+also enumerates the sector as sorted occupation words).
 Everything here is an independent route against which the qubit-side
 machinery is certified.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ci import (CIVector, NonFiniteValue, check_dense, cvs_mask, is_number, ladder, number_array,
+from .ci import (CIVector, NonFiniteValue, check_dense, cvs_mask, is_number, number_array,
                  place_on_sector, sector_dimension, sector_words, spin_counts, spin_masks, word)
 from .operators import DipoleOperator, Hamiltonian, QVector
 from .spectrum import Spectrum
@@ -23,17 +24,42 @@ from .spectrum import Spectrum
 GRAM_TOL = 1e-10
 
 
-def _occupied_spin_orbitals(det: int) -> list[int]:
-    out = []
-    while det:
-        low = det & -det
-        out.append(low.bit_length() - 1)
-        det ^= low
-    return out
+def _spin_orbitals(det: int, count: int) -> tuple[list, list, list, complex]:
+    """A word's occupied and empty spin orbitals in ascending order, for each spin
+    orbital so the sign (-1)^(occupied spin orbitals below so) of a ladder operator
+    on it, and its key (alpha mask) + i (beta mask)."""
+    occ, virt, signs, sign, masks = [], [], [], 1, [0, 0]
+    for so in range(count):
+        signs.append(sign)
+        if det >> so & 1:
+            occ.append(so)
+            sign = -sign
+            masks[so & 1] |= 1 << (so >> 1)
+        else:
+            virt.append(so)
+    return occ, virt, signs, complex(*masks)
+
+
+def _pairs(count: int) -> np.ndarray:
+    """(first, second) index arrays of the pairs i < j below ``count``, in
+    ``combinations`` order."""
+    return np.array(list(itertools.combinations(range(count), 2)), dtype=np.int64).reshape(-1, 2).T
 
 
 class _SlaterCondon:
-    """Row generator for <D'|H|D> in a fixed sector basis of occupation words."""
+    """<D'|H|D> over a basis of occupation words from one sector, a block of rows D at a time.
+
+    Each row's slots are its diagonal, each single m -> e, then each double
+    (m < n) -> (e < f), for m, n occupied and e, f virtual in ascending order; a
+    slot holds an entry when its element is nonzero (the diagonal always does).
+    Terms add in the Slater-Condon sums' order: the offset, each h_eff[p,p], then
+    each pair in ``combinations`` order; h_eff[e,m], then each other occupied
+    orbital's g terms; a double is g_emfn - g_enfm, with a_m, a_n, a+_f, a+_e in
+    turn.  A determinant is looked up by its key (alpha mask) + i (beta mask),
+    exact in floats.  Signs, keys and columns are worked out for the entries
+    alone, and numpy does no integer arithmetic or comparison here: each such
+    kernel a process first runs maps 64-128 kB more of numpy's code.
+    """
 
     def __init__(self, h: Hamiltonian, basis: list[int]):
         self.n = h.n_orbitals
@@ -43,88 +69,126 @@ class _SlaterCondon:
         self.g = h.two_body
         self.two_body = bool(np.any(self.g))   # else one-body: no g sums, no doubles
         self.offset = h.offset
-        self.index = {det: i for i, det in enumerate(basis)}
+        count = 2 * self.n   # spin orbitals, and the index of a dummy one that stands for none
+        self.orbital = np.array([so >> 1 for so in range(count)])
+        self.spin = np.array([float(so & 1) for so in range(count)])
+        # a -> b moves a key by bit(b) - bit(a); a+_b after a_a counts a below b if a < b
+        bits = [(1j if so & 1 else 1) * (1 << (so >> 1)) for so in range(count)] + [0]
+        self.move = np.array([[b - a for b in bits] for a in bits])
+        self.before = np.array([[-1.0 if a < b < count else 1.0 for b in range(count + 1)]
+                                for a in range(count + 1)])
+        self.n_occ = basis[0].bit_count() if basis else 0
+        self.n_virt = count - self.n_occ
+        self.occ = np.full((len(basis), self.n_occ + 1), count, dtype=np.int64)
+        self.virt = np.full((len(basis), self.n_virt + 1), count, dtype=np.int64)
+        self.sign = np.ones((len(basis), count + 1))
+        self.keys = np.empty(len(basis), dtype=complex)
+        self.row = np.arange(len(basis))
+        for i, det in enumerate(basis):   # one word's lists at a time
+            (self.occ[i, :-1], self.virt[i, :-1], self.sign[i, :-1],
+             self.keys[i]) = _spin_orbitals(det, count)
+        self.index = {key: i for i, key in enumerate(self.keys.tolist())}   # the last repeat wins
+        self.diagonal = self._diagonal(self.occ[:, :-1])
+        # each slot's two occupied and two virtual positions; n_occ and n_virt stand for none
+        singles = [(a, b) for a in range(self.n_occ) for b in range(self.n_virt)]
+        doubles = itertools.product(zip(*_pairs(self.n_occ)), zip(*_pairs(self.n_virt)))
+        self.slot = np.array([(self.n_occ, self.n_occ, self.n_virt, self.n_virt)]
+                             + [(a, self.n_occ, b, self.n_virt) for a, b in singles]
+                             + [(a, b, e, f) for (a, b), (e, f) in doubles if self.two_body],
+                             dtype=np.int64).T
+        self.slots = self.slot.shape[1]
 
-    def diagonal(self, det: int) -> float:
-        occ = _occupied_spin_orbitals(det)
-        val = self.offset
-        for so_m in occ:
-            val += self.h_eff[so_m >> 1, so_m >> 1]
-        for so_m, so_n in itertools.combinations(occ, 2) if self.two_body else ():
-            pm, pn = so_m >> 1, so_n >> 1
-            val += self.g[pm, pm, pn, pn]
-            if (so_m ^ so_n) & 1 == 0:  # same spin also gets exchange
-                val -= self.g[pm, pn, pn, pm]
-        return float(val)
+    def blocks(self):
+        """(rows, i, s, cols, vals) per block of rows: the row in the block, slot,
+        column and element of each entry, in row order and slot order within a row.
+        A block of d^2 / 16 slots (at least 512) takes about as much memory as the
+        d x d matrix it fills."""
+        d = len(self.keys)
+        step = max(1, max(d * d // 16, 1 << 9) // self.slots)
+        for start in range(0, d, step):
+            rows = slice(start, start + step)
+            vals = self._values(rows)
+            present = vals != 0.0
+            present[:, 0] = True
+            i, s = np.nonzero(present)
+            r, (o1, o2, v1, v2) = self.row[rows][i], self.slot[:, s]
+            m, n, e, f = self.occ[r, o1], self.occ[r, o2], self.virt[r, v1], self.virt[r, v2]
+            # a_m, then a_n (m < n), a+_f after both, a+_e after all three (e < f)
+            sign = (self.sign[r, m] * self.sign[r, n] * self.before[m, n] * self.sign[r, f]
+                    * self.before[m, f] * self.before[n, f] * self.sign[r, e]
+                    * self.before[m, e] * self.before[n, e])
+            cols = self.columns(self.keys[r] + self.move[m, e] + self.move[n, f])
+            yield rows, i, s, cols, sign * vals[i, s]
 
-    def row(self, det: int):
-        """Yield (column index, element) for all connected determinants."""
-        occ = _occupied_spin_orbitals(det)
-        virt = [so for so in range(2 * self.n) if not (det >> so) & 1]
-        yield self.index[det], self.diagonal(det)
-        # singles: m -> e, same spin
-        for so_m in occ:
-            s1, w1 = ladder(det, so_m)
-            pm = so_m >> 1
-            for so_e in virt:
-                if (so_e ^ so_m) & 1:
-                    continue
-                pe = so_e >> 1
-                s2, w2 = ladder(w1, so_e)
-                val = self.h_eff[pe, pm]
-                for so_o in occ if self.two_body else ():
-                    if so_o == so_m:
-                        continue
-                    po = so_o >> 1
-                    val += self.g[pe, pm, po, po]
-                    if (so_o ^ so_m) & 1 == 0:
-                        val -= self.g[pe, po, po, pm]
-                if val != 0.0:
-                    yield self.index[w2], s1 * s2 * val
-        # doubles: (m < n) -> (e < f), spin content preserved
-        for so_m, so_n in itertools.combinations(occ, 2) if self.two_body else ():
-            s1, w1 = ladder(det, so_m)
-            s2, w2 = ladder(w1, so_n)
-            spins_removed = ((so_m & 1) + (so_n & 1))
-            pm, pn = so_m >> 1, so_n >> 1
-            for so_e, so_f in itertools.combinations(virt, 2):
-                if (so_e & 1) + (so_f & 1) != spins_removed:
-                    continue
-                pe, pf = so_e >> 1, so_f >> 1
-                val = 0.0
-                if (so_e ^ so_m) & 1 == 0 and (so_f ^ so_n) & 1 == 0:
-                    val += self.g[pe, pm, pf, pn]
-                if (so_e ^ so_n) & 1 == 0 and (so_f ^ so_m) & 1 == 0:
-                    val -= self.g[pe, pn, pf, pm]
-                if val == 0.0:
-                    continue
-                s3, w3 = ladder(w2, so_f)
-                s4, w4 = ladder(w3, so_e)
-                yield self.index[w4], s1 * s2 * s3 * s4 * val
+    def columns(self, keys: np.ndarray) -> np.ndarray:
+        """The basis position of each key; ValueError if one is not in the basis."""
+        cols = list(map(self.index.get, keys.tolist()))
+        if None in cols:
+            raise ValueError("the basis leaves out a determinant it is coupled to")
+        return np.array(cols, dtype=np.int64)
+
+    def _values(self, rows: slice) -> np.ndarray:
+        """Each slot's element up to its ladder sign, shape (rows, slots)."""
+        occ, virt = self.occ[rows, :-1], self.virt[rows, :-1]
+        vals = np.empty((len(occ), self.slots))
+        vals[:, 0] = self.diagonal[rows]
+        m, e = occ[:, :, None], virt[:, None, :]   # singles m -> e, as (row, m, e)
+        pm, pe = self.orbital[m], self.orbital[e]
+        val = self.h_eff[pe, pm]
+        for k in range(self.n_occ) if self.two_body else ():   # each other occupied o
+            o = occ[:, k, None, None]
+            po, other = self.orbital[o], np.array([[j != k] for j in range(self.n_occ)])
+            val = val + np.where(other, self.g[pe, pm, po, po], 0.0)
+            val = val - np.where(other & (self.spin[o] == self.spin[m]),
+                                 self.g[pe, po, po, pm], 0.0)
+        at = 1 + val[0].size
+        vals[:, 1:at] = np.where(self.spin[m] == self.spin[e], val, 0.0).reshape(len(occ), -1)
+        if self.two_body:   # doubles (m < n) -> (e < f), as (row, (m, n), (e, f))
+            (mi, ni), (ei, fi) = _pairs(self.n_occ), _pairs(self.n_virt)
+            m, n, e, f = occ[:, mi, None], occ[:, ni, None], virt[:, None, ei], virt[:, None, fi]
+            pm, pn, pe, pf = self.orbital[m], self.orbital[n], self.orbital[e], self.orbital[f]
+            sm, sn, se, sf = self.spin[m], self.spin[n], self.spin[e], self.spin[f]
+            vals[:, at:] = (np.where((se == sm) & (sf == sn), self.g[pe, pm, pf, pn], 0.0)
+                            - np.where((se == sn) & (sf == sm), self.g[pe, pn, pf, pm], 0.0)
+                            ).reshape(len(occ), -1)
+        return vals
+
+    def _diagonal(self, occ: np.ndarray) -> np.ndarray:
+        p = self.orbital[occ]
+        val = np.full(len(occ), self.offset, dtype=float)
+        for k in range(self.n_occ):
+            val += self.h_eff[p[:, k], p[:, k]]
+        for k, l in itertools.combinations(range(self.n_occ), 2) if self.two_body else ():
+            val += self.g[p[:, k], p[:, k], p[:, l], p[:, l]]
+            val -= np.where(self.spin[occ[:, k]] == self.spin[occ[:, l]],   # same spin: exchange
+                            self.g[p[:, k], p[:, l], p[:, l], p[:, k]], 0.0)
+        return val
 
 
 def apply_one_body(m: np.ndarray, v: CIVector) -> CIVector:
     """Apply ``sum_{pq,s} m[p,q] a+_{ps} a_{qs}`` (``m`` symmetric) to a CI vector, on
-    its basis: each word's amplitude is its Slater-Condon row summed against ``v``."""
+    its basis: each word's amplitude is its Slater-Condon row summed against ``v``,
+    entry by entry in slot order from 0."""
     m = np.asarray(m, dtype=float)
     n = v.n_orbitals
     if m.shape != (n, n):
         raise ValueError("operator dimension does not match CI vector")
-    words = v.basis.tolist()
-    gen = _SlaterCondon(Hamiltonian(0.0, m, np.zeros((n,) * 4)), words)
-    amps = v.amplitudes.tolist()
-    out = [sum(val * amps[j] for j, val in gen.row(det)) for det in words]
-    return CIVector(n, v.basis, np.array(out, dtype=complex))
+    gen = _SlaterCondon(Hamiltonian(0.0, m, np.zeros((n,) * 4)), v.basis.tolist())
+    out = np.zeros(len(v.basis), dtype=complex)
+    for rows, i, s, cols, vals in gen.blocks():
+        terms = np.zeros((len(out[rows]), gen.slots), dtype=complex)
+        terms[i, s] = vals * v.amplitudes[cols]
+        for slot in range(gen.slots):   # +0 where a row has no entry
+            out[rows] += terms[:, slot]
+    return CIVector(n, v.basis, out)
 
 
 def build_ci_matrix(h: Hamiltonian, basis) -> np.ndarray:
     """Dense symmetric CI Hamiltonian over one sector's occupation words ``basis``."""
-    basis = [int(det) for det in basis]
-    gen = _SlaterCondon(h, basis)
-    mat = np.zeros((len(basis), len(basis)))
-    for i, det in enumerate(basis):
-        for j, val in gen.row(det):
-            mat[i, j] = val
+    gen = _SlaterCondon(h, [int(det) for det in basis])
+    mat = np.zeros((len(gen.keys), len(gen.keys)))
+    for rows, i, _, cols, vals in gen.blocks():
+        mat[rows][i, cols] = vals
     return mat
 
 
@@ -182,8 +246,7 @@ def solve_sector(h: Hamiltonian, n_alpha: int, n_beta: int) -> EigenSystem:
     check_dense(sector_dimension(h.n_orbitals, n_alpha, n_beta))
     basis = sector_words(h.n_orbitals, n_alpha, n_beta)
     mat = build_ci_matrix(h, basis)
-    offdiag = mat - np.diag(np.diag(mat))
-    if np.max(np.abs(offdiag), initial=0.0) == 0.0:
+    if np.count_nonzero(mat) == np.count_nonzero(np.diag(mat)):   # no copy lives through eigh
         # Exactly diagonal: stable sort keeps the lowest-index determinant
         # first among degenerate energies.
         order = np.argsort(np.diag(mat), kind="stable")

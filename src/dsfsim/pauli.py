@@ -204,12 +204,11 @@ def pauli_sum_dense(psum: PauliSum) -> np.ndarray:
     return out
 
 
-def _parity(values: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(values).astype(np.int64) & 1
+def z_signs(indices: np.ndarray, z) -> np.ndarray:
+    """(-1)^popcount(b & z) for each index b; an array of masks ``z`` broadcasts."""
+    return 1.0 - 2.0 * (np.bitwise_count(indices & z).astype(np.int64) & 1)
 
 
 def word_phases(indices: np.ndarray, x: int, z: int) -> np.ndarray:
     """Phase lambda(b) with ``W |b> = lambda(b) |b ^ x>`` for each index b."""
-    ny = (x & z).bit_count()
-    sign = 1.0 - 2.0 * _parity(indices & z)
-    return (1j**ny) * sign
+    return (1j ** (x & z).bit_count()) * z_signs(indices, z)

@@ -569,7 +569,9 @@ def spectrum_from_csv(text: str) -> Spectrum:
     if not lines or lines[0] != "omega_hartree,omega_ev,value":
         raise ValueError("unrecognized spectrum CSV header")
     omega, values = [], []
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], start=1):
+        if "_" in ln:  # float reads "1_0" as 10
+            raise ValueError(f"row {row}: malformed number")
         w, _, v = ln.split(",")
         omega.append(float(w))
         values.append(float(v))

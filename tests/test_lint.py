@@ -1,7 +1,8 @@
 """Tier-1 lint without a linter: no module imports a name it never uses, no package
-function imports, the emulator side imports nothing from the oracle, every
-package reader of a JSON input checks its numbers with ``ci.number_array``, and
-``spectrum`` writes no number with ``repr`` (``floatrepr`` does)."""
+function imports, the emulator side imports nothing from the oracle and the oracle
+nothing from ``emulator`` or ``pauli``, every package reader of a JSON input checks
+its numbers with ``ci.number_array``, and ``spectrum`` writes no number with
+``repr`` (``floatrepr`` does)."""
 import ast
 from pathlib import Path
 
@@ -42,8 +43,7 @@ def test_no_unused_imports():
 
 PACKAGE = ROOT / "src" / "dsfsim"
 # The oracle is the independent referee, so no emulator-side module is built from
-# its code; the rules both sides share (sector words, ladder signs, the CVS mask)
-# live in ``ci``.
+# its code; the rules both sides share (sector words, the CVS mask) live in ``ci``.
 EMULATOR_SIDE = ("ci", "pauli", "operators", "emulator", "spectrum")
 
 
@@ -84,6 +84,14 @@ def test_emulator_side_imports_nothing_from_the_oracle():
     found = [f"{module}: {name}" for module in EMULATOR_SIDE
              for name in imported_modules(ast.parse((PACKAGE / f"{module}.py").read_text()))
              if "oracle" in name.split(".")]
+    assert found == []
+
+
+def test_oracle_imports_nothing_from_the_emulator_or_pauli():
+    """The referee builds its matrices from Slater-Condon rules, never from the
+    Pauli sums or the X-mask couplings it certifies."""
+    found = [name for name in imported_modules(ast.parse((PACKAGE / "oracle.py").read_text()))
+             if {"emulator", "pauli"} & set(name.split("."))]
     assert found == []
 
 

@@ -742,6 +742,15 @@ def test_spectrum_csv_round_trip():
     assert np.array_equal(back.values, spec.values)
 
 
+@pytest.mark.parametrize("field", ["1_0", "0.5_5", "1e1_0"])
+def test_spectrum_csv_refuses_an_underscore(field):
+    """Python's ``float`` reads ``1_0`` as 10.0; the CSV reader refuses it, as
+    ``parse_fcidump`` does."""
+    for row in (f"0.5,13.6,{field}", f"{field},13.6,1.0", f"0.5,{field},1.0"):
+        with pytest.raises(ValueError, match="row 2: malformed number"):
+            spectrum_from_csv(f"omega_hartree,omega_ev,value\n0.1,2.7,1.0\n{row}\n")
+
+
 def reference_csv(spectrum):
     """The CSV formatted row by row: each number is the repr of its Python float."""
     rows = [f"{w!r},{w * sp.HARTREE_TO_EV!r},{v!r}"
