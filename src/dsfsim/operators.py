@@ -13,6 +13,7 @@ integrals instead.  Spatial orbital p with spin s maps to qubit ``2p + s``
 """
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ci import number_array
-from .pauli import LinearPauli, PauliSum, collapse, ladder
+from .pauli import LinearPauli, PauliSum, collapse, kept_coefficients, ladder
 
 SYMMETRY_TOL = 1e-12
 
@@ -310,18 +311,93 @@ def one_body_to_pauli(m: np.ndarray) -> PauliSum:
 # is the bare product X^x Z^z with coefficient a = c i**|x & z|, so
 # c = a * _I_INVERSE[|x & z| % 4]; either conversion is exact.
 _I_INVERSE = (1 + 0j, -1j, -1 + 0j, 1j)
+# Products E_pq E_rs per pass: each has at most 64 words, so a pass has at most 2^11.
+_PASS_PRODUCTS = 32
+
+
+def _bare_words(e: LinearPauli, shift: int) -> list[tuple[int, int, complex]]:
+    """(key x << shift | z, x, a) of each word of an accumulator, a its bare coefficient."""
+    return [(x << shift | z, x, c * _I_INVERSE[-(x & z).bit_count() % 4])
+            for (x, z), c in e.terms.items()]
+
+
+def _product_words(left: list, right: list) -> dict[int, list]:
+    """[S, i, j] for each word key of the product of two ``_bare_words`` lists: S its
+    bare coefficient, an exact sum over the pairs of words that multiply to it
+    (Z^z1 X^x2 = (-1)^|z1 & x2| X^x2 Z^z1), and i, j the positions of one pair."""
+    out: dict[int, list] = {}
+    for j, (k2, x2, a2) in enumerate(right):
+        for i, (k1, _, a1) in enumerate(left):
+            word = out.setdefault(k1 ^ k2, [0j, i, j])
+            word[0] += (-a1 if (k1 & x2).bit_count() & 1 else a1) * a2
+    return out
+
+
+def _order_types(orbitals: list[np.ndarray]) -> np.ndarray:
+    """Code of the order type of each (p, q, r, s): the sign of each pairwise
+    difference, read in base 3."""
+    code = np.zeros(len(orbitals[0]))
+    for a, b in itertools.combinations(orbitals, 2):
+        code = 3.0 * code + np.where(a < b, 0.0, np.where(a > b, 2.0, 1.0))
+    return code.astype(np.intp)
+
+
+class _ProductTable:
+    """The words of E_pq E_rs for each order type of (p, q, r, s) given.
+
+    The order type fixes everything but where the words sit: which pairs of
+    words multiply to the same word, and the exact sums S.  So a type is
+    worked out once, on orbitals 0..3 in its order, and its words are
+    listed by their keys there: the eight products that 8-fold symmetry
+    ties together hold the same words (E_qp holds the words of E_pq, and
+    keys commute), so they list them in the same order.  Row
+    ``first[code] + c`` holds word c of type ``code`` (which has ``count[code]``),
+    and ``pairs[code]`` lists, for each word, the positions i and j of one pair
+    of words of E_pq and E_rs whose product it is.
+    """
+
+    def __init__(self, codes: np.ndarray, orbitals: list[np.ndarray]):
+        rep = np.zeros(3 ** 6, dtype=np.intp)
+        rep[codes] = np.arange(len(codes))   # any product of each type stands for it
+        self.count, self.first = np.zeros(3 ** 6), np.zeros(3 ** 6)
+        self.pairs: dict[int, tuple[list, list]] = {}
+        excitations: dict[tuple, list] = {}
+        sums = []
+        for code in np.flatnonzero(np.bincount(codes, minlength=3 ** 6)).tolist():
+            pqrs = [int(o[rep[code]]) for o in orbitals]
+            rank = tuple(sorted(set(pqrs)).index(o) for o in pqrs)
+            for pair in (rank[:2], rank[2:]):
+                if pair not in excitations:
+                    excitations[pair] = _bare_words(_spin_excitation(*pair), 8)
+            words = sorted(_product_words(excitations[rank[:2]], excitations[rank[2:]]).items())
+            self.first[code], self.count[code] = len(sums), len(words)
+            sums += [s for _, (s, _, _) in words]
+            self.pairs[code] = [i for _, (_, i, _) in words], [j for _, (_, _, j) in words]
+        sums = np.array(sums, dtype=complex)
+        self.re, self.im = sums.real.copy(), sums.imag.copy()
+
+
+def _canonical_products(orbitals: list[np.ndarray], n: int) -> np.ndarray:
+    """Index ((p n + q) n + r) n + s of the representative of each (p, q, r, s) under
+    8-fold symmetry: p >= q, r >= s, and the pair (p, q) not below (r, s)."""
+    p, q, r, s = orbitals
+    hi1, lo1, hi2, lo2 = np.maximum(p, q), np.minimum(p, q), np.maximum(r, s), np.minimum(r, s)
+    first = hi1 * (hi1 + 1.0) / 2.0 + lo1 >= hi2 * (hi2 + 1.0) / 2.0 + lo2
+    pqrs = (np.where(first, a, b) for a, b in ((hi1, hi2), (lo1, lo2), (hi2, hi1), (lo2, lo1)))
+    index = np.zeros(len(p))
+    for o in pqrs:
+        index = index * n + o
+    return index.astype(np.intp)
 
 
 def jordan_wigner(h: Hamiltonian) -> PauliSum:
     """Map a Hamiltonian to its qubit representation.
 
     Each spin-summed excitation E_pq is a sum of at most 8 words, built from
-    ladder products.  For the two-body part 1/2 sum g_pqrs E_pq E_rs, a word
-    (x, z) is packed into the integer ``x << 2n | z`` and carried as a bare
-    product a X^x Z^z.  The product of two words is then one XOR of the
-    packed keys and the sign Z^z1 X^x2 = (-1)^|z1 & x2| X^x2 Z^z1; that sign
-    is worked out once per word of E_pq and X-mask of E_rs.  The running
-    totals are bare too, and become canonical coefficients at the end.
+    ladder products.  A word (x, z) is packed into the key ``x << 2n | z``
+    and carried as a bare product a X^x Z^z; the product of two words is one
+    XOR of the keys and the sign Z^z1 X^x2 = (-1)^|z1 & x2| X^x2 Z^z1.  The
+    running totals are bare too, and become canonical coefficients at the end.
 
     Accumulation-order contract, which keeps every coefficient bit-identical
     to multiplying the ladder-product sums term by term:
@@ -335,45 +411,76 @@ def jordan_wigner(h: Hamiltonian) -> PauliSum:
       one-body terms in (p, q) order, then the two-body terms in
       (p, q, r, s) order.
 
-    Negligible coefficients are dropped (see ``pauli.collapse``); the result
-    is Hermitian with purely real coefficients.
+    The exact sums come from ``_ProductTable``, and each word's total has a
+    slot: the keys of one product of each symmetry orbit find their slots
+    in a dict, and the orbit's other products take the same slots.  The
+    two-body terms then run in passes of ``_PASS_PRODUCTS`` products in
+    (p, q, r, s) order: the first rounding step is one float multiply of a
+    pass's arrays (real and imaginary parts apart), and the second is
+    ``np.add.at`` into the totals, which adds in entry order, so in
+    (p, q, r, s) order for each word.  Negligible coefficients are dropped
+    (see ``pauli.collapse``); the result is Hermitian with purely real
+    coefficients.
     """
     n = h.n_orbitals
     shift = 2 * n
     g = h.two_body.reshape(n * n, n * n)
-    # E_pq is built only where an integral uses it (a dipole has no two-body part)
-    used = (h.one_body.ravel() != 0.0) | g.any(axis=0) | g.any(axis=1)
-    excitations = [_spin_excitation(p, q) if used[p * n + q] else LinearPauli()
+    # E_pq is built only where an integral uses it or E_qp (a dipole has no two-body part)
+    used = ((h.one_body.ravel() != 0.0) | g.any(axis=0) | g.any(axis=1)).reshape(n, n)
+    excitations = [_spin_excitation(p, q) if used[p, q] or used[q, p] else LinearPauli()
                    for p in range(n) for q in range(n)]
     acc = LinearPauli()
     acc.add(complex(h.offset), 0, 0)
     for e, m in zip(excitations, h.one_body.flat):
         if abs(m) > 0.0:
             acc.add_sum(e, m)
-    bare = lambda x, z, c: c * _I_INVERSE[-(x & z).bit_count() % 4]
-    totals = {x << shift | z: bare(x, z, c) for (x, z), c in acc.terms.items()}
-    # (packed key, x, z, a) for each word of each E_pq, in pq = p * n + q order
-    words = [[(x << shift | z, x, z, bare(x, z, c)) for (x, z), c in e.terms.items()]
-             for e in excitations]
-    for left, g_pq in zip(words, g.tolist()):
-        signed: dict[int, list] = {}   # X-mask of a right word -> signed left words
-        for right, g_pqrs in zip(words, g_pq):
-            if g_pqrs == 0.0:
-                continue
-            product: dict[int, complex] = {}
-            for k2, x2, _, a2 in right:
-                lw = signed.get(x2)
-                if lw is None:
-                    lw = signed[x2] = [(k1, -a1 if (z1 & x2).bit_count() & 1 else a1)
-                                       for k1, _, z1, a1 in left]
-                for k1, a1 in lw:
-                    k = k1 ^ k2
-                    product[k] = product.get(k, 0j) + a1 * a2
-            half_g = 0.5 * g_pqrs
-            for k, a in product.items():
-                totals[k] = totals.get(k, 0j) + half_g * a
-    for k, a in totals.items():
+    start = _bare_words(acc, shift)
+    keys = [[k for k, _, _ in _bare_words(e, shift)] for e in excitations]
+    del excitations, acc
+    slot = {k: i for i, (k, _, _) in enumerate(start)}   # word key -> its totals' position
+    left, right = np.nonzero(g)   # the products E_pq E_rs with g_pqrs != 0, in order
+    p_of, q_of = np.repeat(np.arange(n, dtype=float), n), np.tile(np.arange(n, dtype=float), n)
+    orbitals = [p_of[left], q_of[left], p_of[right], q_of[right]]
+    canonical = _canonical_products(orbitals, n)
+    orbits = [divmod(orbit, n * n) for orbit in
+              np.flatnonzero(np.bincount(canonical, minlength=n ** 4)).tolist()]
+    pairs = [np.array(pair, dtype=np.intp) for pair in zip(*orbits)] or [left, right]
+    orbit_orbitals = [p_of[pairs[0]], q_of[pairs[0]], p_of[pairs[1]], q_of[pairs[1]]]
+    codes, orbit_codes = _order_types(orbitals), _order_types(orbit_orbitals)
+    table = _ProductTable(np.concatenate([codes, orbit_codes]),
+                          [np.concatenate(o) for o in zip(orbitals, orbit_orbitals)])
+    orbit_first = np.zeros(n ** 4)
+    counts = table.count[orbit_codes]
+    slots = np.empty(int(counts.sum()), dtype=np.intp)
+    at = 0
+    for (a, b), code in zip(orbits, orbit_codes.tolist()):
+        orbit_first[a * n * n + b] = at
+        ka, kb = keys[a], keys[b]
+        i, j = table.pairs[code]
+        slots[at:at + len(i)] = [slot.setdefault(ka[i] ^ kb[j], len(slot)) for i, j in zip(i, j)]
+        at += len(i)
+    words = list(slot)   # the key of each word, by slot
+    del slot, keys
+    re, im = np.zeros(len(words)), np.zeros(len(words))
+    re[:len(start)] = [a.real for _, _, a in start]
+    im[:len(start)] = [a.imag for _, _, a in start]
+    half_g = 0.5 * g[left, right]
+    for begin in range(0, left.size, _PASS_PRODUCTS):
+        span = slice(begin, begin + _PASS_PRODUCTS)
+        count = table.count[codes[span]]
+        product = np.repeat(np.arange(count.size), count.astype(np.intp))
+        word = np.arange(product.size, dtype=float) - (np.cumsum(count) - count)[product]
+        row = (table.first[codes[span]][product] + word).astype(np.intp)
+        at = slots[(orbit_first[canonical[span]][product] + word).astype(np.intp)]
+        np.add.at(re, at, half_g[span][product] * table.re[row])
+        np.add.at(im, at, half_g[span][product] * table.im[row])
+    kept, _ = kept_coefficients(np.hypot(re, im))
+    survivors = [words[i] for i in kept.tolist()]
+    del words
+    terms = {}
+    for k, a_re, a_im in zip(survivors, re[kept].tolist(), im[kept].tolist()):
         # + 0j turns the -0.0 a negated zero part may carry into the +0.0 of a total
-        totals[k] = a * _I_INVERSE[(k & k >> shift).bit_count() % 4] + 0j
-    mask = (1 << shift) - 1
-    return collapse(totals, shift, unpack=lambda k: (k >> shift, k & mask))
+        terms[k >> shift, k & (1 << shift) - 1] = (
+            complex(a_re, a_im) * _I_INVERSE[(k & k >> shift).bit_count() % 4] + 0j)
+    del survivors, re, im   # the sort in collapse is the peak
+    return collapse(terms, shift)

@@ -52,20 +52,30 @@ def multiply_words(x1: int, z1: int, x2: int, z2: int) -> tuple[complex, int, in
 
 
 def _word_key(n_qubits: int):
-    """Key function on ``(x, z)`` that orders words as ``masks_to_word`` does.
+    """Integer key function on ``(x, z)`` that orders words as ``masks_to_word`` does.
 
     Qubit q is the base-4 digit 2 z_q + (x_q ^ z_q), that is 0, 1, 2, 3 for
-    I, X, Y, Z, and qubit 0 is the most significant digit: a bit string
-    reversed and read in base 4 puts each bit in its own digit.
+    I, X, Y, Z, of weight 4**(n_qubits - 1 - q): qubit 0 is the most
+    significant digit.  ``digits[b]`` spreads the bits of a byte b into base-4
+    digits, bit 0 the most significant, so a mask is read a byte at a time.
     """
-    spec = f"0{n_qubits}b"
-    return lambda xz: (2 * int(format(xz[1], spec)[::-1], 4)
-                       + int(format(xz[0] ^ xz[1], spec)[::-1], 4))
+    digits = [0] * 256
+    for b in range(1, 256):
+        digits[b] = digits[b >> 1] >> 2 | (b & 1) << 14
+    shifts = range(0, n_qubits, 8)
+    pad = 2 * (8 * len(shifts) - n_qubits)   # the digits of the qubits past the register
+
+    def key(x: int, z: int) -> int:
+        y, out = x ^ z, 0
+        for shift in shifts:
+            out = out << 16 | digits[z >> shift & 255] << 1 | digits[y >> shift & 255]
+        return out >> pad
+    return key
 
 
 def _precedes(x1: int, z1: int, x2: int, z2: int) -> bool:
-    """Whether word 1 sorts strictly before word 2: compare the digits of
-    ``_word_key`` at the first qubit where the words differ."""
+    """Whether word 1 sorts strictly before word 2: ``_word_key`` compared at
+    its most significant differing digit, the first qubit where the words differ."""
     diff = (x1 ^ x2) | (z1 ^ z2)
     low = diff & -diff
     return diff != 0 and ((z1 & low != 0, (x1 ^ z1) & low != 0)
@@ -106,7 +116,7 @@ class PauliSum:
     @staticmethod
     def from_dict(terms: dict[tuple[int, int], float], n_qubits: int) -> "PauliSum":
         key = _word_key(n_qubits)
-        ordered = sorted(terms.items(), key=lambda kv: key(kv[0]))
+        ordered = sorted(terms.items(), key=lambda kv: key(*kv[0]))
         return PauliSum(n_qubits, tuple((float(c), x, z) for (x, z), c in ordered))
 
     @staticmethod
@@ -165,22 +175,27 @@ class LinearPauli:
         return out
 
 
-def collapse(terms: dict, n_qubits: int, unpack=None) -> PauliSum:
-    """Collapse complex word coefficients to a real-coefficient PauliSum.
+def kept_coefficients(magnitudes: np.ndarray) -> tuple[np.ndarray, float]:
+    """The positions ``collapse`` keeps among coefficients of these magnitudes
+    (``abs`` of each), and the scale max(1, the largest) its tolerances use."""
+    scale = max(1.0, float(np.max(magnitudes, initial=1.0)))
+    return np.flatnonzero(~(magnitudes < DROP_THRESHOLD * scale)), scale
 
-    Coefficients below ``DROP_THRESHOLD`` times max(1, the largest) are
-    dropped; a surviving imaginary part above ``IMAG_TOL`` on that scale
-    raises ValueError.  ``terms`` is keyed by ``(x, z)``, or by packed words
-    that ``unpack`` turns into ``(x, z)``.
+
+def collapse(terms: dict[tuple[int, int], complex], n_qubits: int) -> PauliSum:
+    """Collapse complex word coefficients, keyed by ``(x, z)``, to a real-coefficient PauliSum.
+
+    The coefficients ``kept_coefficients`` drops are left out; a surviving
+    imaginary part above ``IMAG_TOL`` times its scale raises ValueError.  A
+    sum cut to the words it keeps collapses the same: its largest word stays.
     """
-    scale = max(1.0, max(map(abs, terms.values()), default=1.0))
+    words, coeffs = list(terms), list(terms.values())
+    kept, scale = kept_coefficients(np.array([abs(c) for c in coeffs]))
     out: dict[tuple[int, int], float] = {}
-    for key, c in terms.items():
-        if abs(c) < DROP_THRESHOLD * scale:
-            continue
-        if abs(c.imag) > IMAG_TOL * scale:
+    for i in kept.tolist():
+        if abs(coeffs[i].imag) > IMAG_TOL * scale:
             raise ValueError("non-Hermitian accumulation: imaginary coefficient survives")
-        out[unpack(key) if unpack else key] = c.real
+        out[words[i]] = coeffs[i].real
     return PauliSum.from_dict(out, n_qubits)
 
 
