@@ -15,6 +15,7 @@ equivalence on small models.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,8 @@ def _couplings(terms, basis: np.ndarray) -> list:
     g = f(b ^ x); the diagonal group has partner b.  Only the rows with
     g != 0 are kept, and their partners are positions in the sorted
     ``basis``.  A coupling out of the basis above ``SECTOR_TOL`` raises
-    ValueError.  Each g is summed from +0 in word order, a pass of groups at once.
+    ValueError.  Each g is summed from +0 in word order, a pass of groups at
+    once, and a pass's rows are checked and taken out together.
     """
     groups: dict[int, list[tuple[int, complex]]] = {}
     for coeff, x, z in terms:
@@ -103,11 +105,17 @@ def _couplings(terms, basis: np.ndarray) -> list:
             z, phase = (np.array(v)[:, None] for v in
                         zip(*(groups[x][k] for x in xs if len(groups[x]) > k)))
             g[:len(z)] += phase * z_signs(src[:len(z)], z)
-        for x, inside_x, g_x, partner_x in zip(xs, inside, g, partner):
-            if np.max(np.abs(g_x[~inside_x]), initial=0.0) > SECTOR_TOL:
-                raise ValueError(f"X-mask {x:#x} couples the basis to words outside it")
-            rows = np.flatnonzero(inside_x & (g_x != 0))
-            out[x] = (rows, partner_x[rows], g_x[rows])
+        leak = np.max(np.where(inside, 0.0, np.abs(g)), axis=1, initial=0.0) > SECTOR_TOL
+        if leak.any():
+            raise ValueError(f"X-mask {xs[int(np.argmax(leak))]:#x} couples the basis "
+                             "to words outside it")
+        group, rows = np.nonzero(inside & (g != 0))   # group by group, rows ascending
+        ends = itertools.accumulate(np.bincount(group, minlength=len(xs)).tolist())
+        kept = rows, partner[group, rows], g[group, rows]
+        begin = 0
+        for x, end in zip(xs, ends):
+            out[x] = tuple(a[begin:end] for a in kept)
+            begin = end
     return [out[x] for x in groups]
 
 
@@ -117,14 +125,19 @@ def _group_factors(prog: TrotterProgram, basis: np.ndarray) -> list:
 
     A_x^2 = |f|^2 is diagonal, so the exponential maps c(b) to
     cos(theta r) c(b) - i sin(theta r) g c(b ^ x) / r with r = |g|; rows
-    without a coupling are left unchanged.
+    without a coupling are left unchanged.  The rows of all groups are
+    worked out in one pass.
     """
     theta = 0.5 * prog.dt
-    factors = []
-    for rows, partner, g in _couplings(prog.terms, basis):
-        g = g[:, None]
-        r = np.abs(g)
-        factors.append((rows, partner, np.cos(theta * r), -1j * np.sin(theta * r) / r * g))
+    couplings = _couplings(prog.terms, basis)
+    g = np.concatenate([g for _, _, g in couplings] or [np.zeros(0, dtype=complex)])[:, None]
+    r = np.abs(g)
+    cos, coupling = np.cos(theta * r), -1j * np.sin(theta * r) / r * g
+    factors, begin = [], 0
+    for rows, partner, _ in couplings:
+        end = begin + len(rows)
+        factors.append((rows, partner, cos[begin:end], coupling[begin:end]))
+        begin = end
     return factors
 
 

@@ -324,7 +324,8 @@ def _bare_words(e: LinearPauli, shift: int) -> list[tuple[int, int, complex]]:
 def _product_words(left: list, right: list) -> dict[int, list]:
     """[S, i, j] for each word key of the product of two ``_bare_words`` lists: S its
     bare coefficient, an exact sum over the pairs of words that multiply to it
-    (Z^z1 X^x2 = (-1)^|z1 & x2| X^x2 Z^z1), and i, j the positions of one pair."""
+    (Z^z1 X^x2 = (-1)^|z1 & x2| X^x2 Z^z1, and k1 & x2 is z1 & x2, the x bits of
+    a key lying above x2's), and i, j the positions of one pair."""
     out: dict[int, list] = {}
     for j, (k2, x2, a2) in enumerate(right):
         for i, (k1, _, a1) in enumerate(left):
@@ -425,7 +426,7 @@ def jordan_wigner(h: Hamiltonian) -> PauliSum:
     n = h.n_orbitals
     shift = 2 * n
     g = h.two_body.reshape(n * n, n * n)
-    # E_pq is built only where an integral uses it or E_qp (a dipole has no two-body part)
+    # E_pq is built where an integral uses it or E_qp (a dipole has no two-body part)
     used = ((h.one_body.ravel() != 0.0) | g.any(axis=0) | g.any(axis=1)).reshape(n, n)
     excitations = [_spin_excitation(p, q) if used[p, q] or used[q, p] else LinearPauli()
                    for p in range(n) for q in range(n)]
@@ -437,30 +438,35 @@ def jordan_wigner(h: Hamiltonian) -> PauliSum:
     start = _bare_words(acc, shift)
     keys = [[k for k, _, _ in _bare_words(e, shift)] for e in excitations]
     del excitations, acc
-    slot = {k: i for i, (k, _, _) in enumerate(start)}   # word key -> its totals' position
+
     left, right = np.nonzero(g)   # the products E_pq E_rs with g_pqrs != 0, in order
     p_of, q_of = np.repeat(np.arange(n, dtype=float), n), np.tile(np.arange(n, dtype=float), n)
     orbitals = [p_of[left], q_of[left], p_of[right], q_of[right]]
     canonical = _canonical_products(orbitals, n)
-    orbits = [divmod(orbit, n * n) for orbit in
-              np.flatnonzero(np.bincount(canonical, minlength=n ** 4)).tolist()]
-    pairs = [np.array(pair, dtype=np.intp) for pair in zip(*orbits)] or [left, right]
-    orbit_orbitals = [p_of[pairs[0]], q_of[pairs[0]], p_of[pairs[1]], q_of[pairs[1]]]
+    orbits = np.flatnonzero(np.bincount(canonical, minlength=n ** 4))
+    orbit_pairs = np.array([divmod(o, n * n) for o in orbits.tolist()], dtype=np.intp)
+    orbit_left, orbit_right = orbit_pairs.reshape(-1, 2).T
+    orbit_orbitals = [p_of[orbit_left], q_of[orbit_left], p_of[orbit_right], q_of[orbit_right]]
     codes, orbit_codes = _order_types(orbitals), _order_types(orbit_orbitals)
     table = _ProductTable(np.concatenate([codes, orbit_codes]),
                           [np.concatenate(o) for o in zip(orbitals, orbit_orbitals)])
-    orbit_first = np.zeros(n ** 4)
-    counts = table.count[orbit_codes]
-    slots = np.empty(int(counts.sum()), dtype=np.intp)
+    del orbitals, orbit_orbitals
+
+    # The slot of each word of each orbit's representative, found by its key; the
+    # totals of the words of start come first.
+    slot = {k: i for i, (k, _, _) in enumerate(start)}
+    slots = np.empty(int(table.count[orbit_codes].sum()), dtype=np.intp)
+    orbit_first = np.zeros(n ** 4)   # where an orbit's slots begin
     at = 0
-    for (a, b), code in zip(orbits, orbit_codes.tolist()):
-        orbit_first[a * n * n + b] = at
-        ka, kb = keys[a], keys[b]
-        i, j = table.pairs[code]
+    for orbit, a, b, code in zip(orbits.tolist(), orbit_left.tolist(), orbit_right.tolist(),
+                                 orbit_codes.tolist()):
+        orbit_first[orbit] = at
+        ka, kb, (i, j) = keys[a], keys[b], table.pairs[code]
         slots[at:at + len(i)] = [slot.setdefault(ka[i] ^ kb[j], len(slot)) for i, j in zip(i, j)]
         at += len(i)
-    words = list(slot)   # the key of each word, by slot
+    words = list(slot)   # the key of each slot
     del slot, keys
+
     re, im = np.zeros(len(words)), np.zeros(len(words))
     re[:len(start)] = [a.real for _, _, a in start]
     im[:len(start)] = [a.imag for _, _, a in start]
@@ -474,6 +480,7 @@ def jordan_wigner(h: Hamiltonian) -> PauliSum:
         at = slots[(orbit_first[canonical[span]][product] + word).astype(np.intp)]
         np.add.at(re, at, half_g[span][product] * table.re[row])
         np.add.at(im, at, half_g[span][product] * table.im[row])
+
     kept, _ = kept_coefficients(np.hypot(re, im))
     survivors = [words[i] for i in kept.tolist()]
     del words

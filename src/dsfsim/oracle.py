@@ -58,17 +58,15 @@ class _SlaterCondon:
     turn.  A determinant is looked up by its key (alpha mask) + i (beta mask),
     exact in floats.  Signs, keys and columns are worked out for the entries
     alone, and numpy does no integer arithmetic or comparison here: each such
-    kernel a process first runs maps 64-128 kB more of numpy's code.
+    kernel a process first runs maps 64-128 kB more of numpy's code.  The
+    constructor makes the per-word pass over the basis; ``use`` binds the
+    Hamiltonian, so operators on one basis share the pass.
     """
 
-    def __init__(self, h: Hamiltonian, basis: list[int]):
-        self.n = h.n_orbitals
+    def __init__(self, n_orbitals: int, basis: list[int]):
+        self.n = n_orbitals
         if len({spin_counts(det, self.n) for det in basis}) > 1:
             raise ValueError("basis mixes (N_e, S_z) sectors")
-        self.h_eff = h.core_one_body()
-        self.g = h.two_body
-        self.two_body = bool(np.any(self.g))   # else one-body: no g sums, no doubles
-        self.offset = h.offset
         count = 2 * self.n   # spin orbitals, and the index of a dummy one that stands for none
         self.orbital = np.array([so >> 1 for so in range(count)])
         self.spin = np.array([float(so & 1) for so in range(count)])
@@ -88,6 +86,14 @@ class _SlaterCondon:
             (self.occ[i, :-1], self.virt[i, :-1], self.sign[i, :-1],
              self.keys[i]) = _spin_orbitals(det, count)
         self.index = {key: i for i, key in enumerate(self.keys.tolist())}   # the last repeat wins
+
+    def use(self, h: Hamiltonian) -> "_SlaterCondon":
+        """Bind the Hamiltonian whose rows ``blocks`` yields; the per-word pass of
+        the basis is kept, so several operators on one basis share it."""
+        self.h_eff = h.core_one_body()
+        self.g = h.two_body
+        self.two_body = bool(np.any(self.g))   # else one-body: no g sums, no doubles
+        self.offset = h.offset
         self.diagonal = self._diagonal(self.occ[:, :-1])
         # each slot's two occupied and two virtual positions; n_occ and n_virt stand for none
         singles = [(a, b) for a in range(self.n_occ) for b in range(self.n_virt)]
@@ -97,6 +103,7 @@ class _SlaterCondon:
                              + [(a, b, e, f) for (a, b), (e, f) in doubles if self.two_body],
                              dtype=np.int64).T
         self.slots = self.slot.shape[1]
+        return self
 
     def blocks(self):
         """(rows, i, s, cols, vals) per block of rows: the row in the block, slot,
@@ -165,27 +172,33 @@ class _SlaterCondon:
         return val
 
 
-def apply_one_body(m: np.ndarray, v: CIVector) -> CIVector:
-    """Apply ``sum_{pq,s} m[p,q] a+_{ps} a_{qs}`` (``m`` symmetric) to a CI vector, on
-    its basis: each word's amplitude is its Slater-Condon row summed against ``v``,
-    entry by entry in slot order from 0."""
+def _one_body_rows(words: _SlaterCondon, m: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """``sum_{pq,s} m[p,q] a+_{ps} a_{qs}`` (``m`` symmetric) applied to amplitudes on
+    the basis of ``words``: each word's amplitude is its Slater-Condon row summed
+    against them, entry by entry in slot order from 0."""
     m = np.asarray(m, dtype=float)
-    n = v.n_orbitals
+    n = words.n
     if m.shape != (n, n):
         raise ValueError("operator dimension does not match CI vector")
-    gen = _SlaterCondon(Hamiltonian(0.0, m, np.zeros((n,) * 4)), v.basis.tolist())
-    out = np.zeros(len(v.basis), dtype=complex)
+    gen = words.use(Hamiltonian(0.0, m, np.zeros((n,) * 4)))
+    out = np.zeros(len(gen.keys), dtype=complex)
     for rows, i, s, cols, vals in gen.blocks():
         terms = np.zeros((len(out[rows]), gen.slots), dtype=complex)
-        terms[i, s] = vals * v.amplitudes[cols]
+        terms[i, s] = vals * amplitudes[cols]
         for slot in range(gen.slots):   # +0 where a row has no entry
             out[rows] += terms[:, slot]
-    return CIVector(n, v.basis, out)
+    return out
+
+
+def apply_one_body(m: np.ndarray, v: CIVector) -> CIVector:
+    """Apply ``sum_{pq,s} m[p,q] a+_{ps} a_{qs}`` (``m`` symmetric) to a CI vector, on its basis."""
+    words = _SlaterCondon(v.n_orbitals, v.basis.tolist())
+    return CIVector(v.n_orbitals, v.basis, _one_body_rows(words, m, v.amplitudes))
 
 
 def build_ci_matrix(h: Hamiltonian, basis) -> np.ndarray:
     """Dense symmetric CI Hamiltonian over one sector's occupation words ``basis``."""
-    gen = _SlaterCondon(h, [int(det) for det in basis])
+    gen = _SlaterCondon(h.n_orbitals, [int(det) for det in basis]).use(h)
     mat = np.zeros((len(gen.keys), len(gen.keys)))
     for rows, i, _, cols, vals in gen.blocks():
         mat[rows][i, cols] = vals
@@ -278,9 +291,10 @@ def transition_table(eig: EigenSystem, dipole: DipoleOperator,
     """Dipole transitions out of the ground state; ``eig.basis`` sorted by word.
     Each mu_a |Psi_0> keeps the words ``ci.cvs_mask`` keeps for ``core_orbitals``."""
     psi0 = eig.eigenvector(0)
+    words = _SlaterCondon(eig.n_orbitals, eig.basis.tolist())   # one pass for the three axes
     vecs = np.zeros((3, len(eig.basis)))   # mu_a |Psi_0> on the basis, one row per axis
     for i, axis in enumerate("xyz"):   # a symmetry-forbidden channel is a zero row
-        vecs[i] = apply_one_body(dipole.component(axis), psi0).amplitudes.real
+        vecs[i] = _one_body_rows(words, dipole.component(axis), psi0.amplitudes).real
     vecs[:, ~cvs_mask(eig.basis, core_orbitals, eig.n_orbitals)] = 0.0
     return TransitionTable(vecs @ eig.coeffs, vecs @ vecs.T)
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,3 +145,19 @@ def test_ladder_anticommutation():
     assert np.max(np.abs(a @ adag + adag @ a - np.eye(4))) < 1e-14
     assert np.max(np.abs(adag @ adag)) < 1e-14
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_word_key_orders_every_word_as_its_letters(n):
+    """The integer key sorts all 4**n words exactly as their strings under I < X < Y < Z,
+    qubit 0 first, and ``_precedes`` agrees with it on every pair."""
+    rank = {"I": "0", "X": "1", "Y": "2", "Z": "3"}
+    words = ["".join(w) for w in itertools.product("IXYZ", repeat=n)]
+    key = pauli._word_key(n)
+    by_key = sorted(words, key=lambda w: key(*pauli.word_to_masks(w)))
+    assert by_key == sorted(words, key=lambda w: [rank[c] for c in w])
+    assert len({key(*pauli.word_to_masks(w)) for w in words}) == len(words)
+    if n <= 2:
+        for w1, w2 in itertools.product(words, repeat=2):
+            m1, m2 = pauli.word_to_masks(w1), pauli.word_to_masks(w2)
+            assert pauli._precedes(*m1, *m2) == (key(*m1) < key(*m2))
