@@ -422,6 +422,12 @@ def jordan_wigner(h: Hamiltonian) -> PauliSum:
     (p, q, r, s) order for each word.  Negligible coefficients are dropped
     (see ``pauli.collapse``); the result is Hermitian with purely real
     coefficients.
+
+    Keys are XORed in Python, and numpy runs float, comparison and index
+    kernels only, in passes of at most 2^11 entries: the benchmark harness
+    maps its model in its own process, whose resident memory every later
+    run's peak inherits, and each integer or sort kernel a process first
+    runs maps 64 kB or more of numpy's code (``np.sign`` alone did).
     """
     n = h.n_orbitals
     shift = 2 * n

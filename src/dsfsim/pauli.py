@@ -52,7 +52,7 @@ def multiply_words(x1: int, z1: int, x2: int, z2: int) -> tuple[complex, int, in
 
 
 def _word_key(n_qubits: int):
-    """Integer key function on ``(x, z)`` that orders words as ``masks_to_word`` does.
+    """Integer key function on masks ``(x, z)`` that orders words as ``masks_to_word`` does.
 
     Qubit q is the base-4 digit 2 z_q + (x_q ^ z_q), that is 0, 1, 2, 3 for
     I, X, Y, Z, of weight 4**(n_qubits - 1 - q): qubit 0 is the most
@@ -65,7 +65,8 @@ def _word_key(n_qubits: int):
     shifts = range(0, n_qubits, 8)
     pad = 2 * (8 * len(shifts) - n_qubits)   # the digits of the qubits past the register
 
-    def key(x: int, z: int) -> int:
+    def key(xz: tuple[int, int]) -> int:
+        x, z = xz
         y, out = x ^ z, 0
         for shift in shifts:
             out = out << 16 | digits[z >> shift & 255] << 1 | digits[y >> shift & 255]
@@ -116,7 +117,7 @@ class PauliSum:
     @staticmethod
     def from_dict(terms: dict[tuple[int, int], float], n_qubits: int) -> "PauliSum":
         key = _word_key(n_qubits)
-        ordered = sorted(terms.items(), key=lambda kv: key(*kv[0]))
+        ordered = sorted(terms.items(), key=lambda kv: key(kv[0]))
         return PauliSum(n_qubits, tuple((float(c), x, z) for (x, z), c in ordered))
 
     @staticmethod
@@ -178,7 +179,7 @@ class LinearPauli:
 def kept_coefficients(magnitudes: np.ndarray) -> tuple[np.ndarray, float]:
     """The positions ``collapse`` keeps among coefficients of these magnitudes
     (``abs`` of each), and the scale max(1, the largest) its tolerances use."""
-    scale = max(1.0, float(np.max(magnitudes, initial=1.0)))
+    scale = float(np.max(magnitudes, initial=1.0))
     return np.flatnonzero(~(magnitudes < DROP_THRESHOLD * scale)), scale
 
 

@@ -154,10 +154,10 @@ def test_word_key_orders_every_word_as_its_letters(n):
     rank = {"I": "0", "X": "1", "Y": "2", "Z": "3"}
     words = ["".join(w) for w in itertools.product("IXYZ", repeat=n)]
     key = pauli._word_key(n)
-    by_key = sorted(words, key=lambda w: key(*pauli.word_to_masks(w)))
+    by_key = sorted(words, key=lambda w: key(pauli.word_to_masks(w)))
     assert by_key == sorted(words, key=lambda w: [rank[c] for c in w])
-    assert len({key(*pauli.word_to_masks(w)) for w in words}) == len(words)
+    assert len({key(pauli.word_to_masks(w)) for w in words}) == len(words)
     if n <= 2:
         for w1, w2 in itertools.product(words, repeat=2):
             m1, m2 = pauli.word_to_masks(w1), pauli.word_to_masks(w2)
-            assert pauli._precedes(*m1, *m2) == (key(*m1) < key(*m2))
+            assert pauli._precedes(*m1, *m2) == (key(m1) < key(m2))
