@@ -32,6 +32,9 @@ SECTOR_TOL = 1e-12  # largest coupling out of the basis taken as rounding
 # own, so the bits are those of one whole sweep): a 225-state sector takes two
 # chunks, as fast as one whole sweep, where 64 and 32 columns were slower.
 STEP_COLUMNS = 128
+# Coupled rows ``_group_factors`` works out at once: few enough that the pass's
+# temporaries stay well under the step's own memory.
+FACTOR_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -119,18 +122,9 @@ def _couplings(terms, basis: np.ndarray) -> list:
     return [out[x] for x in groups]
 
 
-def _group_factors(prog: TrotterProgram, basis: np.ndarray) -> list:
-    """exp(-i theta A_x) for each X-mask group A_x, in program order, on
-    ``basis``, at the half angle theta = dt / 2 of the symmetric step.
-
-    A_x^2 = |f|^2 is diagonal, so the exponential maps c(b) to
-    cos(theta r) c(b) - i sin(theta r) g c(b ^ x) / r with r = |g|; rows
-    without a coupling are left unchanged.  The rows of all groups are
-    worked out in one pass.
-    """
-    theta = 0.5 * prog.dt
-    couplings = _couplings(prog.terms, basis)
-    g = np.concatenate([g for _, _, g in couplings] or [np.zeros(0, dtype=complex)])[:, None]
+def _factors(couplings: list, theta: float) -> list:
+    """The factors of ``_group_factors`` for a pass of groups, whose rows are worked out at once."""
+    g = np.concatenate([g for _, _, g in couplings])[:, None]
     r = np.abs(g)
     cos, coupling = np.cos(theta * r), -1j * np.sin(theta * r) / r * g
     factors, begin = [], 0
@@ -139,6 +133,26 @@ def _group_factors(prog: TrotterProgram, basis: np.ndarray) -> list:
         factors.append((rows, partner, cos[begin:end], coupling[begin:end]))
         begin = end
     return factors
+
+
+def _group_factors(prog: TrotterProgram, basis: np.ndarray) -> list:
+    """exp(-i theta A_x) for each X-mask group A_x, in program order, on
+    ``basis``, at the half angle theta = dt / 2 of the symmetric step.
+
+    A_x^2 = |f|^2 is diagonal, so the exponential maps c(b) to
+    cos(theta r) c(b) - i sin(theta r) g c(b ^ x) / r with r = |g|; rows
+    without a coupling are left unchanged.  Groups are taken in passes of
+    at most ``FACTOR_ROWS`` rows (or one group).
+    """
+    theta = 0.5 * prog.dt
+    factors, chunk, rows = [], [], 0
+    for coupling in _couplings(prog.terms, basis):
+        if chunk and rows + len(coupling[0]) > FACTOR_ROWS:
+            factors += _factors(chunk, theta)
+            chunk, rows = [], 0
+        chunk.append(coupling)
+        rows += len(coupling[0])
+    return factors + _factors(chunk, theta) if chunk else factors
 
 
 def sector_apply(paulis: PauliSum, basis: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
