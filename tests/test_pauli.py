@@ -146,7 +146,6 @@ def test_ladder_anticommutation():
     assert np.max(np.abs(adag @ adag)) < 1e-14
 
 
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_word_key_orders_every_word_as_its_letters(n):
     """The integer key sorts all 4**n words exactly as their strings under I < X < Y < Z,

@@ -6,7 +6,7 @@ Slater-Condon entries for a block of determinants at once, and
 arrays.  Both keep every accumulation order of the per-row generator and the
 per-word ``sum`` kept here as references, so the bytes must match: a pairwise
 or ``reduceat`` sum moves them.  ``emulator._group_factors`` takes the cosines
-and sines of all groups in one pass, against the per-group loop kept here.
+and sines of a pass of groups at once, against the per-group loop kept here.
 """
 import itertools
 
