@@ -443,7 +443,7 @@ def jordan_wigner(h: Hamiltonian) -> PauliSum:
             acc.add_sum(e, m)
     start = _bare_words(acc, shift)
     keys = [[k for k, _, _ in _bare_words(e, shift)] for e in excitations]
-    del excitations, acc
+    del excitations, acc   # each del keeps the traced peak under the dict loop's (see tests)
 
     left, right = np.nonzero(g)   # the products E_pq E_rs with g_pqrs != 0, in order
     p_of, q_of = np.repeat(np.arange(n, dtype=float), n), np.tile(np.arange(n, dtype=float), n)
