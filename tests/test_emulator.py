@@ -6,7 +6,7 @@ from dsfsim import ci, emulator, fixtures
 from dsfsim.emulator import (IMAG, REAL, STEP_COLUMNS, apply_trotter, build_trotter,
                              hadamard_test_via_ancilla, program_unitary,
                              sector_apply, sector_expectation)
-from dsfsim.operators import QVector, jordan_wigner
+from dsfsim.operators import QVector, jordan_wigner, one_body_to_pauli
 from dsfsim.pauli import PauliSum, pauli_sum_dense
 from dsfsim.spectrum import plan_run
 
@@ -266,3 +266,32 @@ def test_build_rejects_bad_arguments():
     with pytest.raises(ValueError):
         build_trotter(psum, 0.0, 2)
 
+
+def _per_group_factors(prog, basis):
+    """The per-group loop that ``_group_factors`` replaced."""
+    theta = 0.5 * prog.dt
+    out = []
+    for rows, partner, g in emulator._couplings(prog.terms, basis):
+        g = g[:, None]
+        r = np.abs(g)
+        out.append((rows, partner, np.cos(theta * r), -1j * np.sin(theta * r) / r * g))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_group_factors_are_the_per_group_loop_bit_for_bit(n):
+    """Factors of a JW program and of a dipole's program on every sector of 1-4
+    orbitals, and on the 5-orbital register, whose rows take several passes."""
+    h, dipole = fixtures.generate(fixtures.ModelSpec(n, n, seed=n))
+    bases = ([np.arange(1 << 2 * n)] if n == 5 else
+             [ci.sector_words(n, a, b) for a in range(n + 1) for b in range(n + 1)])
+    for psum in (jordan_wigner(h), one_body_to_pauli(dipole.x)):
+        prog = build_trotter(psum, 0.37, 3)
+        for basis in bases:
+            got, want = emulator._group_factors(prog, basis), _per_group_factors(prog, basis)
+            assert len(got) == len(want)
+            for factor, ref in zip(got, want):
+                for a, b in zip(factor, ref):
+                    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if n == 5:
+        assert sum(len(rows) for rows, _, _, _ in got) > emulator.FACTOR_ROWS

@@ -5,8 +5,7 @@ Slater-Condon entries for a block of determinants at once, and
 ``emulator._couplings`` sums the words of many X-mask groups in one pass of
 arrays.  Both keep every accumulation order of the per-row generator and the
 per-word ``sum`` kept here as references, so the bytes must match: a pairwise
-or ``reduceat`` sum moves them.  ``emulator._group_factors`` takes the cosines
-and sines of a pass of groups at once, against the per-group loop kept here.
+or ``reduceat`` sum moves them.
 """
 import itertools
 
@@ -138,26 +137,6 @@ def reference_couplings(terms, basis: np.ndarray) -> list:
     return out
 
 
-def reference_group_factors(prog, basis: np.ndarray) -> list:
-    theta = 0.5 * prog.dt
-    factors = []
-    for rows, partner, g in reference_couplings(prog.terms, basis):
-        g = g[:, None]
-        r = np.abs(g)
-        factors.append((rows, partner, np.cos(theta * r), -1j * np.sin(theta * r) / r * g))
-    return factors
-
-
-def assert_same_factors(psum, basis: np.ndarray) -> None:
-    """The half-angle factors of a Trotter program of ``psum`` on ``basis``."""
-    prog = emulator.build_trotter(psum, 0.37, 3)
-    got, want = emulator._group_factors(prog, basis), reference_group_factors(prog, basis)
-    assert len(got) == len(want)
-    for factor, ref in zip(got, want):
-        for a, b in zip(factor, ref):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def assert_same_couplings(terms, basis: np.ndarray) -> None:
     got, want = emulator._couplings(terms, basis), reference_couplings(terms, basis)
     assert len(got) == len(want)
@@ -183,15 +162,13 @@ def assert_same_builds(h: Hamiltonian, dipole, basis: np.ndarray, seed: int) -> 
         assert got.tobytes() == reference_one_body(m, v).tobytes()
         assert_same_matrix(Hamiltonian(0.0, m, np.zeros((h.n_orbitals,) * 4)), basis)
         assert_same_couplings(one_body_to_pauli(m).terms, basis)
-        assert_same_factors(one_body_to_pauli(m), basis)
     assert_same_couplings(jordan_wigner(h).terms, basis)
-    assert_same_factors(jordan_wigner(h), basis)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_every_sector_is_built_bit_for_bit(n):
     """Every (N_alpha, N_beta) on 1-4 orbitals, the empty and full sectors too, on a
-    random model's Hamiltonian, its dipoles and its JW sum (couplings and factors)."""
+    random model's Hamiltonian, its dipoles and its JW sum."""
     h, dipole = fixtures.generate(fixtures.ModelSpec(n, n, seed=n))
     for n_alpha, n_beta in itertools.product(range(n + 1), repeat=2):
         assert_same_builds(h, dipole, sector_words(n, n_alpha, n_beta), seed=n_alpha + 5 * n_beta)
@@ -212,7 +189,6 @@ def test_register_couplings_are_built_bit_for_bit():
     assert len({x for _, x, _ in jordan_wigner(h).terms}) > (1 << 14) // len(register)
     assert_same_couplings(jordan_wigner(h).terms, register)
     assert_same_couplings(one_body_to_pauli(dipole.x).terms, register)
-    assert_same_factors(jordan_wigner(h), register)
 
 
 def test_unsorted_and_partial_bases_are_built_bit_for_bit():
