@@ -888,8 +888,9 @@ def test_eigensystem_file_basis_order_and_missing_words(fixture_dir, tmp_path):
 
 
 # sha256 over the six greens_*.json that the EXACT command writes from the oracle's
-# ground_state.jsonl, recorded when the dict CI vector was still in use.
-JSONL_ROUTE_DIGEST = "e2b28d2bfde000b54253b3505d441c8b1168c1e3e10530564736eaaf4ff6605b"
+# ground_state.jsonl, recorded when the step matrix became L^T L of one half sweep
+# (the earlier digest dated from the dict CI vector).
+JSONL_ROUTE_DIGEST = "d7066dbbd4cf648be84e4c3ce76519d6567ddf45c44e3a47fbae3615520eb4e6"
 
 
 def test_jsonl_ground_state_route_is_pinned(fixture_dir, tmp_path):

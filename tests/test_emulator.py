@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -160,16 +162,78 @@ def test_sector_expectation_of_ground_state_is_ground_energy(spec):
 
 def test_step_matrix_chunks_keep_the_bits_of_one_sweep():
     """On the 225-state ``ModelSpec(6, 4, 1)`` sector, wider than ``STEP_COLUMNS``,
-    the chunked build equals one sweep of the whole identity."""
+    the chunked half step equals one half sweep L of the whole identity, and the
+    step is the phase times (L^T L)^k."""
     spec = fixtures.ModelSpec(6, 4, 1)
     h, _ = fixtures.generate(spec)
     basis = ci.sector_words(spec.n_orbitals, *spec.sector)
     assert len(basis) > STEP_COLUMNS
     prog = build_trotter(jordan_wigner(h), 0.5, 2)
+    factors = emulator._group_factors(prog, basis)
+    lower = emulator._half(np.eye(len(basis), dtype=complex), factors)
+    assert np.array_equal(emulator._half_matrix(factors, len(basis)), lower)
+    # A general product, as the step takes; numpy's own ``lower.T @ lower`` is a
+    # symmetric rank-k update, which rounds differently.
+    product = np.ascontiguousarray(lower.T) @ lower
+    want = prog.phase_per_rep * np.linalg.matrix_power(product, prog.k)
+    assert np.array_equal(program_unitary(prog, basis), want)
+
+
+@pytest.mark.parametrize("spec", [fixtures.ModelSpec(6, 4, 1),
+                                  fixtures.ModelSpec(4, 4, seed=57, kind=fixtures.CORE_VALENCE_TOY,
+                                                     core_gap=20.0),
+                                  fixtures.TWO_ORBITAL_SPEC, fixtures.THREE_ORBITAL_SPEC,
+                                  fixtures.CORE_VALENCE_SPEC, fixtures.DIAGONAL_SPEC],
+                         ids=["rand6", "toy4", "two_orbital", "three_orbital",
+                              "core_valence", "diagonal"])
+def test_jw_factor_couplings_equal_their_partners_bit_for_bit(spec):
+    """A Jordan-Wigner sum has no odd-Y word, so each factor's row b and its
+    partner b ^ x hold the same cos and coupling bits: the factor is symmetric."""
+    h, _ = fixtures.generate(spec)
+    prog = build_trotter(jordan_wigner(h), 0.37, 3)
+    assert emulator._is_real(prog.terms)
+    bases = [ci.sector_words(spec.n_orbitals, *spec.sector)]
+    if spec.n_orbitals <= 3:
+        bases.append(np.arange(1 << 2 * spec.n_orbitals))   # every sector at once
+    for basis in bases:
+        for rows, partner, cos, coupling in emulator._group_factors(prog, basis):
+            position = np.full(len(basis), -1)
+            position[rows] = np.arange(len(rows))
+            mirror = position[partner]
+            assert (mirror >= 0).all() and np.array_equal(partner[mirror], rows)
+            assert cos[mirror].tobytes() == cos.tobytes()
+            assert coupling[mirror].tobytes() == coupling.tobytes()
+
+
+def test_odd_y_program_is_the_full_symmetric_sweep():
+    """A sum with odd-Y words is not a real matrix; its step sweeps the reversed
+    half as well and is the whole symmetric sweep to rounding."""
+    psum = random_pauli_sum(5, 20, seed=26)
+    prog = build_trotter(psum, 0.7, 3)
+    assert not emulator._is_real(prog.terms)
+    basis = np.arange(1 << 5)
     whole = emulator._sweep(np.eye(len(basis), dtype=complex),
                             emulator._group_factors(prog, basis))
     want = prog.phase_per_rep * np.linalg.matrix_power(whole, prog.k)
-    assert np.array_equal(program_unitary(prog, basis), want)
+    assert np.max(np.abs(program_unitary(prog) - want)) < 1e-13
+
+
+def test_is_real_counts_y_factors():
+    assert emulator._is_real(PauliSum.from_words([(0.3, "XX"), (0.2, "YY"), (0.1, "ZI")], 2).terms)
+    assert not emulator._is_real(PauliSum.from_words([(0.3, "XX"), (0.2, "XY")], 2).terms)
+    assert not emulator._is_real(PauliSum.from_words([(0.2, "YYY")], 3).terms)
+
+
+def test_real_program_sweeps_one_half(two_orb):
+    """A Jordan-Wigner program builds its step from one half sweep, an odd-Y
+    program from two."""
+    real = build_trotter(jordan_wigner(two_orb.h), 0.5, 2)
+    odd = build_trotter(random_pauli_sum(4, 12, seed=5), 0.5, 2)
+    for prog, basis, halves in ((real, two_orb.states.basis, 1), (odd, None, 2)):
+        with mock.patch.object(emulator, "_half_matrix",
+                               wraps=emulator._half_matrix) as half:
+            program_unitary(prog, basis)
+        assert half.call_count == halves
 
 
 def test_step_matrix_over_the_cap_is_refused():
