@@ -19,6 +19,8 @@ from typing import Iterable
 import numpy as np
 
 STATEVECTOR_QUBIT_CAP = 22  # 2^22 amplitudes, 64 MiB
+# Most orbitals an occupation word holds: bit 2p+s of an int64 word, p < 31.
+WORD_ORBITALS = 31
 # Largest dimension of a dense matrix the package builds: the CI matrix of a
 # sector and the Trotter step over it.
 DENSE_CAP = 4000

@@ -9,6 +9,7 @@ inputs, 1 otherwise).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -63,6 +64,14 @@ def _unset_or(check):
     return lambda value: value is None or check(value)
 
 
+def _is_energy(value) -> bool:
+    try:
+        parse_energy(value)
+    except CliError:
+        return False
+    return True
+
+
 SPECTRUM, BOTH = ("spectrum",), ("spectrum", "oracle")
 MODES = ["sampled", "exact"]
 
@@ -81,8 +90,8 @@ class RunConfig:
     """The ``spectrum`` and ``oracle`` run fields, one ``_row`` each.
 
     argparse, the config check, a command's field set and the manifest's
-    ``parameters`` all read the rows.  ``eta`` is checked by ``parse_energy``
-    and the ``n_alpha``/``n_beta`` pair rule by ``_check_config``.
+    ``parameters`` all read the rows.  The ``n_alpha``/``n_beta`` pair rule
+    is checked by ``_check_config``.
     """
     hamiltonian: str = _row("", BOTH, "a string", _string, help="FCIDUMP path")
     dipoles: str = _row("", BOTH, "a string", _string, help="dipole JSON path")
@@ -90,7 +99,9 @@ class RunConfig:
                              help="CI-vector .jsonl, eigensystem .json, or 'solve'")
     mode: str = _row("exact", SPECTRUM, "sampled or exact", lambda v: v in MODES,
                      choices=MODES)
-    eta: str = _row("0.06", BOTH, help="broadening, Hartree (or e.g. '1.63eV')")
+    eta: str = _row("0.06", BOTH, "a finite positive energy, in Hartree or as e.g. '1.63eV'",
+                    _is_energy,
+                    help="broadening, Hartree (or e.g. '1.63eV')")
     delta: float | None = _row(None, BOTH, "a finite positive energy in Hartree",
                                _unset_or(lambda v: ci_mod.is_number(v) and v > 0),
                                type=float, help="spectral window, Hartree")
@@ -159,7 +170,6 @@ def _check_config(cfg: RunConfig) -> None:
         if f.metadata["check"] and not f.metadata["check"](value):
             raise CliError("invalid_config",
                            f"{f.name} must be {f.metadata['must']}, got {value!r}")
-    parse_energy(cfg.eta)
     if (cfg.n_alpha is None) != (cfg.n_beta is None):
         raise CliError("invalid_config", "give n_alpha and n_beta together, or neither")
 
@@ -183,7 +193,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise CliError("invalid_config", f"config file {path} is not a JSON object")
         unknown = set(doc) - set(names)
         if unknown:
-            raise CliError("invalid_config", f"config fields that are not "
+            raise CliError("invalid_config", f"config file {path}: fields that are not "
                                              f"{args.command} flags: {sorted(unknown)}")
         for key, value in doc.items():
             setattr(cfg, key, value)
@@ -218,6 +228,16 @@ def _read(path: Path, what: str, reader):
                        f"{what} file {path}: {type(exc).__name__}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _overflow_in(what: str, path: str):
+    """Refuse a ``ci.NonFiniteValue`` raised inside as an overflow of the ``what`` file."""
+    try:
+        yield
+    except ci_mod.NonFiniteValue as exc:
+        raise CliError("invalid_config",
+                       f"{what} file {path}: an input value overflows: {exc}") from None
+
+
 def _load_inputs(cfg: RunConfig):
     """Read the FCIDUMP and dipole files and check that they fit together.
 
@@ -247,21 +267,24 @@ def _load_ground_state(cfg: RunConfig, h, header):
     """
     if cfg.ground_state == "solve":
         n_alpha, n_beta = cfg.n_alpha, cfg.n_beta   # both or neither (_check_config)
+        source = "n_alpha/n_beta"
         if n_alpha is None:
+            source = f"the header of hamiltonian file {cfg.hamiltonian}"
             nelec = header.get("NELEC", 0)
             if nelec <= 0:
                 raise CliError("invalid_config",
-                               "cannot solve: electron count unknown "
-                               "(set NELEC in FCIDUMP or n_alpha/n_beta)")
+                               f"cannot solve: electron count unknown in {source} "
+                               "(set NELEC there or n_alpha/n_beta)")
             try:
                 n_alpha, n_beta = ci_mod.electron_sector(nelec, header.get("MS2", 0))
             except ValueError as exc:
-                raise CliError("invalid_config", f"FCIDUMP header: {exc}") from None
+                raise CliError("invalid_config", f"{source}: {exc}") from None
         if not (0 <= n_alpha <= h.n_orbitals and 0 <= n_beta <= h.n_orbitals):
             raise CliError("invalid_config",
-                           f"sector ({n_alpha}, {n_beta}) does not fit "
+                           f"sector ({n_alpha}, {n_beta}) from {source} does not fit "
                            f"{h.n_orbitals} orbitals")
-        eig = oracle.solve_sector(h, n_alpha, n_beta)
+        with _overflow_in("hamiltonian", cfg.hamiltonian):
+            eig = oracle.solve_sector(h, n_alpha, n_beta)
         return eig.eigenvector(0), eig
     def read(path: Path):
         text, n = path.read_text(), h.n_orbitals
@@ -344,7 +367,7 @@ def _omega_grids(tau: float, eta: float, shift_ev: float,
     if size > SERIES_BUDGET:
         raise CliError("budget_exceeded",
                        f"n_max plus omega-grid points ({size}) exceed the series "
-                       f"budget {SERIES_BUDGET}")
+                       f"budget {SERIES_BUDGET}: raise eta or narrow delta")
     grid = sp.default_omega_grid(tau, eta)
     if len(grid) < 2:
         raise CliError("invalid_config",
@@ -361,7 +384,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = load_config(args)
     eta = cfg.eta_hartree
     h, dip, psi0, eig, delta = _load_run(cfg)
-    states = sp.prepare_dipole_states(psi0, dip, core_orbitals=cfg.cvs)
+    with _overflow_in("dipole", cfg.dipoles):
+        states = sp.prepare_dipole_states(psi0, dip, core_orbitals=cfg.cvs)
     try:
         plan = sp.plan_run(eta, delta, cfg.epsilon_trunc, cfg.shots,
                            states.moments, cfg.q_vectors, k=cfg.trotter_k)
@@ -370,12 +394,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError("invalid_config", str(exc)) from None
     grid, shown = _omega_grids(plan.tau, eta, cfg.shift_ev, plan)
-    psum = jordan_wigner(h)
-    if cfg.ground_state == "solve":
-        e0 = eig.ground_energy
-    else:  # a ground-state file's E0 is <psi0|H|psi0> on this FCIDUMP
-        e0 = emulator.sector_expectation(psum, psi0.basis, psi0.amplitudes)
-    prog = emulator.build_trotter(psum.shifted_identity(-e0), plan.tau, plan.k)
+    with _overflow_in("hamiltonian", cfg.hamiltonian):
+        psum = jordan_wigner(h)
+        if cfg.ground_state == "solve":
+            e0 = eig.ground_energy
+        else:  # a ground-state file's E0 is <psi0|H|psi0> on this FCIDUMP
+            e0 = emulator.sector_expectation(psum, psi0.basis, psi0.amplitudes)
+        prog = emulator.build_trotter(psum.shifted_identity(-e0), plan.tau, plan.k)
     series = sp.measure_all(plan, states, prog, cfg.mode, cfg.seed)
     outdir = _outdir(cfg.out)
     contribs = {}
@@ -395,7 +420,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = load_config(args)
     eta = cfg.eta_hartree
     _, dip, psi0, eig, delta = _load_run(cfg)
-    trans = oracle.transition_table(eig, dip, cfg.cvs)
+    with _overflow_in("dipole", cfg.dipoles):
+        trans = oracle.transition_table(eig, dip, cfg.cvs)
     try:
         sp.pair_weights(trans.reference_moments, cfg.q_vectors)
     except sp.NoDipoleIntensity as exc:
@@ -531,7 +557,7 @@ def main(argv=None) -> int:
         kind, message, code = exc.kind, str(exc), exc.exit_code
     except ci_mod.SectorTooLarge as exc:  # refused before any large allocation
         kind, message, code = "budget_exceeded", str(exc), 1
-    except ci_mod.NonFiniteValue as exc:  # raised while the states and operators are built
+    except ci_mod.NonFiniteValue as exc:  # outside the stages that _overflow_in names
         kind, message, code = "invalid_config", f"an input value overflows: {exc}", 1
     except FileNotFoundError as exc:
         kind, message, code = "input_not_found", str(exc), EXIT_INPUT_NOT_FOUND

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ci import number_array
+from .ci import WORD_ORBITALS, number_array
 from .pauli import LinearPauli, PauliSum, collapse, kept_coefficients, ladder
 
 SYMMETRY_TOL = 1e-12
@@ -196,8 +196,9 @@ def parse_fcidump(text: str) -> Hamiltonian:
     lines = text.splitlines()
     fields, body = _split_header(lines)
     n = fields["NORB"]
-    if n < 1:
-        raise FcidumpError("line 1: NORB must be positive")
+    if not 1 <= n <= WORD_ORBITALS:   # checked before the n^4 two-body array is made
+        raise FcidumpError(f"line 1: NORB must be 1 to {WORD_ORBITALS}, the orbitals "
+                           f"an occupation word holds")
     values: dict[tuple, float] = {}   # 0-based index -> value; () is the offset
     for lineno, raw in enumerate(lines[body:], start=body + 1):
         parts = raw.split()

@@ -278,8 +278,13 @@ class TransitionTable:
     reference_moments: np.ndarray  # <Psi_0| mu_a mu_b |Psi_0>, shape (3, 3)
 
     def __post_init__(self):
+        """Checks the sum rule sum_k p[a, k] p[b, k] = <mu_a mu_b> to 1e-10 of the
+        largest moment (at least 1e-10): rounding grows with the moments."""
+        if not np.all(np.isfinite(self.reference_moments)):
+            raise NonFiniteValue("the dipole moments overflow the float range")
         sums = np.einsum("ak,bk->ab", self.table, self.table)
-        if np.max(np.abs(sums - self.reference_moments)) > 1e-10:
+        scale = max(1.0, float(np.max(np.abs(self.reference_moments))))
+        if np.max(np.abs(sums - self.reference_moments)) > 1e-10 * scale:
             raise ValueError("transition table violates the completeness sum rule")
 
     def component(self, axis: str) -> np.ndarray:

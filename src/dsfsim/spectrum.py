@@ -50,8 +50,8 @@ class Spectrum:
             raise ValueError("grid and values must share a shape")
         if len(self.omega) > 1 and np.any(np.diff(self.omega) <= 0):
             raise ValueError("omega grid must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("spectrum values must be finite")
+        if not (np.all(np.isfinite(self.omega)) and np.all(np.isfinite(self.values))):
+            raise ValueError("spectrum grid and values must be finite")
         if not (np.isfinite(self.eta) and self.eta >= 0):
             raise ValueError("eta must be a nonnegative number")
 
@@ -254,9 +254,12 @@ def prepare_dipole_states(ground: CIVector, dipole: DipoleOperator,
                                         ground.amplitudes) for axis in AXES])
     raw[~ci_mod.cvs_mask(basis, core_orbitals or (), n)] = 0.0
     norms = np.linalg.norm(raw, axis=0)
+    moments = (raw.conj().T @ raw).real
+    if not np.all(np.isfinite(moments)):
+        raise ci_mod.NonFiniteValue("the dipole moments overflow the float range")
     return DipoleStates(norms=dict(zip(AXES, map(float, norms))),
                         kets=raw / np.where(norms > 0.0, norms, 1.0),
-                        moments=(raw.conj().T @ raw).real, basis=basis, n_orbitals=n)
+                        moments=moments, basis=basis, n_orbitals=n)
 
 
 # ---------------------------------------------------------------------------

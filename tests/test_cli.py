@@ -29,6 +29,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # The baseline commands and files, as scripts/make_baselines.py defines them.
 _MAKE_BASELINES = runpy.run_path(str(ROOT / "scripts" / "make_baselines.py"))
+# The input kinds of the input-fault sweep, and the flag that passes each.
+_SWEEP = runpy.run_path(str(ROOT / "scripts" / "fault_sweep.py"))
 FIXTURE, EXACT, SAMPLED, EXACT_FILES, SAMPLED_FILES, RESOURCES = (
     _MAKE_BASELINES[name]
     for name in ("FIXTURE", "EXACT", "SAMPLED", "EXACT_FILES", "SAMPLED_FILES",
@@ -90,82 +92,16 @@ def twelve_orbital_dir(tmp_path_factory):
     return out
 
 
-@pytest.fixture(scope="module")
-def bad_ground_state_dir(fixture_dir, tmp_path_factory):
-    """The 2-orbital inputs next to faulty files: twenty-one ``--ground-state`` files,
-    an FCIDUMP whose header (NELEC=3, MS2=0) names no sector, one whose header
-    never ends, one with two lines setting the (2,2,2,2) integral to different
-    values, an FCIDUMP and a dipole file whose entries overflow the float range
-    in the chain, dipole files whose x[0][0] is a string, a bool or an int
-    beyond the float range, FCIDUMPs with a header field that is not a whole
-    integer or a body value with an underscore, and ground-state files with
-    more orbitals than the FCIDUMP."""
-    out = tmp_path_factory.mktemp("bad_ground_state")
-    for name in ("hamiltonian.fcidump", "dipoles.json"):
-        shutil.copy(fixture_dir / name, out / name)
-    text = (fixture_dir / "hamiltonian.fcidump").read_text()
-    assert "NELEC=2,MS2=0," in text
-    (out / "no_sector.fcidump").write_text(text.replace("NELEC=2,", "NELEC=3,"))
-    logical = text.replace("MS2=0,", "MS2=0,UHF=.FALSE.,").replace("ORBSYM=1,1,", "ORBSYM=2*1,")
-    assert "UHF=.FALSE.," in logical and "ORBSYM=2*1," in logical
-    (out / "logical.fcidump").write_text(logical)
-    assert " &END\n" in text
-    (out / "noend.fcidump").write_text(text.replace(" &END\n", ""))
-    own = next(line for line in text.splitlines() if line.endswith(" 2 2 2 2"))
-    (out / "conflicting.fcidump").write_text(text.replace(own, "9.0 2 2 2 2\n" + own))
-    (out / "overflowing.fcidump").write_text(
-        text.replace(own, "1e308" + own[own.index(" "):]))
-    for name, header in (("nelec_fraction", "NELEC=2.5,MS2=0,"), ("ms2_word", "NELEC=2,MS2=abc,"),
-                         ("ms2_empty", "NELEC=2,MS2=,")):
-        (out / f"{name}.fcidump").write_text(text.replace("NELEC=2,MS2=0,", header))
-    (out / "underscore.fcidump").write_text(text.replace(own, "1_0" + own[own.index(" "):]))
-    dipoles = json.loads((fixture_dir / "dipoles.json").read_text())
-    dipoles["x"] = [[1e308, 0], [0, 1e308]]
-    (out / "overflowing_dipoles.json").write_text(json.dumps(dipoles))
-    for name, entry in (("string", "0.123"), ("bool", True), ("int_beyond_float", 10**400)):
-        dipoles["x"] = [[entry, 0], [0, 1.0]]
-        (out / f"dipoles_{name}_entry.json").write_text(json.dumps(dipoles))
-    (out / "overflowing.jsonl").write_text(
-        '{"alpha": "10", "beta": "10", "re": 1e308, "im": 1e308}\n')
-    (out / "repeated.jsonl").write_text('{"alpha": "10", "beta": "10", "re": 1.0}\n'
-                                        '{"alpha": "10", "beta": "10", "re": -1.0}\n')
-    (out / "three_orbitals.jsonl").write_text('{"alpha": "100", "beta": "100", "re": 1.0}\n')
+# Faulty ground-state files that the input-fault sweep (scripts/fault_sweep.py)
+# does not write, by name.
+WIDE = "1" + "0" * 62 + "2"
+FILES = {
+    "no_states.json": '{"n_orbitals": 2, "basis": [[1, 1]], "energies": [], "coeffs": []}',
+    "zero.jsonl": '{"alpha": "10", "beta": "10", "re": 0.0}\n',
     # 64 orbitals whose last character is no occupation: only a count check
     # made before the word is built names the orbital count.
-    wide = "1" + "0" * 62 + "2"
-    (out / "wide.jsonl").write_text(json.dumps({"alpha": wide, "beta": wide, "re": 1.0}) + "\n")
-    (out / "huge_orbitals.json").write_text(json.dumps(
-        {"n_orbitals": 2**40, "basis": [[1, 1]], "energies": [0.0], "coeffs": [[1.0]]}))
-    (out / "no_re.jsonl").write_text('{"alpha": "10", "beta": "10", "im": 0.0}\n')
-    for name, record in (("short_beta", '"alpha": "10", "beta": "1", "re": 1.0'),
-                         ("re_bool", '"alpha": "10", "beta": "10", "re": true'),
-                         ("im_bool", '"alpha": "10", "beta": "10", "re": 1.0, "im": true')):
-        (out / f"{name}.jsonl").write_text("{" + record + "}\n")
-    (out / "zero.jsonl").write_text('{"alpha": "10", "beta": "10", "re": 0.0}\n')
-    (out / "no_basis.json").write_text(
-        json.dumps({"n_orbitals": 2, "energies": [0.0], "coeffs": [[1.0]]}))
-    (out / "no_states.json").write_text(
-        json.dumps({"n_orbitals": 2, "basis": [[1, 1]], "energies": [], "coeffs": []}))
-    (out / "short.json").write_text(json.dumps(
-        {"n_orbitals": 2, "basis": [[1, 1], [1, 2], [2, 1], [2, 2]], "energies": [-0.2],
-         "coeffs": [[1.0]]}))
-    (out / "one_coeff.json").write_text(json.dumps(
-        {"n_orbitals": 2, "basis": [[1, 1], [1, 2], [2, 1], [2, 2]], "energies": [-0.2],
-         "coeffs": [[0.5]]}))
-    (out / "nan_coeff.json").write_text(
-        '{"n_orbitals": 2, "basis": [[1, 1]], "energies": [0.0], "coeffs": [[NaN]]}')
-    for name, mask in (("negative_mask", -1), ("mask_beyond_int64", 2**70),
-                       ("float_mask", 1.5), ("bool_mask", True)):
-        (out / f"{name}.json").write_text(json.dumps(
-            {"n_orbitals": 2, "basis": [[mask, 1]], "energies": [0.0], "coeffs": [[1.0]]}))
-    for name, energies, coeffs in (("string_energy", ["0.0"], [[1.0]]),
-                                   ("bool_coeff", [0.0], [[True]])):
-        (out / f"{name}.json").write_text(json.dumps(
-            {"n_orbitals": 2, "basis": [[1, 1]], "energies": energies, "coeffs": coeffs}))
-    for name, count in (("string_orbitals", "2"), ("bool_orbitals", True)):
-        (out / f"{name}.json").write_text(json.dumps(
-            {"n_orbitals": count, "basis": [[1, 1]], "energies": [0.0], "coeffs": [[1.0]]}))
-    return out
+    "wide.jsonl": json.dumps({"alpha": WIDE, "beta": WIDE, "re": 1.0}) + "\n",
+}
 
 
 def spectrum_args(fixture_dir, base, out):
@@ -218,13 +154,28 @@ def test_missing_dipole_file_error(fixture_dir, tmp_path):
     assert error["error"]["kind"] == "input_not_found"
 
 
-def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir", says=()):
-    """One CLI case: flags, an optional config document, the input fixture, and
-    the pieces of text the error message must hold."""
-    return pytest.param(args, expected, env, config, inputs, says, id=name)
+def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir", says=(),
+               mutation=None):
+    """One CLI case: flags, an optional config document, the input fixture, the
+    pieces of text the error message must hold, and the (kind, site, change) of
+    a mutation of the input-fault sweep.  ``{files}`` names the directory that
+    holds the ``FILES`` and the mutated file."""
+    return pytest.param(args, expected, env, config, inputs, says, mutation, id=name)
 
 
-@pytest.mark.parametrize("args, expected, env, config, inputs, says", [
+def swept(name, command, mutation, expected="invalid_config", says=()):
+    """A case whose faulty file is a mutation of the input-fault sweep, passed to
+    ``command`` by the flag of its kind."""
+    kind = _SWEEP["KINDS"][mutation[0]]
+    return user_input(name, [*command, kind.flag, f"{{files}}/{kind.file}"], expected, says=says,
+                      mutation=mutation)
+
+
+ORACLE = ["oracle", "--eta", "0.02"]
+GROUND_STATE = ["spectrum", "--delta", "2.0"]
+
+
+@pytest.mark.parametrize("args, expected, env, config, inputs, says, mutation", [
     user_input("eta_not_a_number", SAMPLED + ["--eta", "abc"], "invalid_config"),
     user_input("eta_negative", SAMPLED + ["--eta", "-1"], "invalid_config"),
     user_input("oracle_cvs_outside_register",
@@ -267,19 +218,12 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
     user_input("config_n_beta_alone", ["spectrum"], "invalid_config", config={"n_beta": 1}),
     user_input("oracle_n_alpha_alone", ["oracle", "--eta", "0.02", "--n-alpha", "1"],
                "invalid_config"),
-    user_input("header_names_no_sector",
-               EXACT + ["--hamiltonian", "{inputs}/no_sector.fcidump"], "invalid_config",
-               inputs="bad_ground_state_dir"),
-    user_input("oracle_header_names_no_sector",
-               ["oracle", "--eta", "0.02", "--hamiltonian", "{inputs}/no_sector.fcidump"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("header_fields_not_read_may_be_any_word",
-               EXACT + ["--hamiltonian", "{inputs}/logical.fcidump"], "exact_2orb",
-               inputs="bad_ground_state_dir"),
-    user_input("sector_flags_override_the_header",
-               EXACT + ["--hamiltonian", "{inputs}/no_sector.fcidump",
-                        "--n-alpha", "1", "--n-beta", "1"], "exact_2orb",
-               inputs="bad_ground_state_dir"),
+    swept("header_names_no_sector", EXACT, ("fcidump", "line 1 MS2", "-1")),
+    swept("oracle_header_names_no_sector", ORACLE, ("fcidump", "line 1 MS2", "-1")),
+    swept("header_fields_not_read_may_be_any_word", EXACT, ("fcidump", "line 2 ORBSYM", "true"),
+          "exact_2orb"),
+    swept("sector_flags_override_the_header", EXACT + ["--n-alpha", "1", "--n-beta", "1"],
+          ("fcidump", "line 1 MS2", "-1"), "exact_2orb"),
     user_input("oracle_ground_state_not_a_flag",
                ["oracle", "--eta", "0.02", "--delta", "2.0",
                 "--ground-state", "{inputs}/missing.jsonl"], "invalid_config"),
@@ -344,113 +288,60 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
                ["resources", "--n-orbitals", "22", "--shots", "-60"], "invalid_config"),
     user_input("resources_table_shots_negative",
                ["resources", "--table", "18", "--shots", "-60"], "invalid_config"),
-    user_input("ground_state_orbitals_mismatched",
-               ["spectrum", "--ground-state", "{inputs}/three_orbitals.jsonl",
-                "--delta", "2.0"], "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("ground_state_record_without_re",
-               ["spectrum", "--ground-state", "{inputs}/no_re.jsonl", "--delta", "2.0"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("ground_state_eigensystem_without_basis",
-               ["spectrum", "--ground-state", "{inputs}/no_basis.json", "--delta", "2.0"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("ground_state_eigensystem_without_states",
-               ["spectrum", "--ground-state", "{inputs}/no_states.json", "--delta", "2.0"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("ground_state_eigensystem_negative_mask",
-               ["spectrum", "--ground-state", "{inputs}/negative_mask.json", "--delta", "2.0"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("ground_state_eigensystem_mask_beyond_int64",
-               ["spectrum", "--ground-state", "{inputs}/mask_beyond_int64.json",
-                "--delta", "2.0"], "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("ground_state_eigensystem_float_mask",
-               ["spectrum", "--ground-state", "{inputs}/float_mask.json", "--delta", "2.0"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("ground_state_eigensystem_string_orbital_count",
-               ["spectrum", "--ground-state", "{inputs}/string_orbitals.json",
-                "--delta", "2.0"], "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("ground_state_eigensystem_bool_mask",
-               ["spectrum", "--ground-state", "{inputs}/bool_mask.json", "--delta", "2.0"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("ground_state_eigensystem_bool_orbital_count",
-               ["spectrum", "--ground-state", "{inputs}/bool_orbitals.json",
-                "--delta", "2.0"], "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("ground_state_record_beta_shorter_than_alpha",
-               ["spectrum", "--ground-state", "{inputs}/short_beta.jsonl", "--delta", "2.0"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("ground_state_record_re_bool",
-               ["spectrum", "--ground-state", "{inputs}/re_bool.jsonl", "--delta", "2.0"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("ground_state_record_im_bool",
-               ["spectrum", "--ground-state", "{inputs}/im_bool.jsonl", "--delta", "2.0"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("ground_state_eigensystem_one_coeff_for_four_words",
-               ["spectrum", "--ground-state", "{inputs}/one_coeff.json", "--delta", "2.0"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("ground_state_eigensystem_nan_coeff",
-               ["spectrum", "--ground-state", "{inputs}/nan_coeff.json", "--delta", "2.0"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("ground_state_zero_norm",
-               ["spectrum", "--ground-state", "{inputs}/zero.jsonl", "--delta", "2.0"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("ground_state_eigensystem_short_coeffs",
-               ["spectrum", "--ground-state", "{inputs}/short.json", "--delta", "2.0"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("ground_state_norm_overflows",
-               ["spectrum", "--ground-state", "{inputs}/overflowing.jsonl", "--delta", "2.0"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("ground_state_determinant_repeated",
-               ["spectrum", "--ground-state", "{inputs}/repeated.jsonl", "--delta", "2.0"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("fcidump_overflows",
-               ["spectrum", "--hamiltonian", "{inputs}/overflowing.fcidump"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("oracle_fcidump_overflows",
-               ["oracle", "--eta", "0.02", "--hamiltonian", "{inputs}/overflowing.fcidump"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("fcidump_header_never_ends",
-               EXACT + ["--hamiltonian", "{inputs}/noend.fcidump"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("oracle_fcidump_header_never_ends",
-               ["oracle", "--eta", "0.02", "--hamiltonian", "{inputs}/noend.fcidump"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("fcidump_conflicting_integral",
-               EXACT + ["--hamiltonian", "{inputs}/conflicting.fcidump"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("oracle_fcidump_conflicting_integral",
-               ["oracle", "--eta", "0.02", "--hamiltonian", "{inputs}/conflicting.fcidump"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("dipoles_overflow",
-               ["spectrum", "--dipoles", "{inputs}/overflowing_dipoles.json"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("oracle_dipoles_overflow",
-               ["oracle", "--eta", "0.02", "--dipoles", "{inputs}/overflowing_dipoles.json"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    *(user_input(f"{prefix}dipoles_{name}_entry",
-                 [*command, "--dipoles", f"{{inputs}}/dipoles_{name}_entry.json"],
-                 "invalid_config", inputs="bad_ground_state_dir",
-                 says=[f"dipole file {{inputs}}/dipoles_{name}_entry.json: TypeError"])
-      for prefix, command in (("", EXACT), ("oracle_", ["oracle", "--eta", "0.02"]))
-      for name in ("string", "bool", "int_beyond_float")),
-    *(user_input(f"{prefix}fcidump_{name}",
-                 [*command, "--hamiltonian", f"{{inputs}}/{name}.fcidump"],
-                 "invalid_config", inputs="bad_ground_state_dir",
-                 says=[f"hamiltonian file {{inputs}}/{name}.fcidump: FcidumpError", detail])
-      for prefix, command in (("", EXACT), ("oracle_", ["oracle", "--eta", "0.02"]))
-      for name, detail in (("nelec_fraction", "header field NELEC"),
-                           ("ms2_word", "header field MS2"), ("ms2_empty", "header field MS2"),
-                           ("underscore", "malformed number"))),
+    *(swept(f"ground_state_{name}", GROUND_STATE, mutation) for name, mutation in (
+        ("orbitals_mismatched", ("civector", "record 1 ['alpha']", '"100"')),
+        ("record_without_re", ("civector", "record 1 ['re']", "drop")),
+        ("eigensystem_without_basis", ("eigensystem", "['basis']", "drop")),
+        ("eigensystem_negative_mask", ("eigensystem", "['basis'][0][0]", "-1")),
+        ("eigensystem_mask_beyond_int64", ("eigensystem", "['basis'][0][0]", "2**63")),
+        ("eigensystem_float_mask", ("eigensystem", "['basis'][0][0]", "1.5")),
+        ("eigensystem_string_orbital_count", ("eigensystem", "['n_orbitals']", '"0.5"')),
+        ("eigensystem_bool_mask", ("eigensystem", "['basis'][0][0]", "true")),
+        ("eigensystem_bool_orbital_count", ("eigensystem", "['n_orbitals']", "true")),
+        ("record_beta_shorter_than_alpha", ("civector", "record 1 ['beta']", '""')),
+        ("record_re_bool", ("civector", "record 1 ['re']", "true")),
+        ("record_im_bool", ("civector", "record 1 ['im']", "true")),
+        ("eigensystem_one_coeff_for_four_words", ("eigensystem", "['coeffs'][0]", "drop")),
+        ("eigensystem_nan_coeff", ("eigensystem", "['coeffs'][0][0]", "NaN")),
+        ("eigensystem_short_coeffs", ("eigensystem", "['coeffs'][0]", "repeat")),
+        ("norm_overflows", ("civector", "record 1 ['re']", "1e300")),
+        ("determinant_repeated", ("civector", "line 1", "repeat")),
+        ("eigensystem_string_energy", ("eigensystem", "['energies'][0]", '"0.5"')),
+        ("eigensystem_bool_coeff", ("eigensystem", "['coeffs'][0][0]", "true")))),
+    swept("ground_state_huge_orbitals.json", GROUND_STATE,
+          ("eigensystem", "['n_orbitals']", "2**40"),
+          says=["ground state file {files}/eigensystem.json: ValueError",
+                f"n_orbitals is {2**40}, not 2"]),
     *(user_input(f"ground_state_{name}",
-                 ["spectrum", "--ground-state", f"{{inputs}}/{name}", "--delta", "2.0"],
-                 "invalid_config", inputs="bad_ground_state_dir",
-                 says=[f"ground state file {{inputs}}/{name}: ValueError", detail])
-      for name, detail in (("huge_orbitals.json", f"n_orbitals is {2**40}, not 2"),
-                           ("wide.jsonl", "64 orbitals, not 2"))),
-    user_input("ground_state_eigensystem_string_energy",
-               ["spectrum", "--ground-state", "{inputs}/string_energy.json", "--delta", "2.0"],
-               "invalid_config", inputs="bad_ground_state_dir"),
-    user_input("ground_state_eigensystem_bool_coeff",
-               ["spectrum", "--ground-state", "{inputs}/bool_coeff.json", "--delta", "2.0"],
-               "invalid_config", inputs="bad_ground_state_dir"),
+                 [*GROUND_STATE, "--ground-state", f"{{files}}/{file}"], "invalid_config",
+                 says=says)
+      for name, file, says in (
+          ("eigensystem_without_states", "no_states.json", ()), ("zero_norm", "zero.jsonl", ()),
+          ("wide.jsonl", "wide.jsonl", ["ground state file {files}/wide.jsonl: ValueError",
+                                        "64 orbitals, not 2"]))),
+    *(swept(f"{prefix}{name}", command, mutation,
+            says=[f"{what} file {{files}}/{file}: an input value overflows"])
+      for prefix, command in (("", ["spectrum"]), ("oracle_", ORACLE))
+      for name, mutation, what, file in (
+          ("fcidump_overflows", ("fcidump", "line 10 token 1", "1e308"), "hamiltonian",
+           "hamiltonian.fcidump"),
+          ("dipoles_overflow", ("dipoles", "['x'][0][0]", "1e308"), "dipole", "dipoles.json"))),
+    swept("fcidump_conflicting_integral", EXACT, ("fcidump", "line 10", "conflict")),
+    swept("oracle_fcidump_conflicting_integral", ORACLE, ("fcidump", "line 10", "conflict")),
+    swept("fcidump_header_never_ends", EXACT, ("fcidump", "line 4", "drop")),
+    swept("oracle_fcidump_header_never_ends", ORACLE, ("fcidump", "line 4", "drop")),
+    *(swept(f"{prefix}dipoles_{name}_entry", command, ("dipoles", "['x'][0][0]", value),
+            says=["dipole file {files}/dipoles.json: TypeError"])
+      for prefix, command in (("", EXACT), ("oracle_", ORACLE))
+      for name, value in (("string", '"0.5"'), ("bool", "true"), ("int_beyond_float", "10**399"))),
+    *(swept(f"{prefix}fcidump_{name}", command, ("fcidump", site, value),
+            says=["hamiltonian file {files}/hamiltonian.fcidump: FcidumpError", detail])
+      for prefix, command in (("", EXACT), ("oracle_", ORACLE))
+      for name, site, value, detail in (
+          ("nelec_fraction", "line 1 NELEC", "1.5", "header field NELEC"),
+          ("ms2_word", "line 1 MS2", '"0.5"', "header field MS2"),
+          ("ms2_empty", "line 1 MS2", "(empty)", "header field MS2"),
+          ("underscore", "line 10 token 1", "1_0", "malformed number"))),
     *(user_input(f"{prefix}{name}", [*command, "--eta", "0.02", "--delta", "2.0", *flags],
                  "no_dipole_intensity")
       for prefix, command in (("", ["spectrum", "--mode", "exact"]), ("oracle_", ["oracle"]))
@@ -463,12 +354,24 @@ def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir"
     user_input("series_size_overflows", EXACT + ["--delta", "1e300", "--eta", "1e-10"],
                "budget_exceeded"),
 ])
-def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs, says):
+def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs, says,
+                        mutation):
     """A bad value is refused with a typed error, one JSON line on stderr (whose
     message holds each of ``says``) and no warning; an ignored one changes nothing."""
     out = tmp_path / "run"
     directory = request.getfixturevalue(inputs)
-    args = [a.replace("{inputs}", str(directory)) for a in args]
+    files = dict(FILES)
+    if mutation:
+        m = request.getfixturevalue("fault_sweep")[2][mutation]
+        files[_SWEEP["KINDS"][m.kind].file] = m.text
+    for name, text in files.items():
+        if f"{{files}}/{name}" in args:
+            (tmp_path / name).write_text(text)
+
+    def fill(text):
+        return text.replace("{inputs}", str(directory)).replace("{files}", str(tmp_path))
+
+    args = [fill(a) for a in args]
     if config is not None:
         (tmp_path / "run.json").write_text(json.dumps(config))
         args = args + ["--config", str(tmp_path / "run.json")]
@@ -489,7 +392,7 @@ def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs, 
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
         assert json.loads(proc.stderr)["error"]["kind"] == expected
         message = json.loads(proc.stderr)["error"]["message"]
-        assert all(part.replace("{inputs}", str(directory)) in message for part in says)
+        assert all(fill(part) in message for part in says)
 
 
 def test_unusable_paths_are_refused(fixture_dir, tmp_path):

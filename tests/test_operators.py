@@ -94,6 +94,14 @@ def test_listing_every_permutation_parses_as_the_canonical_file(two_orb):
     assert np.array_equal(full.two_body, canonical.two_body)
 
 
+@pytest.mark.parametrize("norb", [0, 32, 1000])
+def test_norb_beyond_an_occupation_word_is_refused(norb):
+    """NORB is held to the orbitals an int64 word holds before any array is made:
+    32 orbitals overflowed the sector words, and 1000 a 7 TiB two-body array."""
+    with pytest.raises(FcidumpError, match="NORB must be 1 to 31"):
+        parse_fcidump(HEADER.replace("NORB=2", f"NORB={norb}"))
+
+
 def test_missing_header_rejected():
     with pytest.raises(FcidumpError, match="NORB"):
         parse_fcidump("1.0 1 1 0 0\n")

@@ -102,6 +102,17 @@ def test_transition_completeness(toy):
     assert np.max(np.abs(sums - toy.states.moments)) < 1e-10
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e4])
+def test_sum_rule_refuses_a_table_missing_a_state(toy, scale):
+    """The sum-rule tolerance grows with the moments: dipoles ``scale`` times the
+    toy's pass it, and the same table without its brightest state still fails."""
+    table, moments = scale * toy.trans.table, scale**2 * toy.trans.reference_moments
+    oracle.TransitionTable(table, moments)
+    brightest = np.argmax(np.sum(table**2, axis=0))
+    with pytest.raises(ValueError, match="completeness sum rule"):
+        oracle.TransitionTable(np.delete(table, brightest, axis=1), moments)
+
+
 def test_exact_spectrum_zero_dipole(toy):
     zeros = oracle.TransitionTable(np.zeros_like(toy.trans.table), np.zeros((3, 3)))
     grid = np.linspace(0, 5, 50)
