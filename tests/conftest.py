@@ -1,6 +1,4 @@
-import runpy
 from dataclasses import dataclass
-from pathlib import Path
 
 import pytest
 
@@ -46,14 +44,3 @@ def two_orb():
 def validate_results():
     """Every ``dsfsim validate`` check, run once in-process: name -> (ok, detail)."""
     return {name: (ok, detail) for name, ok, detail in validate.run_all()}
-
-
-@pytest.fixture(scope="session")
-def fault_sweep(tmp_path_factory):
-    """The input-fault sweep of ``scripts/fault_sweep.py``: its namespace, the
-    directory of its inputs, and every mutation by (kind, site, change)."""
-    sweep = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts"
-                               / "fault_sweep.py"))
-    base = sweep["make_base"](tmp_path_factory.mktemp("sweep"))
-    return sweep, base, {(m.kind, m.site, m.change): m
-                         for kind in sweep["KINDS"] for m in sweep["mutations"](base, kind)}

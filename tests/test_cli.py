@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import runpy
 import shutil
 import subprocess
@@ -29,8 +30,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # The baseline commands and files, as scripts/make_baselines.py defines them.
 _MAKE_BASELINES = runpy.run_path(str(ROOT / "scripts" / "make_baselines.py"))
-# The input kinds of the input-fault sweep, and the flag that passes each.
-_SWEEP = runpy.run_path(str(ROOT / "scripts" / "fault_sweep.py"))
 FIXTURE, EXACT, SAMPLED, EXACT_FILES, SAMPLED_FILES, RESOURCES = (
     _MAKE_BASELINES[name]
     for name in ("FIXTURE", "EXACT", "SAMPLED", "EXACT_FILES", "SAMPLED_FILES",
@@ -92,15 +91,64 @@ def twelve_orbital_dir(tmp_path_factory):
     return out
 
 
-# Faulty ground-state files that the input-fault sweep (scripts/fault_sweep.py)
-# does not write, by name.
+def eigensystem(n_orbitals=2, basis=((1, 1),), energies=(0.0,), coeffs=((1.0,),)):
+    """An eigensystem document; a field set to None is left out."""
+    doc = {"n_orbitals": n_orbitals, "basis": basis, "energies": energies, "coeffs": coeffs}
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+
+# Faulty ``--ground-state`` files, each named after the case that reads it.
+FOUR = ((1, 1), (1, 2), (2, 1), (2, 2))
+GROUND_STATE_FILES = {
+    "orbitals_mismatched.jsonl": '{"alpha": "100", "beta": "100", "re": 1.0}\n',
+    "record_without_re.jsonl": '{"alpha": "10", "beta": "10", "im": 0.0}\n',
+    "record_beta_shorter_than_alpha.jsonl": '{"alpha": "10", "beta": "1", "re": 1.0}\n',
+    "record_re_bool.jsonl": '{"alpha": "10", "beta": "10", "re": true}\n',
+    "record_im_bool.jsonl": '{"alpha": "10", "beta": "10", "re": 1.0, "im": true}\n',
+    "zero_norm.jsonl": '{"alpha": "10", "beta": "10", "re": 0.0}\n',
+    "norm_overflows.jsonl": '{"alpha": "10", "beta": "10", "re": 1e308, "im": 1e308}\n',
+    "determinant_repeated.jsonl": ('{"alpha": "10", "beta": "10", "re": 1.0}\n'
+                                   '{"alpha": "10", "beta": "10", "re": -1.0}\n'),
+    "eigensystem_without_basis.json": eigensystem(basis=None),
+    "eigensystem_without_states.json": eigensystem(energies=(), coeffs=()),
+    **{f"eigensystem_{name}.json": eigensystem(basis=((mask, 1),)) for name, mask in (
+        ("negative_mask", -1), ("mask_beyond_int64", 2**70), ("float_mask", 1.5),
+        ("bool_mask", True))},
+    "eigensystem_string_orbital_count.json": eigensystem(n_orbitals="2"),
+    "eigensystem_bool_orbital_count.json": eigensystem(n_orbitals=True),
+    "eigensystem_one_coeff_for_four_words.json": eigensystem(basis=FOUR, energies=(-0.2,),
+                                                             coeffs=((0.5,),)),
+    "eigensystem_short_coeffs.json": eigensystem(basis=FOUR, energies=(-0.2,)),
+    "eigensystem_nan_coeff.json": eigensystem(coeffs=((float("nan"),),)),
+    "eigensystem_string_energy.json": eigensystem(energies=("0.0",)),
+    "eigensystem_bool_coeff.json": eigensystem(coeffs=((True,),)),
+}
+# 64 orbitals whose last character is no occupation: only a count check made
+# before the word is built names the orbital count.
 WIDE = "1" + "0" * 62 + "2"
+# Every faulty file by name.  A string is the file's text; a triple (file,
+# pattern, replacement) is that file of the 2-orbital fixture with the one
+# match of ``pattern`` (a multi-line regex) replaced.
+INTEGRAL = r"^\S+(?= 2 2 2 2$)"   # the value of the (2,2,2,2) integral
+DIPOLE_X = r'"x": \[\[.*?\]\]'   # the x matrix of a dipole file
 FILES = {
-    "no_states.json": '{"n_orbitals": 2, "basis": [[1, 1]], "energies": [], "coeffs": []}',
-    "zero.jsonl": '{"alpha": "10", "beta": "10", "re": 0.0}\n',
-    # 64 orbitals whose last character is no occupation: only a count check
-    # made before the word is built names the orbital count.
+    "no_sector.fcidump": ("hamiltonian.fcidump", "NELEC=2,", "NELEC=3,"),
+    "logical.fcidump": ("hamiltonian.fcidump", r"MS2=0,(\s+)ORBSYM=1,1,",
+                        r"MS2=0,UHF=.FALSE.,\1ORBSYM=2*1,"),
+    "noend.fcidump": ("hamiltonian.fcidump", " &END\n", ""),
+    "conflicting.fcidump": ("hamiltonian.fcidump", r"^(?=\S+ 2 2 2 2$)", "9.0 2 2 2 2\n"),
+    "overflowing.fcidump": ("hamiltonian.fcidump", INTEGRAL, "1e308"),
+    "nelec_fraction.fcidump": ("hamiltonian.fcidump", "NELEC=2,", "NELEC=2.5,"),
+    "ms2_word.fcidump": ("hamiltonian.fcidump", "MS2=0,", "MS2=abc,"),
+    "ms2_empty.fcidump": ("hamiltonian.fcidump", "MS2=0,", "MS2=,"),
+    "underscore.fcidump": ("hamiltonian.fcidump", INTEGRAL, "1_0"),
+    "overflowing_dipoles.json": ("dipoles.json", DIPOLE_X, '"x": [[1e308, 0], [0, 1e308]]'),
+    **{f"dipoles_{name}_entry.json": ("dipoles.json", DIPOLE_X,
+                                      f'"x": [[{json.dumps(entry)}, 0], [0, 1.0]]')
+       for name, entry in (("string", "0.123"), ("bool", True), ("int_beyond_float", 10**400))},
+    "huge_orbitals.json": eigensystem(n_orbitals=2**40),
     "wide.jsonl": json.dumps({"alpha": WIDE, "beta": WIDE, "re": 1.0}) + "\n",
+    **GROUND_STATE_FILES,
 }
 
 
@@ -154,28 +202,18 @@ def test_missing_dipole_file_error(fixture_dir, tmp_path):
     assert error["error"]["kind"] == "input_not_found"
 
 
-def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir", says=(),
-               mutation=None):
-    """One CLI case: flags, an optional config document, the input fixture, the
-    pieces of text the error message must hold, and the (kind, site, change) of
-    a mutation of the input-fault sweep.  ``{files}`` names the directory that
-    holds the ``FILES`` and the mutated file."""
-    return pytest.param(args, expected, env, config, inputs, says, mutation, id=name)
-
-
-def swept(name, command, mutation, expected="invalid_config", says=()):
-    """A case whose faulty file is a mutation of the input-fault sweep, passed to
-    ``command`` by the flag of its kind."""
-    kind = _SWEEP["KINDS"][mutation[0]]
-    return user_input(name, [*command, kind.flag, f"{{files}}/{kind.file}"], expected, says=says,
-                      mutation=mutation)
+def user_input(name, args, expected, env=None, config=None, inputs="fixture_dir", says=()):
+    """One CLI case: flags, an optional config document, the input fixture, and
+    the pieces of text the error message must hold.  ``{files}/<name>`` in an
+    argument is the faulty file ``FILES[name]``."""
+    return pytest.param(args, expected, env, config, inputs, says, id=name)
 
 
 ORACLE = ["oracle", "--eta", "0.02"]
 GROUND_STATE = ["spectrum", "--delta", "2.0"]
 
 
-@pytest.mark.parametrize("args, expected, env, config, inputs, says, mutation", [
+@pytest.mark.parametrize("args, expected, env, config, inputs, says", [
     user_input("eta_not_a_number", SAMPLED + ["--eta", "abc"], "invalid_config"),
     user_input("eta_negative", SAMPLED + ["--eta", "-1"], "invalid_config"),
     user_input("oracle_cvs_outside_register",
@@ -218,12 +256,13 @@ GROUND_STATE = ["spectrum", "--delta", "2.0"]
     user_input("config_n_beta_alone", ["spectrum"], "invalid_config", config={"n_beta": 1}),
     user_input("oracle_n_alpha_alone", ["oracle", "--eta", "0.02", "--n-alpha", "1"],
                "invalid_config"),
-    swept("header_names_no_sector", EXACT, ("fcidump", "line 1 MS2", "-1")),
-    swept("oracle_header_names_no_sector", ORACLE, ("fcidump", "line 1 MS2", "-1")),
-    swept("header_fields_not_read_may_be_any_word", EXACT, ("fcidump", "line 2 ORBSYM", "true"),
-          "exact_2orb"),
-    swept("sector_flags_override_the_header", EXACT + ["--n-alpha", "1", "--n-beta", "1"],
-          ("fcidump", "line 1 MS2", "-1"), "exact_2orb"),
+    *(user_input(name, [*command, "--hamiltonian", f"{{files}}/{file}", *flags], expected)
+      for name, command, file, flags, expected in (
+          ("header_names_no_sector", EXACT, "no_sector.fcidump", [], "invalid_config"),
+          ("oracle_header_names_no_sector", ORACLE, "no_sector.fcidump", [], "invalid_config"),
+          ("header_fields_not_read_may_be_any_word", EXACT, "logical.fcidump", [], "exact_2orb"),
+          ("sector_flags_override_the_header", EXACT, "no_sector.fcidump",
+           ["--n-alpha", "1", "--n-beta", "1"], "exact_2orb"))),
     user_input("oracle_ground_state_not_a_flag",
                ["oracle", "--eta", "0.02", "--delta", "2.0",
                 "--ground-state", "{inputs}/missing.jsonl"], "invalid_config"),
@@ -288,60 +327,34 @@ GROUND_STATE = ["spectrum", "--delta", "2.0"]
                ["resources", "--n-orbitals", "22", "--shots", "-60"], "invalid_config"),
     user_input("resources_table_shots_negative",
                ["resources", "--table", "18", "--shots", "-60"], "invalid_config"),
-    *(swept(f"ground_state_{name}", GROUND_STATE, mutation) for name, mutation in (
-        ("orbitals_mismatched", ("civector", "record 1 ['alpha']", '"100"')),
-        ("record_without_re", ("civector", "record 1 ['re']", "drop")),
-        ("eigensystem_without_basis", ("eigensystem", "['basis']", "drop")),
-        ("eigensystem_negative_mask", ("eigensystem", "['basis'][0][0]", "-1")),
-        ("eigensystem_mask_beyond_int64", ("eigensystem", "['basis'][0][0]", "2**63")),
-        ("eigensystem_float_mask", ("eigensystem", "['basis'][0][0]", "1.5")),
-        ("eigensystem_string_orbital_count", ("eigensystem", "['n_orbitals']", '"0.5"')),
-        ("eigensystem_bool_mask", ("eigensystem", "['basis'][0][0]", "true")),
-        ("eigensystem_bool_orbital_count", ("eigensystem", "['n_orbitals']", "true")),
-        ("record_beta_shorter_than_alpha", ("civector", "record 1 ['beta']", '""')),
-        ("record_re_bool", ("civector", "record 1 ['re']", "true")),
-        ("record_im_bool", ("civector", "record 1 ['im']", "true")),
-        ("eigensystem_one_coeff_for_four_words", ("eigensystem", "['coeffs'][0]", "drop")),
-        ("eigensystem_nan_coeff", ("eigensystem", "['coeffs'][0][0]", "NaN")),
-        ("eigensystem_short_coeffs", ("eigensystem", "['coeffs'][0]", "repeat")),
-        ("norm_overflows", ("civector", "record 1 ['re']", "1e300")),
-        ("determinant_repeated", ("civector", "line 1", "repeat")),
-        ("eigensystem_string_energy", ("eigensystem", "['energies'][0]", '"0.5"')),
-        ("eigensystem_bool_coeff", ("eigensystem", "['coeffs'][0][0]", "true")))),
-    swept("ground_state_huge_orbitals.json", GROUND_STATE,
-          ("eigensystem", "['n_orbitals']", "2**40"),
-          says=["ground state file {files}/eigensystem.json: ValueError",
-                f"n_orbitals is {2**40}, not 2"]),
-    *(user_input(f"ground_state_{name}",
-                 [*GROUND_STATE, "--ground-state", f"{{files}}/{file}"], "invalid_config",
+    *(user_input(f"ground_state_{file.split('.')[0]}",
+                 [*GROUND_STATE, "--ground-state", f"{{files}}/{file}"], "invalid_config")
+      for file in GROUND_STATE_FILES),
+    *(user_input(f"ground_state_{file}", [*GROUND_STATE, "--ground-state", f"{{files}}/{file}"],
+                 "invalid_config", says=[f"ground state file {{files}}/{file}: ValueError", detail])
+      for file, detail in (("huge_orbitals.json", f"n_orbitals is {2**40}, not 2"),
+                           ("wide.jsonl", "64 orbitals, not 2"))),
+    *(user_input(f"{prefix}{name}", [*command, flag, f"{{files}}/{file}"], "invalid_config",
                  says=says)
-      for name, file, says in (
-          ("eigensystem_without_states", "no_states.json", ()), ("zero_norm", "zero.jsonl", ()),
-          ("wide.jsonl", "wide.jsonl", ["ground state file {files}/wide.jsonl: ValueError",
-                                        "64 orbitals, not 2"]))),
-    *(swept(f"{prefix}{name}", command, mutation,
-            says=[f"{what} file {{files}}/{file}: an input value overflows"])
+      for prefix, command in (("", EXACT), ("oracle_", ORACLE))
+      for name, flag, file, *says in (
+          ("fcidump_header_never_ends", "--hamiltonian", "noend.fcidump"),
+          ("fcidump_conflicting_integral", "--hamiltonian", "conflicting.fcidump"),
+          *((f"fcidump_{name}", "--hamiltonian", f"{name}.fcidump",
+             f"hamiltonian file {{files}}/{name}.fcidump: FcidumpError", detail)
+            for name, detail in (("nelec_fraction", "header field NELEC"),
+                                 ("ms2_word", "header field MS2"),
+                                 ("ms2_empty", "header field MS2"),
+                                 ("underscore", "malformed number"))),
+          *((f"dipoles_{name}_entry", "--dipoles", f"dipoles_{name}_entry.json",
+             f"dipole file {{files}}/dipoles_{name}_entry.json: TypeError")
+            for name in ("string", "bool", "int_beyond_float")))),
+    *(user_input(f"{prefix}{name}", [*command, flag, f"{{files}}/{file}"], "invalid_config",
+                 says=[f"{what} file {{files}}/{file}: an input value overflows"])
       for prefix, command in (("", ["spectrum"]), ("oracle_", ORACLE))
-      for name, mutation, what, file in (
-          ("fcidump_overflows", ("fcidump", "line 10 token 1", "1e308"), "hamiltonian",
-           "hamiltonian.fcidump"),
-          ("dipoles_overflow", ("dipoles", "['x'][0][0]", "1e308"), "dipole", "dipoles.json"))),
-    swept("fcidump_conflicting_integral", EXACT, ("fcidump", "line 10", "conflict")),
-    swept("oracle_fcidump_conflicting_integral", ORACLE, ("fcidump", "line 10", "conflict")),
-    swept("fcidump_header_never_ends", EXACT, ("fcidump", "line 4", "drop")),
-    swept("oracle_fcidump_header_never_ends", ORACLE, ("fcidump", "line 4", "drop")),
-    *(swept(f"{prefix}dipoles_{name}_entry", command, ("dipoles", "['x'][0][0]", value),
-            says=["dipole file {files}/dipoles.json: TypeError"])
-      for prefix, command in (("", EXACT), ("oracle_", ORACLE))
-      for name, value in (("string", '"0.5"'), ("bool", "true"), ("int_beyond_float", "10**399"))),
-    *(swept(f"{prefix}fcidump_{name}", command, ("fcidump", site, value),
-            says=["hamiltonian file {files}/hamiltonian.fcidump: FcidumpError", detail])
-      for prefix, command in (("", EXACT), ("oracle_", ORACLE))
-      for name, site, value, detail in (
-          ("nelec_fraction", "line 1 NELEC", "1.5", "header field NELEC"),
-          ("ms2_word", "line 1 MS2", '"0.5"', "header field MS2"),
-          ("ms2_empty", "line 1 MS2", "(empty)", "header field MS2"),
-          ("underscore", "line 10 token 1", "1_0", "malformed number"))),
+      for name, flag, file, what in (
+          ("fcidump_overflows", "--hamiltonian", "overflowing.fcidump", "hamiltonian"),
+          ("dipoles_overflow", "--dipoles", "overflowing_dipoles.json", "dipole"))),
     *(user_input(f"{prefix}{name}", [*command, "--eta", "0.02", "--delta", "2.0", *flags],
                  "no_dipole_intensity")
       for prefix, command in (("", ["spectrum", "--mode", "exact"]), ("oracle_", ["oracle"]))
@@ -354,19 +367,21 @@ GROUND_STATE = ["spectrum", "--delta", "2.0"]
     user_input("series_size_overflows", EXACT + ["--delta", "1e300", "--eta", "1e-10"],
                "budget_exceeded"),
 ])
-def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs, says,
-                        mutation):
+def test_cli_user_input(request, tmp_path, args, expected, env, config, inputs, says):
     """A bad value is refused with a typed error, one JSON line on stderr (whose
-    message holds each of ``says``) and no warning; an ignored one changes nothing."""
+    message holds each of ``says`` and names the faulty file) and no warning; an
+    ignored one changes nothing."""
     out = tmp_path / "run"
     directory = request.getfixturevalue(inputs)
-    files = dict(FILES)
-    if mutation:
-        m = request.getfixturevalue("fault_sweep")[2][mutation]
-        files[_SWEEP["KINDS"][m.kind].file] = m.text
-    for name, text in files.items():
-        if f"{{files}}/{name}" in args:
-            (tmp_path / name).write_text(text)
+    faulty = [name for name in FILES if f"{{files}}/{name}" in args]
+    for name in faulty:
+        text = FILES[name]
+        if not isinstance(text, str):
+            source, pattern, new = text
+            text, count = re.subn(pattern, new, (directory / source).read_text(), flags=re.M)
+            assert count == 1, name
+        (tmp_path / name).write_text(text)
+    says = [*says, *(f"{{files}}/{name}" for name in faulty)]   # a refusal names the file
 
     def fill(text):
         return text.replace("{inputs}", str(directory)).replace("{files}", str(tmp_path))

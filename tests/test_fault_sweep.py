@@ -1,10 +1,13 @@
 """The input-fault sweep of ``scripts/fault_sweep.py`` on a fixed set of its
-mutations and on drawn ones; the script itself runs every mutation.  The CLI
-tests' ``test_cli_user_input`` rows run more of its mutations, one each."""
+mutations and on drawn ones; the script itself runs every mutation."""
+import runpy
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-# (kind, site, change) of mutations no CLI test row runs.
+# (kind, site, change) of a fixed set of mutations.
 FIXED = [
     ("dipoles", "['x'][0][0]", "1e3"),      # the oracle's sum rule is held to the moments
     ("dipoles", "['x'][1][1]", "1e150"),
@@ -22,6 +25,17 @@ FIXED = [
     ("series", "['entries'][1]", "drop"),
     ("csv", "line 2 omega", "NaN"),
 ]
+
+
+@pytest.fixture(scope="module")
+def fault_sweep(tmp_path_factory):
+    """The script's namespace, the directory of its inputs, and every mutation by
+    (kind, site, change)."""
+    sweep = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts"
+                               / "fault_sweep.py"))
+    base = sweep["make_base"](tmp_path_factory.mktemp("sweep"))
+    return sweep, base, {(m.kind, m.site, m.change): m
+                         for kind in sweep["KINDS"] for m in sweep["mutations"](base, kind)}
 
 
 def test_fixed_mutations(fault_sweep):
